@@ -9,14 +9,18 @@ Conventions, used everywhere in the package:
 - a stationary accelerometer measures the +g reaction, i.e. rotating
   (0, 0, +9.81) into the sensor frame
 
-Vec3 and Quaternion are plain immutable float records rather than numpy
-arrays: the hot loops here do a handful of scalar ops per call and the
-array wrapper overhead would dominate.
+Records are array rows: Vec3 and Quaternion are named tuples, so
+`np.asarray` of one record, or of nested lists of records, is already a
+(..., 3) or (..., 4) float array. Each formula has one array kernel (the
+`q*` functions below, over any leading shape); whole trajectories go
+through those. The scalar record methods serve the recurrent filters,
+which advance one sample at a time, and use the same operation order as
+the kernels, so both give bitwise-equal results.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +30,7 @@ GRAVITY_MAGNITUDE = 9.81
 _UNIT_NORM_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
+class Vec3(NamedTuple):
     x: float
     y: float
     z: float
@@ -37,9 +40,6 @@ class Vec3:
 
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
 
     def scaled(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
@@ -57,9 +57,6 @@ class Vec3:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def norm2(self) -> float:
-        return self.x * self.x + self.y * self.y + self.z * self.z
-
     def normalized(self) -> "Vec3":
         n = self.norm()
         if n == 0.0:
@@ -67,10 +64,10 @@ class Vec3:
         return Vec3(self.x / n, self.y / n, self.z / n)
 
     def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
+        return all(map(math.isfinite, self))
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+        return np.array(self, dtype=float)
 
     @staticmethod
     def from_array(a) -> "Vec3":
@@ -81,12 +78,10 @@ class Vec3:
         return Vec3(0.0, 0.0, 0.0)
 
 
-WORLD_GRAVITY = Vec3(0.0, 0.0, -GRAVITY_MAGNITUDE)
 GRAVITY_REACTION = Vec3(0.0, 0.0, GRAVITY_MAGNITUDE)
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class Quaternion(NamedTuple):
     w: float
     x: float
     y: float
@@ -97,32 +92,27 @@ class Quaternion:
         return Quaternion(1.0, 0.0, 0.0, 0.0)
 
     def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        w, x, y, z = self
+        return math.sqrt(w * w + x * x + y * y + z * z)
 
     def normalized(self) -> "Quaternion":
         """Unit-norm, canonicalized so that w >= 0."""
         n = self.norm()
         if n == 0.0 or not math.isfinite(n):
             raise ContractViolationError(f"cannot normalize quaternion with norm {n}")
+        w, x, y, z = self
         s = 1.0 / n
-        if self.w < 0.0:
+        if w < 0.0:
             s = -s
-        return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
+        return Quaternion(w * s, x * s, y * s, z * s)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def inverse(self) -> "Quaternion":
-        """Inverse of a unit quaternion (the conjugate)."""
-        return self.conjugate()
-
-    def dot(self, other: "Quaternion") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         """Hamilton product. Not normalized; compose and re-normalize as needed."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
+        w1, x1, y1, z1 = self
+        w2, x2, y2, z2 = other
         return Quaternion(
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
             w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
@@ -132,20 +122,11 @@ class Quaternion:
 
     def rotation_angle(self) -> float:
         """Angle of the rotation this (unit) quaternion encodes, in [0, pi]."""
-        v = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        return 2.0 * math.atan2(v, abs(self.w))
+        return float(qangle(self))
 
     def to_rotvec(self) -> Vec3:
         """Rotation vector (axis * angle), angle in [0, pi]. Inverse of from_rotvec."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        if w < 0.0:  # q and -q encode the same rotation; take the short arc
-            w, x, y, z = -w, -x, -y, -z
-        v = math.sqrt(x * x + y * y + z * z)
-        if v < 1e-12:
-            # small-angle: sin(a/2) ~ a/2, so vector part ~ axis * a/2
-            return Vec3(2.0 * x, 2.0 * y, 2.0 * z)
-        s = 2.0 * math.atan2(v, w) / v
-        return Vec3(x * s, y * s, z * s)
+        return Vec3(*qrotvec(self).tolist())
 
     @staticmethod
     def from_rotvec(r: Vec3) -> "Quaternion":
@@ -165,83 +146,39 @@ class Quaternion:
 
     def to_matrix(self) -> np.ndarray:
         """3x3 rotation matrix of a unit quaternion."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return qmatrix(self)
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Quaternion":
         """Unit quaternion from a rotation matrix (Shepperd's method)."""
-        m = np.asarray(m, dtype=float)
-        t = m[0, 0] + m[1, 1] + m[2, 2]
-        if t > 0.0:
-            s = math.sqrt(t + 1.0) * 2.0
-            q = Quaternion(
-                0.25 * s,
-                (m[2, 1] - m[1, 2]) / s,
-                (m[0, 2] - m[2, 0]) / s,
-                (m[1, 0] - m[0, 1]) / s,
-            )
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = Quaternion(
-                (m[2, 1] - m[1, 2]) / s,
-                0.25 * s,
-                (m[0, 1] + m[1, 0]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-            )
-        elif m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = Quaternion(
-                (m[0, 2] - m[2, 0]) / s,
-                (m[0, 1] + m[1, 0]) / s,
-                0.25 * s,
-                (m[1, 2] + m[2, 1]) / s,
-            )
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = Quaternion(
-                (m[1, 0] - m[0, 1]) / s,
-                (m[0, 2] + m[2, 0]) / s,
-                (m[1, 2] + m[2, 1]) / s,
-                0.25 * s,
-            )
-        return q.normalized()
+        return Quaternion(*qfrom_matrix(m).tolist())
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
+        return np.array(self, dtype=float)
 
     @staticmethod
     def from_array(a) -> "Quaternion":
         return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
     def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.w)
-            and math.isfinite(self.x)
-            and math.isfinite(self.y)
-            and math.isfinite(self.z)
-        )
+        return all(map(math.isfinite, self))
 
 
 def quat_rotate(q: Quaternion, v: Vec3) -> Vec3:
     """Rotate v by unit quaternion q (sensor->world if q is the sensor orientation)."""
-    n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    w, x, y, z = q
+    vx, vy, vz = v
+    n2 = w * w + x * x + y * y + z * z
     if abs(n2 - 1.0) > 3.0 * _UNIT_NORM_TOL:
         raise ContractViolationError(f"quat_rotate requires a unit quaternion, |q|^2 = {n2}")
     # v' = v + 2 w (u x v) + 2 u x (u x v), u = quaternion vector part
-    tx = 2.0 * (q.y * v.z - q.z * v.y)
-    ty = 2.0 * (q.z * v.x - q.x * v.z)
-    tz = 2.0 * (q.x * v.y - q.y * v.x)
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
     return Vec3(
-        v.x + q.w * tx + (q.y * tz - q.z * ty),
-        v.y + q.w * ty + (q.z * tx - q.x * tz),
-        v.z + q.w * tz + (q.x * ty - q.y * tx),
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
     )
 
 
@@ -255,28 +192,150 @@ def quat_angle_between(q_a: Quaternion, q_b: Quaternion) -> float:
     return (q_a.conjugate() * q_b).rotation_angle()
 
 
-def rot6d_from_quat(q: Quaternion) -> np.ndarray:
-    """6D rotation representation: the first two columns of the matrix."""
-    m = q.to_matrix()
-    return np.concatenate([m[:, 0], m[:, 1]])
-
-
 def quat_from_rot6d(r6) -> Quaternion:
     """Orthonormalize a 6D representation (Gram-Schmidt) back to a quaternion.
 
     Degenerate inputs (zero or parallel columns) fall back to identity so
     that untrained network output still evaluates.
     """
+    return Quaternion(*qfrom_rot6d(r6).tolist())
+
+
+# -- array kernels: quaternions (..., 4), vectors (..., 3), leading shapes broadcast
+
+
+def _parts(a) -> list[np.ndarray]:
+    """Components along the last axis: (w, x, y, z) or (x, y, z)."""
+    a = np.asarray(a, dtype=float)
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
+def _join(*parts) -> np.ndarray:
+    """Components back into rows along a new last axis (np.stack at less overhead)."""
+    out = np.empty(np.broadcast(*parts).shape + (len(parts),))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
+
+
+def qmul(a, b) -> np.ndarray:
+    """Hamilton product a * b."""
+    w1, x1, y1, z1 = _parts(a)
+    w2, x2, y2, z2 = _parts(b)
+    return _join(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def qconj(q) -> np.ndarray:
+    """Conjugate (the inverse of a unit quaternion)."""
+    return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def qnormalize(q) -> np.ndarray:
+    """Unit norm, canonicalized so that w >= 0."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = _parts(q)
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    bad = (n == 0.0) | ~np.isfinite(n)
+    if bad.any():
+        raise ContractViolationError(f"cannot normalize quaternion with norm {n[bad].flat[0]}")
+    s = 1.0 / n
+    s = np.where(w < 0.0, -s, s)
+    return q * s[..., None]
+
+
+def qrotate(q, v) -> np.ndarray:
+    """Rotate vectors v by unit quaternions q."""
+    w, x, y, z = _parts(q)
+    vx, vy, vz = _parts(v)
+    n2 = w * w + x * x + y * y + z * z
+    off = np.abs(n2 - 1.0) > 3.0 * _UNIT_NORM_TOL
+    if off.any():
+        raise ContractViolationError(
+            f"quat_rotate requires a unit quaternion, |q|^2 = {n2[off].flat[0]}"
+        )
+    # v' = v + 2 w (u x v) + 2 u x (u x v), u = quaternion vector part
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return _join(
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
+def qangle(q) -> np.ndarray:
+    """Rotation angle of unit quaternions, radians in [0, pi]."""
+    w, x, y, z = _parts(q)
+    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
+
+
+def qrotvec(q) -> np.ndarray:
+    """Rotation vectors (axis * angle), angle in [0, pi], taking the short arc."""
+    q = np.asarray(q, dtype=float)
+    q = np.where(q[..., :1] < 0.0, -q, q)  # q and -q encode the same rotation
+    w, x, y, z = _parts(q)
+    v = np.sqrt(x * x + y * y + z * z)
+    small = v < 1e-12
+    # small-angle: sin(a/2) ~ a/2, so vector part ~ axis * a/2
+    s = np.where(small, 2.0, 2.0 * np.arctan2(v, w) / np.where(small, 1.0, v))
+    return q[..., 1:] * s[..., None]
+
+
+def qmatrix(q) -> np.ndarray:
+    """(..., 3, 3) rotation matrices of unit quaternions."""
+    w, x, y, z = _parts(q)
+    m = _join(
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+    return m.reshape(m.shape[:-1] + (3, 3))
+
+
+def qfrom_matrix(m) -> np.ndarray:
+    """Unit quaternions from (..., 3, 3) rotation matrices (Shepperd's method).
+
+    Row b of the symmetric matrix below is 4 q_b q. Each matrix takes the
+    row with the largest diagonal entry 4 q_b^2 >= 1, so the result never
+    divides by a small number.
+    """
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = [_parts(col) for col in _parts(m)]
+    rows = _join(
+        _join(1.0 + m00 + m11 + m22, m21 - m12, m02 - m20, m10 - m01),
+        _join(m21 - m12, 1.0 + m00 - m11 - m22, m01 + m10, m02 + m20),
+        _join(m02 - m20, m01 + m10, 1.0 - m00 + m11 - m22, m12 + m21),
+        _join(m10 - m01, m02 + m20, m12 + m21, 1.0 - m00 - m11 + m22),
+    )
+    pivot = np.argmax(np.diagonal(rows, axis1=-2, axis2=-1), axis=-1)
+    return qnormalize(np.take_along_axis(rows, pivot[..., None, None], axis=-2)[..., 0, :])
+
+
+def rot6d_from_quat(q) -> np.ndarray:
+    """6D rotation representation (..., 6): the first two matrix columns."""
+    m = qmatrix(q)
+    return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
+
+
+def qfrom_rot6d(r6) -> np.ndarray:
+    """Gram-Schmidt (..., 6) representations back to unit quaternions.
+
+    Degenerate rows (a zero first column, or a second column parallel to
+    it) give identity.
+    """
     r6 = np.asarray(r6, dtype=float)
-    a, b = r6[:3], r6[3:6]
-    na = np.linalg.norm(a)
-    if na < 1e-8:
-        return Quaternion.identity()
-    c0 = a / na
-    b_orth = b - np.dot(b, c0) * c0
-    nb = np.linalg.norm(b_orth)
-    if nb < 1e-8:
-        return Quaternion.identity()
-    c1 = b_orth / nb
-    c2 = np.cross(c0, c1)
-    return Quaternion.from_matrix(np.column_stack([c0, c1, c2]))
+    a, b = r6[..., :3], r6[..., 3:6]
+    na = np.sqrt((a * a).sum(axis=-1))
+    degenerate = na < 1e-8
+    c0 = a / np.where(degenerate, 1.0, na)[..., None]
+    b_orth = b - (b * c0).sum(axis=-1)[..., None] * c0
+    nb = np.sqrt((b_orth * b_orth).sum(axis=-1))
+    degenerate |= nb < 1e-8
+    c1 = b_orth / np.where(degenerate, 1.0, nb)[..., None]
+    m = np.stack([c0, c1, np.cross(c0, c1)], axis=-1)
+    return qfrom_matrix(np.where(degenerate[..., None, None], np.eye(3), m))

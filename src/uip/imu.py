@@ -14,18 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ContractViolationError
-from .geometry import GRAVITY_REACTION, Quaternion, Vec3, quat_rotate
+from .geometry import GRAVITY_REACTION, Quaternion, Vec3, qangle, qconj, qmul, qnormalize, qrotate, qrotvec, quat_rotate
 
 DT = 0.01  # 100 Hz sample grid used throughout
-
-
-@dataclass(frozen=True, slots=True)
-class SensorFrame:
-    """One raw IMU sample."""
-
-    t: float
-    accel: Vec3  # m/s^2, sensor frame
-    gyro: Vec3  # rad/s, sensor frame
 
 
 @dataclass
@@ -38,11 +29,6 @@ class ImuStream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def frame(self, i: int) -> SensorFrame:
-        return SensorFrame(
-            float(self.t[i]), Vec3.from_array(self.accel[i]), Vec3.from_array(self.gyro[i])
-        )
 
 
 @dataclass(frozen=True)
@@ -91,45 +77,43 @@ def synthesize_accel(positions: np.ndarray, n: int = 4, dt: float = DT) -> np.nd
     return acc
 
 
-def synthesize_gyro(orientations: list[Quaternion], dt: float = DT) -> np.ndarray:
+def synthesize_gyro(orientations, dt: float = DT) -> np.ndarray:
     """Body-frame angular velocity from consecutive orientation pairs.
 
+    orientations: (T, 4) array or sequence of Quaternion.
     omega_t = rotvec(q_t^-1 q_{t+1}) / dt; the last sample is replicated.
     Consecutive frames must stay within a 90 degree rotation of each other
     (antipodal pairs are a contract violation).
     """
-    t_len = len(orientations)
-    out = np.zeros((t_len, 3))
-    for i in range(t_len - 1):
-        rel = (orientations[i].conjugate() * orientations[i + 1]).normalized()
-        if rel.rotation_angle() > 0.5 * math.pi:
-            raise ContractViolationError(
-                f"orientation step at frame {i} exceeds 90 degrees; stream too sparse"
-            )
-        r = rel.to_rotvec()
-        out[i] = (r.x / dt, r.y / dt, r.z / dt)
-    if t_len > 1:
-        out[t_len - 1] = out[t_len - 2]
+    q = np.asarray(orientations, dtype=float).reshape(-1, 4)
+    rel = qnormalize(qmul(qconj(q[:-1]), q[1:]))
+    too_far = np.flatnonzero(qangle(rel) > 0.5 * math.pi)
+    if too_far.size:
+        raise ContractViolationError(
+            f"orientation step at frame {too_far[0]} exceeds 90 degrees; stream too sparse"
+        )
+    out = np.zeros((q.shape[0], 3))
+    out[:-1] = qrotvec(rel) / dt
+    if q.shape[0] > 1:
+        out[-1] = out[-2]
     return out
 
 
 def synthesize_imu(
     positions: np.ndarray,
-    orientations: list[Quaternion],
+    orientations,
     noise: ImuNoiseModel,
     rng: np.random.Generator,
     n: int = 4,
     dt: float = DT,
 ) -> ImuStream:
-    """Raw IMU stream for one sensor from its ground-truth trajectory."""
+    """Raw IMU stream for one sensor from its ground-truth trajectory.
+
+    positions: (T, 3); orientations: (T, 4) array or sequence of Quaternion.
+    """
     t_len = positions.shape[0]
     world_acc = synthesize_accel(positions, n=n, dt=dt)
-    accel = np.zeros((t_len, 3))
-    g = GRAVITY_REACTION
-    for i in range(t_len):
-        f_world = Vec3(world_acc[i, 0] + g.x, world_acc[i, 1] + g.y, world_acc[i, 2] + g.z)
-        f_sensor = quat_rotate(orientations[i].conjugate(), f_world)
-        accel[i] = (f_sensor.x, f_sensor.y, f_sensor.z)
+    accel = qrotate(qconj(orientations), world_acc + np.asarray(GRAVITY_REACTION))
     gyro = synthesize_gyro(orientations, dt=dt)
     accel += noise.accel_bias.to_array() + rng.normal(0.0, noise.accel_sigma, (t_len, 3))
     gyro += noise.gyro_bias.to_array() + rng.normal(0.0, noise.gyro_sigma, (t_len, 3))
@@ -228,23 +212,14 @@ def orientation_filter(
     accel_offset: Vec3 | None = None,
 ) -> list[OrientationEstimate]:
     """Run the complementary filter over a raw stream, offsets removed first."""
-    go = gyro_offset or Vec3.zero()
-    ao = accel_offset or Vec3.zero()
+    accel = (stream.accel - np.asarray(accel_offset or Vec3.zero())).tolist()
+    # gyro[i] spans the interval [t_i, t_i + dt], so it belongs to the
+    # i+1 estimate; the first estimate integrates nothing.
+    gyro = [[0.0, 0.0, 0.0]] + (stream.gyro[:-1] - np.asarray(gyro_offset or Vec3.zero())).tolist()
     dt = float(stream.t[1] - stream.t[0]) if len(stream) > 1 else DT
     filt = ComplementaryFilter(init, gain=gain, dt=dt)
     out: list[OrientationEstimate] = []
-    for i in range(len(stream)):
-        accel = Vec3(stream.accel[i, 0] - ao.x, stream.accel[i, 1] - ao.y, stream.accel[i, 2] - ao.z)
-        # gyro[i] spans the interval [t_i, t_i + dt], so it belongs to the
-        # i+1 estimate; the first estimate integrates nothing.
-        if i == 0:
-            gyro = Vec3.zero()
-        else:
-            gyro = Vec3(
-                stream.gyro[i - 1, 0] - go.x,
-                stream.gyro[i - 1, 1] - go.y,
-                stream.gyro[i - 1, 2] - go.z,
-            )
-        est = filt.step(accel, gyro)
-        out.append(OrientationEstimate(float(stream.t[i]), est.q, est.accel_world))
+    for t, a, g in zip(stream.t.tolist(), accel, gyro):
+        est = filt.step(Vec3(*a), Vec3(*g))
+        out.append(OrientationEstimate(t, est.q, est.accel_world))
     return out

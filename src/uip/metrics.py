@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, DataError
-from .geometry import Quaternion, quat_angle_between, quat_rotate, Vec3
+from .geometry import Quaternion, qangle, qconj, qmul, qnormalize, qrotate
 
 # Global orientation error is reported over these four bones (the joint
 # frame at the top of each upper arm and upper leg).
@@ -80,8 +80,9 @@ def sip_error(
 ) -> float:
     """Mean global orientation error of the four SIP bones, in degrees.
 
-    pred and truth map joint names to per-frame global orientations; both
-    must cover every SIP joint with equal frame counts.
+    pred and truth map joint names to per-frame global orientations
+    (sequences of Quaternion or (T, 4) arrays); both must cover every SIP
+    joint with equal frame counts.
     """
     angles = []
     for name in SIP_JOINTS:
@@ -92,8 +93,8 @@ def sip_error(
             raise ContractViolationError(
                 f"joint {name!r}: {len(p)} predicted vs {len(t)} true frames"
             )
-        angles.extend(quat_angle_between(a, b) for a, b in zip(p, t))
-    return math.degrees(float(np.mean(angles)))
+        angles.append(qangle(qmul(qconj(p), t)))
+    return math.degrees(float(np.mean(np.concatenate(angles))))
 
 
 def position_error(
@@ -121,19 +122,10 @@ def position_error(
         raise ContractViolationError(f"root index {root} outside 0..{n_joints - 1}")
     if len(pred_root_rot) != t_frames or len(truth_root_rot) != t_frames:
         raise ContractViolationError("root orientation count differs from frame count")
-    total = 0.0
-    for k in range(t_frames):
-        align = (truth_root_rot[k] * pred_root_rot[k].conjugate()).normalized()
-        origin = pred_pos[k, root]
-        target = truth_pos[k, root]
-        for j in range(n_joints):
-            rel = Vec3(*(pred_pos[k, j] - origin))
-            moved = quat_rotate(align, rel)
-            dx = target[0] + moved.x - truth_pos[k, j, 0]
-            dy = target[1] + moved.y - truth_pos[k, j, 1]
-            dz = target[2] + moved.z - truth_pos[k, j, 2]
-            total += math.sqrt(dx * dx + dy * dy + dz * dz)
-    return 100.0 * total / (t_frames * n_joints)
+    align = qnormalize(qmul(truth_root_rot, qconj(pred_root_rot)))
+    moved = qrotate(align[:, None], pred_pos - pred_pos[:, root : root + 1])
+    gap = truth_pos[:, root : root + 1] + moved - truth_pos
+    return 100.0 * float(np.sqrt((gap * gap).sum(axis=-1)).sum()) / (t_frames * n_joints)
 
 
 def jitter(positions: np.ndarray, rate: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError
-from .geometry import Quaternion, Vec3, quat_rotate, rot6d_from_quat, quat_from_rot6d
+from .geometry import Quaternion, Vec3, qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_quat
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
@@ -35,9 +35,9 @@ from .skeleton import (
     Skeleton,
     default_placement,
     default_skeleton,
-    fk_pose,
+    fk_batch,
+    mount_poses,
     pairwise_occlusion,
-    sensor_pose,
     tpose,
 )
 from .storage import (
@@ -49,7 +49,6 @@ from .storage import (
     read_truth,
     verify_manifest,
     write_calibration,
-    write_distances,
     write_imu_csv,
     write_manifest,
     write_model_input,
@@ -81,18 +80,6 @@ def _setup(cfg: RunConfig):
     return skel, default_placement(skel)
 
 
-def _tpose_sensors(skel, placement):
-    """Static T-pose: joint pose plus per-sensor world poses."""
-    jp, jr = tpose(skel)
-    pos = np.zeros((N_SENSORS, 3))
-    rot = []
-    for s in range(N_SENSORS):
-        p, q = sensor_pose(placement, s, jp, jr)
-        pos[s] = p.to_array()
-        rot.append(q)
-    return jp, pos, rot
-
-
 def _noise_models(cfg: RunConfig) -> list[ImuNoiseModel]:
     """One noise model per sensor; biases persist across every segment."""
     out = []
@@ -109,41 +96,14 @@ def _noise_models(cfg: RunConfig) -> list[ImuNoiseModel]:
     return out
 
 
-def _clip_truth(skel: Skeleton, placement, clip: MotionClip):
-    """One FK sweep: joint and sensor trajectories for a whole clip."""
-    frames = clip.n_frames
-    joint_pos = np.zeros((frames, skel.n_joints, 3))
-    joint_rot: list[list[Quaternion]] = []
-    sensor_pos = np.zeros((frames, N_SENSORS, 3))
-    sensor_rot: list[list[Quaternion]] = []
-    joint_vecs: list[list[Vec3]] = []
-    for k in range(frames):
-        jp, jr = fk_pose(skel, clip.local_rot[k], clip.root_pos[k])
-        joint_vecs.append(jp)
-        joint_rot.append(jr)
-        for j, p in enumerate(jp):
-            joint_pos[k, j] = p.to_array()
-        row = []
-        for s in range(N_SENSORS):
-            p, q = sensor_pose(placement, s, jp, jr)
-            sensor_pos[k, s] = p.to_array()
-            row.append(q)
-        sensor_rot.append(row)
-    return joint_pos, joint_rot, sensor_pos, sensor_rot, joint_vecs
-
-
-def _occlusion_sigma_fn(cfg: RunConfig, skel, placement, joint_vecs, sensor_pos, rate):
+def _occlusion_sigma_fn(cfg: RunConfig, skel, placement, joint_pos, sensor_pos, rate):
     """Per-round noise model: sigma by the body-occlusion ratio of each pair."""
-    last = len(joint_vecs) - 1
+    last = len(joint_pos) - 1
 
     def for_round(_k: int, t: float):
         frame = min(int(round(t * rate)), last)
-        occ = pairwise_occlusion(skel, placement, joint_vecs[frame], sensor_pos[frame])
-
-        def sigma(i: int, j: int) -> float:
-            return occlusion_noise_sigma(occ[i, j], cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
-
-        return sigma
+        occ = pairwise_occlusion(skel, placement, joint_pos[frame], sensor_pos[frame])
+        return lambda i, j: occlusion_noise_sigma(occ[i, j], cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
 
     return for_round
 
@@ -164,13 +124,12 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
 
     # Stationary T-pose segment: calibration source for IMU offsets and
     # the affine range correction.
-    jp_t, spos_t, srot_t = _tpose_sensors(skel, placement)
+    jp_t, jr_t = map(np.asarray, tpose(skel))
+    spos_t, srot_t = mount_poses(placement.mounts, jp_t, jr_t)
     n_tpose = int(round(cfg.imu.tpose_seconds * rate))
     for s in range(N_SENSORS):
-        pos = np.tile(spos_t[s], (n_tpose, 1))
-        stream = synthesize_imu(
-            pos, [srot_t[s]] * n_tpose, noise[s], derive_rng(cfg.seed, "imu", "tpose", s), dt=1.0 / rate
-        )
+        pos, rot = np.tile(spos_t[s], (n_tpose, 1)), np.tile(srot_t[s], (n_tpose, 1))
+        stream = synthesize_imu(pos, rot, noise[s], derive_rng(cfg.seed, "imu", "tpose", s), dt=1.0 / rate)
         name = f"tpose_imu_s{s}.csv"
         write_imu_csv(out / name, stream)
         written.append(name)
@@ -195,18 +154,15 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
     for idx, clip in enumerate(clips):
         cdir = out / clip.name
         cdir.mkdir(exist_ok=True)
-        joint_pos, joint_rot, sensor_pos, sensor_rot, joint_vecs = _clip_truth(skel, placement, clip)
+        joint_pos, joint_rot = fk_batch(skel, clip.local_rot, clip.root_pos)
+        sensor_pos, sensor_rot = mount_poses(placement.mounts, joint_pos, joint_rot)
         times = np.arange(clip.n_frames) / rate
         write_truth(cdir / "truth.jsonl", times, joint_pos, joint_rot, sensor_pos, sensor_rot)
         written.append(f"{clip.name}/truth.jsonl")
-        accel = np.stack(
-            [synthesize_accel(sensor_pos[:, s], dt=1.0 / rate) for s in range(N_SENSORS)], axis=1
-        )
-        mean_accel = float(np.linalg.norm(accel, axis=2).mean())
+        mean_accel = float(np.linalg.norm(synthesize_accel(sensor_pos, dt=1.0 / rate), axis=2).mean())
         for s in range(N_SENSORS):
-            quats = [sensor_rot[k][s] for k in range(clip.n_frames)]
             stream = synthesize_imu(
-                sensor_pos[:, s], quats, noise[s], derive_rng(cfg.seed, "imu", idx, s), dt=1.0 / rate
+                sensor_pos[:, s], sensor_rot[:, s], noise[s], derive_rng(cfg.seed, "imu", idx, s), dt=1.0 / rate
             )
             name = f"{clip.name}/imu_s{s}.csv"
             write_imu_csv(cdir / f"imu_s{s}.csv", stream)
@@ -218,7 +174,7 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
             clip.duration,
             derive_rng(cfg.seed, "uwb", idx),
             drop_prob=cfg.uwb.drop_prob,
-            sigma_fn_for_round=_occlusion_sigma_fn(cfg, skel, placement, joint_vecs, sensor_pos, rate),
+            sigma_fn_for_round=_occlusion_sigma_fn(cfg, skel, placement, joint_pos, sensor_pos, rate),
         )
         write_ranging_csv(cdir / "ranging.csv", ranging)
         written.append(f"{clip.name}/ranging.csv")
@@ -274,49 +230,33 @@ def _calibrate_uwb(cfg: RunConfig, dataset: Path, spos_t) -> CalibrationResult:
     )
 
 
-def _local_rotations(skel: Skeleton, joint_rot: list[list[Quaternion]]) -> np.ndarray:
-    """Global truth orientations back to local 6D targets (T, J, 6)."""
-    frames = len(joint_rot)
-    out = np.zeros((frames, skel.n_joints, 6))
-    for k in range(frames):
-        for j in range(skel.n_joints):
-            parent = skel.joints[j].parent
-            if parent < 0:
-                local = joint_rot[k][j]
-            else:
-                local = (joint_rot[k][parent].conjugate() * joint_rot[k][j]).normalized()
-            out[k, j] = rot6d_from_quat(local)
-    return out
+def _local_rotations(skel: Skeleton, joint_rot: np.ndarray) -> np.ndarray:
+    """Global truth orientations (T, J, 4) back to local 6D targets (T, J, 6)."""
+    parents = [j.parent for j in skel.joints[1:]]
+    local = joint_rot.copy()
+    local[:, 1:] = qnormalize(qmul(qconj(joint_rot[:, parents]), joint_rot[:, 1:]))
+    return rot6d_from_quat(local)
 
 
 def _contact_labels(skel: Skeleton, joint_pos: np.ndarray, rate: float) -> np.ndarray:
     """Foot contact by ankle world speed below CONTACT_SPEED."""
-    out = np.zeros((joint_pos.shape[0], 2))
-    for col, name in enumerate(("l_ankle", "r_ankle")):
-        p = joint_pos[:, skel.joint_index(name)]
-        speed = np.linalg.norm(np.diff(p, axis=0), axis=1) * rate
-        speed = np.append(speed, speed[-1])
-        out[:, col] = (speed < CONTACT_SPEED).astype(float)
-    return out
+    ankles = joint_pos[:, [skel.joint_index("l_ankle"), skel.joint_index("r_ankle")]]
+    speed = np.linalg.norm(np.diff(ankles, axis=0), axis=-1) * rate
+    return (np.append(speed, speed[-1:], axis=0) < CONTACT_SPEED).astype(float)
 
 
-def _pelvis_frame_targets(sensor_pos: np.ndarray, sensor_rot) -> np.ndarray:
-    """Sensor positions expressed in the pelvis sensor's frame (T, 6, 3)."""
-    frames = sensor_pos.shape[0]
-    out = np.zeros((frames, N_SENSORS, 3))
-    for k in range(frames):
-        inv = sensor_rot[k][0].conjugate()
-        for s in range(N_SENSORS):
-            rel = Vec3(*(sensor_pos[k, s] - sensor_pos[k, 0]))
-            out[k, s] = quat_rotate(inv, rel).to_array()
-    return out
+def _pelvis_frame_targets(sensor_pos: np.ndarray, sensor_rot: np.ndarray) -> np.ndarray:
+    """Sensor positions (T, 6, 3) expressed in the pelvis sensor's frame."""
+    return qrotate(qconj(sensor_rot[:, :1]), sensor_pos - sensor_pos[:, :1])
 
 
 def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig | None = None) -> dict:
     """Orientation filter + EKF bank over a synthesized dataset.
 
-    Writes per-clip model inputs, filtered distances, and training targets,
-    plus the range calibration and a raw-vs-filtered RMSE diagnostic.
+    Writes per-clip model inputs (which carry the filtered distances) and
+    training targets, plus the range calibration and a raw-vs-filtered
+    RMSE diagnostic. Every ranging round inside the clip updates the bank
+    on its nearest frame; rounds sharing a frame apply in round order.
     """
     dataset = Path(dataset_dir)
     verify_manifest(dataset)
@@ -326,7 +266,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
     out.mkdir(parents=True, exist_ok=True)
     skel, placement = _setup(cfg)
     rate = cfg.motions.rate_hz
-    _, spos_t, srot_t = _tpose_sensors(skel, placement)
+    spos_t, srot_t = mount_poses(placement.mounts, *map(np.asarray, tpose(skel)))
+    srot_t = [Quaternion(*q) for q in srot_t.tolist()]
     written: list[str] = []
 
     offsets = _calibrate_imu(cfg, dataset, srot_t)
@@ -344,20 +285,15 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
         ranging = read_ranging_csv(cdir / "ranging.csv")
 
         # Orientation filter per sensor, seeded at the calibration pose.
-        r6 = np.zeros((frames, N_SENSORS, 6))
-        accel_w = np.zeros((frames, N_SENSORS, 3))
-        quats: list[list[Quaternion]] = [[] for _ in range(frames)]
+        estimates = []
         for s in range(N_SENSORS):
             stream = read_imu_csv(cdir / f"imu_s{s}.csv")
             if len(stream) != frames:
                 raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, truth {frames}")
             gyro_off, accel_off = offsets[s]
-            for k, est in enumerate(
-                orientation_filter(stream, srot_t[s], cfg.imu.filter_gain, gyro_off, accel_off)
-            ):
-                r6[k, s] = rot6d_from_quat(est.q)
-                accel_w[k, s] = est.accel_world.to_array()
-                quats[k].append(est.q)
+            estimates.append(orientation_filter(stream, srot_t[s], cfg.imu.filter_gain, gyro_off, accel_off))
+        quats = np.array([[e.q for e in est] for est in estimates]).swapaxes(0, 1)
+        accel_w = np.array([[e.accel_world for e in est] for est in estimates]).swapaxes(0, 1)
 
         # Pair EKF bank on the IMU grid, measurement ticks at round times.
         # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
@@ -371,31 +307,28 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
             dt=1.0 / rate,
             speed_mode=cfg.ekf.speed_mode,
         )
-        round_at_frame = {}
-        for k in range(ranging.times.shape[0]):
-            frame = int(round(ranging.times[k] * rate))
-            if 0 <= frame < frames:
-                round_at_frame[frame] = k
+        d_cal = apply_calibration(ranging.distances, cal)
+        round_frame = np.rint(ranging.times * rate).astype(int)
+        rnd = 0
         d_stream = np.zeros((frames, N_SENSORS, N_SENSORS))
         mask_stream = np.zeros((frames, N_SENSORS, N_SENSORS), dtype=bool)
         for k in range(frames):
-            controls = [(Vec3(*accel_w[k, s]), quats[k][s]) for s in range(N_SENSORS)]
-            bank.predict_all(controls)
-            if k in round_at_frame:
-                rnd = round_at_frame[k]
-                d_cal = apply_calibration(ranging.distances[rnd], cal)
-                bank.update_all(d_cal, ranging.valid[rnd], float(truth.times[k]))
+            bank.predict_all([(est[k].accel_world, est[k].q) for est in estimates])
+            while rnd < len(round_frame) and round_frame[rnd] <= k:
+                bank.update_all(d_cal[rnd], ranging.valid[rnd], float(truth.times[k]))
+                rnd += 1
             d_stream[k], mask_stream[k] = bank.distance_matrix()
 
         cdir_out = out / name
         cdir_out.mkdir(exist_ok=True)
-        write_model_input(cdir_out / "model_input.jsonl", truth.times, r6, accel_w, d_stream, mask_stream)
-        write_distances(cdir_out / "distances.jsonl", truth.times, d_stream, mask_stream)
-        targets_pos = _pelvis_frame_targets(truth.sensor_pos, truth.sensor_rot)
-        targets_rot = _local_rotations(skel, truth.joint_rot)
+        write_model_input(
+            cdir_out / "model_input.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d_stream, mask_stream
+        )
+        targets_pos = _pelvis_frame_targets(truth.sensor_pos, np.asarray(truth.sensor_rot))
+        targets_rot = _local_rotations(skel, np.asarray(truth.joint_rot))
         contacts = _contact_labels(skel, truth.joint_pos, rate)
         write_targets(cdir_out / "targets.jsonl", truth.times, targets_pos, targets_rot, contacts)
-        written += [f"{name}/model_input.jsonl", f"{name}/distances.jsonl", f"{name}/targets.jsonl"]
+        written += [f"{name}/model_input.jsonl", f"{name}/targets.jsonl"]
 
         rmse_report[name] = _distance_rmse(
             truth.sensor_pos, ranging, cal, d_stream, mask_stream, rate
@@ -412,22 +345,23 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
 
 
 def _distance_rmse(sensor_pos, ranging, cal, d_stream, mask_stream, rate) -> dict:
-    """Per-pair RMSE of calibrated raw and filtered distances vs truth."""
-    frames = sensor_pos.shape[0]
+    """Per-pair RMSE of calibrated raw and filtered distances vs truth.
+
+    Each round in the clip is scored at its nearest frame, for the pairs
+    it measured (and, for filtered, the pairs the bank holds there).
+    """
+    frame = np.rint(ranging.times * rate).astype(int)
+    inside = (frame >= 0) & (frame < sensor_pos.shape[0])
+    frame = frame[inside]
+    measured = ranging.valid[inside]
+    raw = apply_calibration(ranging.distances[inside], cal)
     raw_rmse, filt_rmse = [], []
     for i, j in PAIRS:
-        truth_all = np.linalg.norm(sensor_pos[:, i] - sensor_pos[:, j], axis=1)
-        raw_sq, filt_sq = [], []
-        for k in range(ranging.times.shape[0]):
-            frame = int(round(ranging.times[k] * rate))
-            if not (0 <= frame < frames and ranging.valid[k, i, j]):
-                continue
-            d_true = truth_all[frame]
-            raw_sq.append((float(apply_calibration(ranging.distances[k, i, j], cal)) - d_true) ** 2)
-            if mask_stream[frame, i, j]:
-                filt_sq.append((d_stream[frame, i, j] - d_true) ** 2)
-        raw_rmse.append(math.sqrt(np.mean(raw_sq)) if raw_sq else None)
-        filt_rmse.append(math.sqrt(np.mean(filt_sq)) if filt_sq else None)
+        d_true = np.linalg.norm(sensor_pos[frame, i] - sensor_pos[frame, j], axis=1)
+        hit = measured[:, i, j]
+        held = hit & mask_stream[frame, i, j]
+        raw_rmse.append(_rms(raw[hit, i, j] - d_true[hit]))
+        filt_rmse.append(_rms(d_stream[frame, i, j][held] - d_true[held]))
     present = [v for v in filt_rmse if v is not None]
     present_raw = [v for v in raw_rmse if v is not None]
     return {
@@ -436,6 +370,10 @@ def _distance_rmse(sensor_pos, ranging, cal, d_stream, mask_stream, rate) -> dic
         "mean_raw_m": float(np.mean(present_raw)) if present_raw else None,
         "mean_filtered_m": float(np.mean(present)) if present else None,
     }
+
+
+def _rms(err: np.ndarray) -> float | None:
+    return math.sqrt(np.mean(err * err)) if err.size else None
 
 
 def load_windows(
@@ -551,27 +489,14 @@ def evaluate_model(
         inputs = [
             ModelInput(mi["r"][k], mi["a"][k], mi["d"][k], mask[k]) for k in range(frames)
         ]
-        outs = infer(params, inputs)
-
-        pred_pos = np.zeros((frames, skel.n_joints, 3))
-        pred_rot: list[list[Quaternion]] = []
-        for k, o in enumerate(outs):
-            local = [quat_from_rot6d(o.rotations[j]) for j in range(skel.n_joints)]
-            jp, jr = fk_pose(skel, local, Vec3.zero())
-            pred_rot.append(jr)
-            for j, p in enumerate(jp):
-                pred_pos[k, j] = p.to_array()
-
+        local = qfrom_rot6d(np.array([o.rotations for o in infer(params, inputs)]))
+        pred_pos, pred_rot = fk_batch(skel, local, np.zeros(3))
+        truth_rot = np.asarray(truth.joint_rot)
         sip = sip_error(
-            {n: [pred_rot[k][i] for k in range(frames)] for n, i in sip_index.items()},
-            {n: [truth.joint_rot[k][i] for k in range(frames)] for n, i in sip_index.items()},
+            {n: pred_rot[:, i] for n, i in sip_index.items()},
+            {n: truth_rot[:, i] for n, i in sip_index.items()},
         )
-        pos = position_error(
-            pred_pos,
-            [pred_rot[k][0] for k in range(frames)],
-            truth.joint_pos,
-            [truth.joint_rot[k][0] for k in range(frames)],
-        )
+        pos = position_error(pred_pos, pred_rot[:, 0], truth.joint_pos, truth_rot[:, 0])
         jit = jitter(pred_pos, rate)
         rmse = _filtered_pair_rmse(mi, truth.sensor_pos)
         per_clip.append(

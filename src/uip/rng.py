@@ -13,11 +13,6 @@ import hashlib
 import numpy as np
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Top-level generator for a run seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def derive_rng(seed: int, *labels: str | int) -> np.random.Generator:
     """Child generator keyed by (seed, labels), independent per label path.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .geometry import Quaternion, Vec3, quat_rotate
+from .geometry import Quaternion, Vec3, qangle, qconj, qmul, qnormalize, qrotate
 
 PELVIS_SENSOR = 0
 L_WRIST_SENSOR = 1
@@ -156,100 +156,110 @@ def default_placement(skel: Skeleton) -> SensorPlacement:
     return SensorPlacement(mounts)
 
 
-def fk_pose(
-    skel: Skeleton, local_rot: list[Quaternion], root_pos: Vec3
-) -> tuple[list[Vec3], list[Quaternion]]:
-    """Global joint positions and orientations for one posed frame.
+def fk_batch(skel: Skeleton, local_rot, root_pos) -> tuple[np.ndarray, np.ndarray]:
+    """Global joint positions (..., J, 3) and orientations (..., J, 4).
 
-    Child global orientation composes the parent global with the child
-    local; child position adds the parent-rotated offset.
+    local_rot is (..., J, 4) and root_pos (..., 3), one row per posed
+    frame. Child global orientation composes the parent global with the
+    child local; child position adds the parent-rotated offset.
     """
+    local_rot = np.asarray(local_rot, dtype=float)
     n = skel.n_joints
-    if len(local_rot) != n:
-        raise ContractViolationError(f"expected {n} local rotations, got {len(local_rot)}")
-    pos: list[Vec3] = [Vec3.zero()] * n
-    rot: list[Quaternion] = [Quaternion.identity()] * n
-    pos[0] = root_pos
-    rot[0] = local_rot[0]
-    for i in range(1, n):
-        p = skel.joints[i].parent
-        rot[i] = (rot[p] * local_rot[i]).normalized()
-        pos[i] = pos[p] + quat_rotate(rot[p], skel.joints[i].offset)
+    if local_rot.shape[-2:] != (n, 4):
+        raise ContractViolationError(f"expected {n} local rotations, got shape {local_rot.shape}")
+    rot = np.empty_like(local_rot)
+    pos = np.empty(local_rot.shape[:-1] + (3,))
+    rot[..., 0, :] = local_rot[..., 0, :]
+    pos[..., 0, :] = root_pos
+    for i, joint in enumerate(skel.joints[1:], start=1):
+        p = joint.parent
+        rot[..., i, :] = qnormalize(qmul(rot[..., p, :], local_rot[..., i, :]))
+        pos[..., i, :] = pos[..., p, :] + qrotate(rot[..., p, :], joint.offset)
     return pos, rot
 
 
-def forward_kinematics(
-    skel: Skeleton, clip: MotionClip, frame: int
+def mount_poses(mounts, joint_pos, joint_rot) -> tuple[np.ndarray, np.ndarray]:
+    """World positions (..., M, 3) and orientations (..., M, 4) of sensor mounts.
+
+    joint_pos (..., J, 3) and joint_rot (..., J, 4) are posed frames from FK.
+    """
+    joints = [m.joint for m in mounts]
+    rot = np.asarray(joint_rot, dtype=float)[..., joints, :]
+    pos = np.asarray(joint_pos, dtype=float)[..., joints, :] + qrotate(rot, [m.offset for m in mounts])
+    return pos, qnormalize(qmul(rot, [m.rotation for m in mounts]))
+
+
+def _records(pos: np.ndarray, rot: np.ndarray) -> tuple[list[Vec3], list[Quaternion]]:
+    return [Vec3(*p) for p in pos.tolist()], [Quaternion(*q) for q in rot.tolist()]
+
+
+def fk_pose(
+    skel: Skeleton, local_rot: list[Quaternion], root_pos: Vec3
 ) -> tuple[list[Vec3], list[Quaternion]]:
-    """FK for one frame of a clip. Out-of-range frames raise IndexError."""
-    if not 0 <= frame < clip.n_frames:
-        raise IndexError(f"frame {frame} outside [0, {clip.n_frames})")
-    return fk_pose(skel, clip.local_rot[frame], clip.root_pos[frame])
+    """Global joint positions and orientations for one posed frame."""
+    return _records(*fk_batch(skel, local_rot, root_pos))
 
 
 def tpose(skel: Skeleton) -> tuple[list[Vec3], list[Quaternion]]:
     """The calibration pose: identity rotations, root at standing height."""
-    idq = Quaternion.identity()
-    return fk_pose(skel, [idq] * skel.n_joints, Vec3(0.0, 0.0, 0.96 * skel.body_height / 1.70))
+    root = Vec3(0.0, 0.0, 0.96 * skel.body_height / 1.70)
+    return fk_pose(skel, [Quaternion.identity()] * skel.n_joints, root)
 
 
 def sensor_pose(
     placement: SensorPlacement, sensor: int, joint_pos: list[Vec3], joint_rot: list[Quaternion]
 ) -> tuple[Vec3, Quaternion]:
     """World pose of one sensor given a posed skeleton frame."""
-    m = placement.mounts[sensor]
-    p = joint_pos[m.joint] + quat_rotate(joint_rot[m.joint], m.offset)
-    q = (joint_rot[m.joint] * m.rotation).normalized()
-    return p, q
+    pos, rot = _records(*mount_poses([placement.mounts[sensor]], joint_pos, joint_rot))
+    return pos[0], rot[0]
 
 
 def sensor_truth(
     skel: Skeleton, clip: MotionClip, placement: SensorPlacement
 ) -> tuple[np.ndarray, list[list[Quaternion]]]:
     """Ground-truth sensor trajectories: positions (T, 6, 3) and orientations."""
-    t_frames = clip.n_frames
-    pos = np.zeros((t_frames, N_SENSORS, 3))
-    quats: list[list[Quaternion]] = []
-    for t in range(t_frames):
-        jp, jr = fk_pose(skel, clip.local_rot[t], clip.root_pos[t])
-        row: list[Quaternion] = []
-        for s in range(N_SENSORS):
-            p, q = sensor_pose(placement, s, jp, jr)
-            pos[t, s] = (p.x, p.y, p.z)
-            row.append(q)
-        quats.append(row)
-    return pos, quats
+    pos, rot = mount_poses(placement.mounts, *fk_batch(skel, clip.local_rot, clip.root_pos))
+    return pos, [[Quaternion(*q) for q in row] for row in rot.tolist()]
 
 
-def world_capsules(skel: Skeleton, joint_pos: list[Vec3]) -> list[tuple[np.ndarray, np.ndarray, float]]:
+def world_capsules(skel: Skeleton, joint_pos) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Capsule endpoints in world coordinates for a posed frame."""
-    out = []
-    for c in skel.capsules:
-        p0 = joint_pos[c.j0]
-        p1 = joint_pos[c.j1]
-        out.append((np.array([p0.x, p0.y, p0.z]), np.array([p1.x, p1.y, p1.z]), c.radius))
-    return out
+    jp = np.asarray(joint_pos, dtype=float)
+    return [(jp[c.j0], jp[c.j1], c.radius) for c in skel.capsules]
 
 
-def capsules_at_joint(skel: Skeleton, joint: int) -> tuple[int, ...]:
-    """Indices of capsules having the given joint as an endpoint."""
-    return tuple(i for i, c in enumerate(skel.capsules) if joint in (c.j0, c.j1))
+def sensor_exclusions(skel: Skeleton, placement: SensorPlacement) -> np.ndarray:
+    """(6, C) mask of the capsules each sensor's occlusion tests ignore: its mounting segments."""
+    return np.array([[m.joint in (c.j0, c.j1) for c in skel.capsules] for m in placement.mounts])
 
 
-def sensor_exclusions(skel: Skeleton, placement: SensorPlacement) -> tuple[tuple[int, ...], ...]:
-    """Per sensor: capsules to ignore in occlusion tests (the mounting segments)."""
-    return tuple(capsules_at_joint(skel, m.joint) for m in placement.mounts)
+def _occluded_share(capsules, p_i, p_j, skip, resolution: int) -> np.ndarray:
+    """Per sight line, the share of its samples inside any capsule it does not skip.
 
-
-def _dist_to_segments(points: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Distance from each point (k, 3) to the segment p0-p1."""
-    d = p1 - p0
-    len2 = float(d @ d)
-    if len2 == 0.0:
-        return np.linalg.norm(points - p0, axis=1)
-    t = np.clip((points - p0) @ d / len2, 0.0, 1.0)
-    proj = p0 + t[:, None] * d
-    return np.linalg.norm(points - proj, axis=1)
+    capsules are world_capsules' (c0, c1, radius) triples; p_i, p_j (P, 3)
+    are the sight-line ends and skip (P, C) marks each line's excluded
+    capsules. Works on (3, P, resolution, C) temporaries: one frame's
+    sight lines, never a clip's.
+    """
+    if resolution < 32:
+        raise ContractViolationError(f"occlusion resolution {resolution} < 32")
+    c0, c1, radius = (np.array(col, dtype=float) for col in zip(*capsules))
+    k = np.arange(resolution)
+    w2 = (k + 0.5) / resolution
+    w1 = (resolution - k - 0.5) / resolution
+    # component-first, so each op runs on whole (P, S, C) planes: sample
+    # points (3, P, S, 1) against capsule axes (3, 1, 1, C)
+    points = np.moveaxis(w1[:, None] * p_i[:, None, :] + w2[:, None] * p_j[:, None, :], -1, 0)[..., None]
+    c0, d = c0.T[:, None, None, :], (c1 - c0).T[:, None, None, :]
+    rel = points - c0
+    len2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    # a zero-length capsule is a sphere: t = 0 puts the foot point at c0
+    t = np.clip((rel[0] * d[0] + rel[1] * d[1] + rel[2] * d[2]) / np.where(len2 == 0.0, 1.0, len2), 0.0, 1.0)
+    gap = points - (c0 + t * d)
+    inside = (np.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2]) <= radius) & ~skip[:, None, :]
+    share = inside.any(axis=-1).sum(axis=-1) / resolution
+    too_short = np.sqrt(((p_j - p_i) ** 2).sum(axis=-1)) < 1e-3
+    return np.where(too_short, 0.0, share)
 
 
 def occlusion_ratio(
@@ -266,54 +276,39 @@ def occlusion_ratio(
     shorter than 1 mm return 0. The sample weights are built symmetrically,
     so swapping the endpoints gives the bitwise-identical answer.
     """
-    if resolution < 32:
-        raise ContractViolationError(f"occlusion resolution {resolution} < 32")
-    p_i = np.asarray(p_i, dtype=float)
-    p_j = np.asarray(p_j, dtype=float)
-    if float(np.linalg.norm(p_j - p_i)) < 1e-3:
-        return 0.0
-    k = np.arange(resolution)
-    w2 = (k + 0.5) / resolution
-    w1 = (resolution - k - 0.5) / resolution
-    points = w1[:, None] * p_i + w2[:, None] * p_j
-    inside = np.zeros(resolution, dtype=bool)
-    for idx, (c0, c1, r) in enumerate(capsules):
-        if idx in exclude:
-            continue
-        inside |= _dist_to_segments(points, c0, c1) <= r
-    return float(inside.sum()) / resolution
+    p_i, p_j = (np.asarray(p, dtype=float)[None] for p in (p_i, p_j))
+    skip = np.isin(np.arange(len(capsules)), exclude)[None]
+    return float(_occluded_share(capsules, p_i, p_j, skip, resolution)[0])
 
 
 def pairwise_occlusion(
     skel: Skeleton,
     placement: SensorPlacement,
-    joint_pos: list[Vec3],
+    joint_pos,
     sensor_pos: np.ndarray,
     resolution: int = 64,
 ) -> np.ndarray:
     """Occlusion ratio for all 15 sensor pairs of a posed frame -> (6, 6) symmetric."""
-    caps = world_capsules(skel, joint_pos)
-    excl = sensor_exclusions(skel, placement)
+    sp = np.asarray(sensor_pos, dtype=float)
+    mounted = sensor_exclusions(skel, placement)
+    i, j = np.triu_indices(N_SENSORS, 1)
     out = np.zeros((N_SENSORS, N_SENSORS))
-    for i in range(N_SENSORS):
-        for j in range(i + 1, N_SENSORS):
-            c = occlusion_ratio(
-                caps, sensor_pos[i], sensor_pos[j], resolution, exclude=excl[i] + excl[j]
-            )
-            out[i, j] = out[j, i] = c
+    out[i, j] = out[j, i] = _occluded_share(
+        world_capsules(skel, joint_pos), sp[i], sp[j], mounted[i] | mounted[j], resolution
+    )
     return out
 
 
 def check_continuity(clip: MotionClip, max_step_deg: float = 20.0) -> None:
     """Raise if any joint rotates more than max_step_deg between frames."""
-    limit = np.deg2rad(max_step_deg)
-    for t in range(1, clip.n_frames):
-        for j in range(len(clip.local_rot[t])):
-            ang = (clip.local_rot[t - 1][j].conjugate() * clip.local_rot[t][j]).normalized().rotation_angle()
-            if ang > limit:
-                raise ContractViolationError(
-                    f"clip {clip.name}: joint {j} jumps {np.rad2deg(ang):.1f} deg at frame {t}"
-                )
+    q = np.asarray(clip.local_rot, dtype=float)
+    step = qangle(qnormalize(qmul(qconj(q[:-1]), q[1:])))
+    jumps = np.argwhere(step > np.deg2rad(max_step_deg))
+    if jumps.size:
+        t, j = jumps[0]
+        raise ContractViolationError(
+            f"clip {clip.name}: joint {j} jumps {np.rad2deg(step[t, j]):.1f} deg at frame {t + 1}"
+        )
 
 
 def validate_kind(kind: str, known: tuple[str, ...]) -> None:

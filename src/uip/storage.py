@@ -116,34 +116,32 @@ class TruthData:
     sensor_rot: list[list[Quaternion]]  # [frame][sensor]
 
 
-def _pose_entry(p, q: Quaternion) -> dict:
-    return {"p": [float(p[0]), float(p[1]), float(p[2])], "q": [q.w, q.x, q.y, q.z]}
+def _write_frames(path: str | Path, times, **fields) -> None:
+    """One {"t", field: value, ...} record per frame; each field lists a value per frame."""
+    write_jsonl(
+        path, ({"t": float(t), **{key: v[k] for key, v in fields.items()}} for k, t in enumerate(times))
+    )
+
+
+def _pose_entries(pos, rot) -> list[list[dict]]:
+    """Per frame, one {"p", "q"} entry per joint or sensor."""
+    pos = np.asarray(pos, dtype=float).tolist()
+    rot = np.asarray(rot, dtype=float).tolist()
+    return [[{"p": p, "q": q} for p, q in zip(ps, qs)] for ps, qs in zip(pos, rot)]
 
 
 def write_truth(
     path: str | Path,
     times: np.ndarray,
     joint_pos: np.ndarray,
-    joint_rot: list[list[Quaternion]],
+    joint_rot,
     sensor_pos: np.ndarray,
-    sensor_rot: list[list[Quaternion]],
+    sensor_rot,
 ) -> None:
-    records = []
-    for k in range(len(times)):
-        records.append(
-            {
-                "t": float(times[k]),
-                "joints": [
-                    _pose_entry(joint_pos[k, j], joint_rot[k][j])
-                    for j in range(joint_pos.shape[1])
-                ],
-                "sensors": [
-                    _pose_entry(sensor_pos[k, s], sensor_rot[k][s])
-                    for s in range(sensor_pos.shape[1])
-                ],
-            }
-        )
-    write_jsonl(path, records)
+    """Positions (T, J, 3), (T, 6, 3); rotations (T, J, 4), (T, 6, 4) or nested Quaternion lists."""
+    _write_frames(
+        path, times, joints=_pose_entries(joint_pos, joint_rot), sensors=_pose_entries(sensor_pos, sensor_rot)
+    )
 
 
 def _read_poses(entries, path, frame) -> tuple[np.ndarray, list[Quaternion]]:
@@ -201,6 +199,9 @@ def read_imu_csv(path: str | Path) -> ImuStream:
         raise DataError(f"{p}: bad numeric field: {exc}") from exc
     if data.size == 0:
         raise DataError(f"{p}: empty IMU stream")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise DataError(f"{p}:{bad[0] + 2}: non-finite IMU sample (data row {bad[0] + 1})")
     return ImuStream(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7])
 
 
@@ -281,89 +282,40 @@ def _matrix(rec: dict, key: str, path, frame: int, shape: tuple) -> np.ndarray:
     return arr
 
 
-def write_distances(path: str | Path, times, d: np.ndarray, mask: np.ndarray) -> None:
-    """Filtered distance stream: one {"t", "D", "mask"} record per frame."""
-    records = [
-        {"t": float(times[k]), "D": d[k].tolist(), "mask": mask[k].astype(int).tolist()}
-        for k in range(len(times))
-    ]
-    write_jsonl(path, records)
-
-
-def read_distances(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _read_frames(path: str | Path, what: str, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Times plus one stacked (T, *shape) array per field of a frame stream."""
     records = read_jsonl(path)
     if not records:
-        raise DataError(f"{path}: empty distance stream")
-    times = np.array([r["t"] for r in records])
-    shape = (N_SENSORS, N_SENSORS)
-    d = np.stack([_matrix(r, "D", path, k, shape) for k, r in enumerate(records)])
-    mask = np.stack([_matrix(r, "mask", path, k, shape) for k, r in enumerate(records)])
-    return times, d, mask.astype(bool)
+        raise DataError(f"{path}: empty {what} stream")
+    out = {"times": np.array([r["t"] for r in records])}
+    for key, shape in shapes.items():
+        out[key] = np.stack([_matrix(r, key, path, k, shape) for k, r in enumerate(records)])
+    return out
 
 
 def write_model_input(path: str | Path, times, r, a, d, mask) -> None:
     """Per-frame network inputs: orientations, accelerations, distances."""
-    records = [
-        {
-            "t": float(times[k]),
-            "r": r[k].tolist(),
-            "a": a[k].tolist(),
-            "D": d[k].tolist(),
-            "mask": mask[k].astype(int).tolist(),
-        }
-        for k in range(len(times))
-    ]
-    write_jsonl(path, records)
+    _write_frames(path, times, r=r.tolist(), a=a.tolist(), D=d.tolist(), mask=mask.astype(int).tolist())
 
 
 def read_model_input(path: str | Path) -> dict[str, np.ndarray]:
-    records = read_jsonl(path)
-    if not records:
-        raise DataError(f"{path}: empty model-input stream")
-    out = {
-        "times": np.array([r["t"] for r in records]),
-        "r": np.stack([_matrix(r, "r", path, k, (N_SENSORS, 6)) for k, r in enumerate(records)]),
-        "a": np.stack([_matrix(r, "a", path, k, (N_SENSORS, 3)) for k, r in enumerate(records)]),
-        "d": np.stack(
-            [_matrix(r, "D", path, k, (N_SENSORS, N_SENSORS)) for k, r in enumerate(records)]
-        ),
-        "mask": np.stack(
-            [_matrix(r, "mask", path, k, (N_SENSORS, N_SENSORS)) for k, r in enumerate(records)]
-        ).astype(bool),
-    }
+    shapes = {"r": (N_SENSORS, 6), "a": (N_SENSORS, 3), "D": (N_SENSORS, N_SENSORS), "mask": (N_SENSORS, N_SENSORS)}
+    out = _read_frames(path, "model-input", shapes)
+    out["d"] = out.pop("D")
+    out["mask"] = out["mask"].astype(bool)
     return out
 
 
 def write_targets(path: str | Path, times, positions, rotations, contacts) -> None:
     """Supervision targets aligned with the model-input stream."""
-    records = [
-        {
-            "t": float(times[k]),
-            "positions": positions[k].tolist(),
-            "rotations": rotations[k].tolist(),
-            "contacts": contacts[k].tolist(),
-        }
-        for k in range(len(times))
-    ]
-    write_jsonl(path, records)
+    _write_frames(
+        path, times, positions=positions.tolist(), rotations=rotations.tolist(), contacts=contacts.tolist()
+    )
 
 
 def read_targets(path: str | Path) -> dict[str, np.ndarray]:
-    records = read_jsonl(path)
-    if not records:
-        raise DataError(f"{path}: empty target stream")
-    return {
-        "times": np.array([r["t"] for r in records]),
-        "positions": np.stack(
-            [_matrix(r, "positions", path, k, (N_SENSORS, 3)) for k, r in enumerate(records)]
-        ),
-        "rotations": np.stack(
-            [_matrix(r, "rotations", path, k, (15, 6)) for k, r in enumerate(records)]
-        ),
-        "contacts": np.stack(
-            [_matrix(r, "contacts", path, k, (2,)) for k, r in enumerate(records)]
-        ),
-    }
+    shapes = {"positions": (N_SENSORS, 3), "rotations": (15, 6), "contacts": (2,)}
+    return _read_frames(path, "target", shapes)
 
 
 # -- metric reports ----------------------------------------------------------

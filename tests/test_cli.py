@@ -1,5 +1,6 @@
 """CLI contract: exit codes, flags, and the full command chain."""
 import json
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +16,7 @@ from uip.config import (
     UwbSettings,
 )
 from uip.errors import DivergenceError
-from uip.storage import read_manifest
+from uip.storage import read_manifest, write_manifest
 
 CLI_CONFIG = RunConfig(
     seed=23,
@@ -142,6 +143,23 @@ def test_data_error_exit_code(tmp_path, capsys):
     code = main(["filter", "--data", str(empty), "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_nan_imu_sample_is_a_data_error(env, tmp_path, capsys):
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    imu = data / "clip_000_walk" / "imu_s2.csv"
+    lines = imu.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[1] = "nan"
+    lines[10] = ",".join(fields)
+    imu.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "imu_s2.csv:11: non-finite" in err
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):

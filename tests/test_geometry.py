@@ -8,6 +8,12 @@ from uip.errors import ContractViolationError
 from uip.geometry import (
     Quaternion,
     Vec3,
+    qconj,
+    qfrom_rot6d,
+    qmatrix,
+    qmul,
+    qnormalize,
+    qrotate,
     quat_angle_between,
     quat_from_rot6d,
     quat_relative,
@@ -138,12 +144,45 @@ def test_rot6d_gram_schmidt_on_noisy_input():
         m = q.to_matrix()
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-10)
         assert math.isclose(float(np.linalg.det(m)), 1.0, abs_tol=1e-10)
+    # a (T, J, 6) stack converts in one call, every row orthonormal
+    m = qmatrix(qfrom_rot6d(rng.normal(size=(7, 15, 6))))
+    assert m.shape == (7, 15, 3, 3)
+    assert np.allclose(m @ np.swapaxes(m, -1, -2), np.eye(3), atol=1e-10)
+    assert np.allclose(np.linalg.det(m), 1.0, atol=1e-10)
 
 
 def test_rot6d_degenerate_falls_back_to_identity():
-    for r6 in (np.zeros(6), np.array([1.0, 0, 0, 1.0, 0, 0])):
+    degenerate = (np.zeros(6), np.array([1.0, 0, 0, 1.0, 0, 0]))
+    for r6 in degenerate:
         q = quat_from_rot6d(r6)
         assert quat_angle_between(q, Quaternion.identity()) == 0.0
+    # degenerate rows inside a stack give identity; their neighbours do not
+    rng = derive_rng(3, "geom", "degenerate")
+    stack = rng.normal(size=(3, 4, 6))
+    stack[0, 1], stack[2, 3] = degenerate
+    q = qfrom_rot6d(stack)
+    assert np.array_equal(q[0, 1], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(q[2, 3], [1.0, 0.0, 0.0, 0.0])
+    assert not np.any(np.all(q[1] == [1.0, 0.0, 0.0, 0.0], axis=-1))
+
+
+def test_records_are_array_rows_and_kernels_match_record_methods():
+    # Each kernel row is bitwise the record method's result, so whole
+    # trajectories and the one-sample-at-a-time filters agree exactly.
+    rng = derive_rng(3, "geom", "rows")
+    qs = [Quaternion(*rng.normal(size=4)) for _ in range(40)]
+    units = [q.normalized() for q in qs]
+    vs = [Vec3(*rng.normal(size=3)) for _ in range(40)]
+    assert np.asarray([units[:4], units[4:8]]).shape == (2, 4, 4)
+    assert np.asarray(vs).shape == (40, 3)
+    assert np.array_equal(qnormalize(qs), units)
+    assert np.array_equal(qconj(units), [q.conjugate() for q in units])
+    assert np.array_equal(qmul(units[:20], units[20:]), [a * b for a, b in zip(units[:20], units[20:])])
+    assert np.array_equal(qrotate(units, vs), [quat_rotate(q, v) for q, v in zip(units, vs)])
+    with pytest.raises(ContractViolationError):
+        qrotate(qs, vs)
+    with pytest.raises(ContractViolationError):
+        qnormalize(np.zeros((2, 4)))
 
 
 def test_vec3_cross_oracle():

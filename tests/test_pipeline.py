@@ -1,4 +1,5 @@
 """End-to-end stage behavior on a desk-scale dataset."""
+import dataclasses
 import json
 import shutil
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from uip.config import (
     TrainSettings,
     UwbSettings,
 )
+from uip.ekf import PairFilterBank
 from uip.errors import DataError
 from uip.geometry import quat_from_rot6d, rot6d_from_quat
 from uip.pipeline import (
@@ -99,12 +101,33 @@ def test_filter_outputs(pipe):
     report = json.loads((pipe.filt / "rmse_report.json").read_text())
     for m in read_clip_meta(pipe.filt):
         cdir = pipe.filt / m["name"]
-        for stem in ("model_input", "distances", "targets"):
+        for stem in ("model_input", "targets"):
             assert (cdir / f"{stem}.jsonl").is_file()
         row = report[m["name"]]
         assert len(row["raw_rmse_m"]) == 15
         assert len(row["filtered_rmse_m"]) == 15
         assert row["mean_filtered_m"] is not None
+
+
+def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
+    # At 20 Hz a 2 s clip has 40 frames and 50 rounds (25 Hz): ten frames
+    # carry two rounds each, and both must reach the bank, in round order.
+    cfg = dataclasses.replace(
+        SMALL, motions=MotionSettings(catalog=("walk",), duration_s=2.0, rate_hz=20.0)
+    )
+    synthesize_dataset(cfg, tmp_path / "data")
+    ticks = []
+    update_all = PairFilterBank.update_all
+
+    def counted(bank, distances, valid, t):
+        ticks.append(t)
+        update_all(bank, distances, valid, t)
+
+    monkeypatch.setattr(PairFilterBank, "update_all", counted)
+    filter_dataset(tmp_path / "data", tmp_path / "filt")
+    assert len(ticks) == 50
+    assert len(set(ticks)) == 40
+    assert ticks == sorted(ticks)
 
 
 def test_window_math_and_ablation(pipe):

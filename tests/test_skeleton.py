@@ -6,6 +6,7 @@ import pytest
 
 from uip.errors import ContractViolationError
 from uip.geometry import Quaternion, Vec3, quat_angle_between, quat_rotate
+from uip.motions import generate_motion_suite
 from uip.rng import derive_rng
 from uip.skeleton import (
     MotionClip,
@@ -14,9 +15,12 @@ from uip.skeleton import (
     check_continuity,
     default_placement,
     default_skeleton,
+    fk_batch,
     fk_pose,
+    mount_poses,
     occlusion_ratio,
     pairwise_occlusion,
+    sensor_exclusions,
     sensor_pose,
     sensor_truth,
     tpose,
@@ -177,6 +181,32 @@ def test_sensor_truth_matches_manual_fk(skel, placement):
             assert quat_angle_between(q, quats[t][s]) < 1e-12
 
 
+def _scalar_fk(skel, local_rot, root_pos):
+    """Reference FK, one joint at a time on records."""
+    pos, rot = [root_pos], [local_rot[0]]
+    for i in range(1, skel.n_joints):
+        p = skel.joints[i].parent
+        rot.append((rot[p] * local_rot[i]).normalized())
+        pos.append(pos[p] + quat_rotate(rot[p], skel.joints[i].offset))
+    return pos, rot
+
+
+def test_batched_fk_equals_per_frame_fk(skel, placement):
+    clip = generate_motion_suite(11, ("walk",), 3.0, 50.0, skel)[0]
+    pos, rot = fk_batch(skel, clip.local_rot, clip.root_pos)
+    spos, srot = mount_poses(placement.mounts, pos, rot)
+    assert pos.shape == (clip.n_frames, skel.n_joints, 3)
+    assert rot.shape == (clip.n_frames, skel.n_joints, 4)
+    for t in range(0, clip.n_frames, 7):
+        ref_pos, ref_rot = _scalar_fk(skel, clip.local_rot[t], clip.root_pos[t])
+        jp, jr = fk_pose(skel, clip.local_rot[t], clip.root_pos[t])
+        assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
+        assert np.array_equal(pos[t], jp) and np.array_equal(rot[t], jr)
+        for s in range(N_SENSORS):
+            p, q = sensor_pose(placement, s, jp, jr)
+            assert np.array_equal(spos[t, s], p) and np.array_equal(srot[t, s], q)
+
+
 def test_occlusion_ratio_endpoints(skel):
     pos, _ = tpose(skel)
     caps = world_capsules(skel, pos)
@@ -190,16 +220,51 @@ def test_occlusion_ratio_endpoints(skel):
     assert occlusion_ratio(caps, lo, hi) > 0.8
 
 
+def _scalar_occlusion(capsules, p_i, p_j, exclude, resolution=64):
+    """Reference ratio: every sample against every capsule, one at a time."""
+    if np.linalg.norm(p_j - p_i) < 1e-3:
+        return 0.0
+    hits = 0
+    for k in range(resolution):
+        w2 = (k + 0.5) / resolution
+        point = (1.0 - w2) * p_i + w2 * p_j
+        for idx, (c0, c1, r) in enumerate(capsules):
+            d = c1 - c0
+            len2 = float(d @ d)
+            t = 0.0 if len2 == 0.0 else min(max(float((point - c0) @ d) / len2, 0.0), 1.0)
+            if idx not in exclude and np.linalg.norm(point - (c0 + t * d)) <= r:
+                hits += 1
+                break
+    return hits / resolution
+
+
 def test_pairwise_occlusion_symmetric_zero_diagonal(skel, placement):
     pos, rot = tpose(skel)
     spos = np.stack(
         [sensor_pose(placement, s, pos, rot)[0].to_array() for s in range(N_SENSORS)]
     )
-    occ = pairwise_occlusion(skel, placement, pos, spos)
-    assert occ.shape == (N_SENSORS, N_SENSORS)
-    assert np.array_equal(occ, occ.T)
-    assert np.array_equal(np.diag(occ), np.zeros(N_SENSORS))
-    assert np.all((occ >= 0.0) & (occ <= 1.0))
+    frames = [(np.asarray(pos), spos)]
+    for c in generate_motion_suite(12, ("squat", "arm-swing"), 4.0, 25.0, skel):
+        jp, jr = fk_batch(skel, c.local_rot, c.root_pos)
+        sp, _ = mount_poses(placement.mounts, jp, jr)
+        frames += [(jp[t], sp[t]) for t in (60, 75, 90)]
+    excl = sensor_exclusions(skel, placement)
+    covered = 0
+    for jp, sp in frames:
+        occ = pairwise_occlusion(skel, placement, jp, sp)
+        assert occ.shape == (N_SENSORS, N_SENSORS)
+        assert np.array_equal(occ, occ.T)
+        assert np.array_equal(np.diag(occ), np.zeros(N_SENSORS))
+        assert np.all((occ >= 0.0) & (occ <= 1.0))
+        caps = world_capsules(skel, jp)
+        for i in range(N_SENSORS):
+            for j in range(i + 1, N_SENSORS):
+                ref = _scalar_occlusion(caps, sp[i], sp[j], np.flatnonzero(excl[i] | excl[j]))
+                # summation order differs from the kernel's: allow one sample
+                # landing on the other side of a capsule surface
+                assert abs(occ[i, j] - ref) <= 1.0 / 64
+        covered += int(np.count_nonzero(occ))
+    assert covered > 0
 
 
 def test_check_continuity_accepts_smooth_rejects_jump(skel):

@@ -12,7 +12,6 @@ from uip.metrics import MetricReport
 from uip.rng import derive_rng
 from uip.storage import (
     read_calibration,
-    read_distances,
     read_imu_csv,
     read_jsonl,
     read_manifest,
@@ -23,7 +22,6 @@ from uip.storage import (
     read_truth,
     verify_manifest,
     write_calibration,
-    write_distances,
     write_imu_csv,
     write_jsonl,
     write_manifest,
@@ -80,6 +78,11 @@ def test_imu_csv_rejects_garbage(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(DataError):
         read_imu_csv(path)
+    # numbers that parse but are not samples: named by file and line
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"t,ax,ay,az,gx,gy,gz\n0.0,1,2,3,4,5,6\n0.01,1,{bad},3,4,5,6\n")
+        with pytest.raises(DataError, match=r"imu\.csv:3: non-finite"):
+            read_imu_csv(path)
 
 
 def test_ranging_csv_roundtrip(tmp_path):
@@ -169,23 +172,6 @@ def test_calibration_roundtrip(tmp_path):
     path.write_text('{"scale": 1.0}')
     with pytest.raises(DataError):
         read_calibration(path)
-
-
-def test_distance_stream_roundtrip_and_keys(tmp_path):
-    rng = derive_rng(54, "storage", "dist")
-    frames = 3
-    times = np.arange(frames) * 0.01
-    m = rng.uniform(0.2, 2.0, (frames, 6, 6))
-    d = np.triu(m, 1) + np.transpose(np.triu(m, 1), (0, 2, 1))
-    mask = np.ones((frames, 6, 6), dtype=bool)
-    path = tmp_path / "distances.jsonl"
-    write_distances(path, times, d, mask)
-    first = json.loads(path.read_text().splitlines()[0])
-    assert set(first) == {"t", "D", "mask"}
-    bt, bd, bm = read_distances(path)
-    assert bt.tobytes() == times.tobytes()
-    assert bd.tobytes() == d.tobytes()
-    assert np.array_equal(bm, mask)
 
 
 def test_model_input_roundtrip_and_keys(tmp_path):
