@@ -1,31 +1,31 @@
-"""Reverse-mode autodiff on a flat tape of scalar nodes.
+"""Reverse-mode autodiff on a tape of whole-array operations.
 
-Every node is one scalar: (value, parent ids, local partials). Nodes are
-identified by their integer position on the tape, values live in a single
-growable float64 array, and each recorded operation covers a contiguous
-block of nodes that share a common arity, with parents and partials stored
-flat in node-major order. The backward pass walks operations in reverse
-creation order, which is a valid reverse topological order because parents
-always precede children on the tape; each node is visited exactly once.
+Every node holds one numpy array. An op computes its output from its
+parents' values and, on a recording tape, appends one record: the output
+node, its parent nodes and its vector-Jacobian product (VJP), a function
+from the gradient of the output to one gradient per parent. `gradient`
+walks the records once in reverse creation order, which is a valid reverse
+topological order because parents always precede children, and keeps one
+gradient array per node that later contributions are added into. Matmul
+keeps only its two inputs; its backward is two matrix products.
 
-The block-structured storage is purely an implementation detail: the
-vector helpers (affine, matmul, ...) record one operation for a whole
-block of output scalars so the Python overhead stays off the training
-path, but semantically each output is still an independent scalar node.
+Inputs enter as leaves, which take gradients (parameters), or constants,
+which do not (data). Binary ops broadcast like numpy, and their VJPs sum
+the gradient back over the broadcast axes.
 
-Partials are evaluated during the forward pass (a classic preaccumulation
-tape), so recording an op fixes its local derivatives.
+A tape built with `grads=False` records values and no ops: its nodes
+die with their last Python reference, so a forward pass on it holds only
+the live activations, and it runs the same arithmetic as a recording tape,
+so the values are bitwise equal.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ContractViolationError
-
-Ids = np.ndarray  # int64 array of node ids, any shape
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -37,191 +37,233 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class Tape:
-    """Append-only computation tape with reverse-mode gradients."""
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes that broadcasting added to `shape`."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
-    def __init__(self, capacity: int = 1024):
-        self._vals = np.zeros(max(capacity, 16))
-        self._n = 0
-        # (first node id, parents flat, partials flat, arity)
-        self._ops: list[tuple[int, np.ndarray, np.ndarray, int]] = []
+
+def _repeats(index) -> bool:
+    """Whether an index holds an integer array, which may name an entry twice."""
+    parts = index if isinstance(index, tuple) else (index,)
+    return any(isinstance(p, np.ndarray) and p.dtype != bool for p in parts)
+
+
+class Node:
+    """One array on a tape. Indexing, reshape and transpose record tape ops."""
+
+    __slots__ = ("tape", "value", "tracked")
+
+    def __init__(self, tape: "Tape", value: np.ndarray, tracked: bool):
+        self.tape = tape
+        self.value = value
+        self.tracked = tracked  # whether a gradient flows into this node
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
+
+    def __getitem__(self, index) -> "Node":
+        return self.tape.index(self, index)
+
+    def reshape(self, *shape) -> "Node":
+        return self.tape.reshape(self, shape)
+
+    def transpose(self, *axes) -> "Node":
+        return self.tape.transpose(self, axes or None)
+
+    @property
+    def T(self) -> "Node":
+        return self.tape.transpose(self, None)
+
+
+class Tape:
+    """Append-only record of array ops with reverse-mode gradients."""
+
+    def __init__(self, grads: bool = True):
+        self.grads = grads
+        self._size = 0
+        self._ops: list[tuple[Node, tuple[Node, ...], Callable]] = []
 
     def __len__(self) -> int:
-        return self._n
+        """Number of scalar elements the tape has produced."""
+        return self._size
 
-    # -- allocation ------------------------------------------------------
+    def _op(self, value: np.ndarray, parents: tuple[Node, ...], vjp: Callable) -> Node:
+        self._size += value.size
+        tracked = self.grads and any(p.tracked for p in parents)
+        node = Node(self, value, tracked)
+        if tracked:
+            self._ops.append((node, parents, vjp))
+        return node
 
-    def _alloc(self, values: np.ndarray) -> Ids:
-        k = values.size
-        end = self._n + k
-        if end > self._vals.size:
-            grown = np.zeros(max(end, 2 * self._vals.size))
-            grown[: self._n] = self._vals[: self._n]
-            self._vals = grown
-        self._vals[self._n : end] = values.ravel()
-        ids = np.arange(self._n, end, dtype=np.int64).reshape(values.shape)
-        self._n = end
-        return ids
+    def leaf(self, values) -> Node:
+        """An input that gradients flow into (on a recording tape)."""
+        value = np.asarray(values, dtype=float)
+        self._size += value.size
+        return Node(self, value, self.grads)
 
-    def _record(self, values: np.ndarray, parents: np.ndarray, partials: np.ndarray, arity: int) -> Ids:
-        ids = self._alloc(values)
-        self._ops.append((int(ids.flat[0]), parents.ravel(), partials.ravel(), arity))
-        return ids
+    def const(self, values) -> Node:
+        """An input that takes no gradient."""
+        value = np.asarray(values, dtype=float)
+        self._size += value.size
+        return Node(self, value, False)
 
-    def leaf(self, values) -> Ids:
-        """New input nodes (no parents). Gradients flow into them but not past."""
-        return self._alloc(np.asarray(values, dtype=float))
+    # -- elementwise (binary ops broadcast) -------------------------------
 
-    def val(self, ids) -> np.ndarray:
-        """Current values of the given nodes."""
-        return self._vals[np.asarray(ids, dtype=np.int64)]
+    def _binary(self, value: np.ndarray, a: Node, b: Node, da: Callable, db: Callable) -> Node:
+        """Op on a and b whose VJP is (da(g), db(g)), summed back to their shapes."""
+        return self._op(value, (a, b), lambda g: (_unbroadcast(da(g), a.shape), _unbroadcast(db(g), b.shape)))
 
-    def scalar_val(self, node: int) -> float:
-        return float(self._vals[node])
+    def add(self, a: Node, b: Node) -> Node:
+        return self._binary(a.value + b.value, a, b, lambda g: g, lambda g: g)
 
-    # -- elementwise -----------------------------------------------------
+    def sub(self, a: Node, b: Node) -> Node:
+        return self._binary(a.value - b.value, a, b, lambda g: g, lambda g: -g)
 
-    def _binary(self, a: Ids, b: Ids, values: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> Ids:
-        parents = np.stack([a.ravel(), b.ravel()], axis=1)
-        partials = np.stack([pa.ravel(), pb.ravel()], axis=1)
-        return self._record(values, parents, partials, 2).reshape(a.shape)
+    def mul(self, a: Node, b: Node) -> Node:
+        va, vb = a.value, b.value
+        return self._binary(va * vb, a, b, lambda g: g * vb, lambda g: g * va)
 
-    def add(self, a: Ids, b: Ids) -> Ids:
-        va, vb = self.val(a), self.val(b)
-        ones = np.ones(a.size)
-        return self._binary(a, b, va + vb, ones, ones)
-
-    def sub(self, a: Ids, b: Ids) -> Ids:
-        va, vb = self.val(a), self.val(b)
-        return self._binary(a, b, va - vb, np.ones(a.size), -np.ones(a.size))
-
-    def mul(self, a: Ids, b: Ids) -> Ids:
-        va, vb = self.val(a), self.val(b)
-        return self._binary(a, b, va * vb, vb, va)
-
-    def blend(self, a: Ids, b: Ids, wa, wb) -> Ids:
+    def blend(self, a: Node, b: Node, wa, wb) -> Node:
         """wa*a + wb*b with constant weights (scalar or per-element arrays)."""
-        va, vb = self.val(a), self.val(b)
-        wa = np.broadcast_to(np.asarray(wa, dtype=float), a.shape).copy()
-        wb = np.broadcast_to(np.asarray(wb, dtype=float), b.shape).copy()
-        return self._binary(a, b, wa * va + wb * vb, wa, wb)
+        wa = np.asarray(wa, dtype=float)
+        wb = np.asarray(wb, dtype=float)
+        return self._binary(wa * a.value + wb * b.value, a, b, lambda g: g * wa, lambda g: g * wb)
 
-    def _unary(self, a: Ids, values: np.ndarray, partials: np.ndarray) -> Ids:
-        return self._record(values, a.ravel(), partials, 1).reshape(a.shape)
+    def scale(self, a: Node, c) -> Node:
+        c = np.asarray(c, dtype=float)
+        return self._op(a.value * c, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
 
-    def scale(self, a: Ids, c) -> Ids:
-        c = np.broadcast_to(np.asarray(c, dtype=float), a.shape).copy()
-        return self._unary(a, self.val(a) * c, c)
+    def add_const(self, a: Node, c) -> Node:
+        c = np.asarray(c, dtype=float)
+        return self._op(a.value + c, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
-    def add_const(self, a: Ids, c) -> Ids:
-        c = np.broadcast_to(np.asarray(c, dtype=float), a.shape)
-        return self._unary(a, self.val(a) + c, np.ones(a.size))
-
-    def neg(self, a: Ids) -> Ids:
+    def neg(self, a: Node) -> Node:
         return self.scale(a, -1.0)
 
-    def sigmoid(self, a: Ids) -> Ids:
-        y = _stable_sigmoid(self.val(a))
-        return self._unary(a, y, y * (1.0 - y))
+    def sigmoid(self, a: Node) -> Node:
+        y = _stable_sigmoid(a.value)
+        return self._op(y, (a,), lambda g: (g * (y * (1.0 - y)),))
 
-    def tanh(self, a: Ids) -> Ids:
-        y = np.tanh(self.val(a))
-        return self._unary(a, y, 1.0 - y * y)
+    def tanh(self, a: Node) -> Node:
+        y = np.tanh(a.value)
+        return self._op(y, (a,), lambda g: (g * (1.0 - y * y),))
 
-    def softplus(self, a: Ids) -> Ids:
-        x = self.val(a)
-        return self._unary(a, np.logaddexp(0.0, x), _stable_sigmoid(x))
+    def softplus(self, a: Node) -> Node:
+        return self._op(np.logaddexp(0.0, a.value), (a,), lambda g: (g * _stable_sigmoid(a.value),))
 
-    def sqrt(self, a: Ids) -> Ids:
-        y = np.sqrt(self.val(a))
-        return self._unary(a, y, 0.5 / y)
+    def sqrt(self, a: Node) -> Node:
+        y = np.sqrt(a.value)
+        return self._op(y, (a,), lambda g: (g * (0.5 / y),))
 
-    def recip(self, a: Ids) -> Ids:
-        y = 1.0 / self.val(a)
-        return self._unary(a, y, -y * y)
+    def recip(self, a: Node) -> Node:
+        y = 1.0 / a.value
+        return self._op(y, (a,), lambda g: (g * (-y * y),))
 
-    def abs(self, a: Ids) -> Ids:
-        x = self.val(a)
-        return self._unary(a, np.abs(x), np.sign(x))
+    def abs(self, a: Node) -> Node:
+        return self._op(np.abs(a.value), (a,), lambda g: (g * np.sign(a.value),))
 
-    def square(self, a: Ids) -> Ids:
-        x = self.val(a)
-        return self._unary(a, x * x, 2.0 * x)
+    def square(self, a: Node) -> Node:
+        return self._op(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
 
     # -- reductions and linear algebra ------------------------------------
 
-    def sum(self, a: Ids) -> int:
-        a = a.ravel()
-        ids = self._record(np.array(self.val(a).sum()), a, np.ones(a.size), a.size)
-        return int(ids.flat[0])
+    def sum(self, a: Node) -> Node:
+        """Sum of every element -> 0-d node."""
+        return self._op(np.asarray(a.value.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
-    def dot(self, a: Ids, b: Ids) -> int:
-        a, b = a.ravel(), b.ravel()
-        va, vb = self.val(a), self.val(b)
-        parents = np.concatenate([a, b])
-        partials = np.concatenate([vb, va])
-        ids = self._record(np.array(va @ vb), parents, partials, parents.size)
-        return int(ids.flat[0])
+    def group_sum(self, a: Node) -> Node:
+        """Sum over the last axis."""
+        return self._op(a.value.sum(axis=-1), (a,), lambda g: (np.broadcast_to(g[..., None], a.shape),))
 
-    def group_dot(self, a: Ids, b: Ids) -> Ids:
-        """Row-wise dot of two (k, n) id blocks -> (k,) nodes."""
-        va, vb = self.val(a), self.val(b)
-        values = np.einsum("ij,ij->i", va, vb)
-        parents = np.concatenate([a, b], axis=1)
-        partials = np.concatenate([vb, va], axis=1)
-        return self._record(values, parents, partials, 2 * a.shape[1])
+    def group_dot(self, a: Node, b: Node) -> Node:
+        """Dot products over the last axis of two equal-shape nodes."""
+        va, vb = a.value, b.value
+        return self._op(np.einsum("...i,...i->...", va, vb), (a, b), lambda g: (g[..., None] * vb, g[..., None] * va))
 
-    def group_sum(self, a: Ids) -> Ids:
-        """Row-wise sum of a (k, n) id block -> (k,) nodes."""
-        values = self.val(a).sum(axis=1)
-        return self._record(values, a, np.ones(a.size), a.shape[1])
+    def matmul(self, a: Node, b: Node) -> Node:
+        """(m, k) @ (k, n), or stacked (F, m, k) @ (F, k, n)."""
+        va, vb = a.value, b.value
+        if not (va.ndim == vb.ndim in (2, 3) and va.shape[:-2] == vb.shape[:-2] and va.shape[-1] == vb.shape[-2]):
+            raise ContractViolationError(f"matmul shape mismatch {va.shape} @ {vb.shape}")
+        return self._op(
+            va @ vb, (a, b),
+            lambda g: (g @ vb.mT if a.tracked else None, va.mT @ g if b.tracked else None),
+        )
 
-    def affine(self, w: Ids, x: Ids, b: Ids | None = None) -> Ids:
-        """W @ x (+ b) for a (m, n) weight block and (n,) input block."""
-        m, n = w.shape
-        vw, vx = self.val(w), self.val(x)
-        values = vw @ vx
-        if b is None:
-            parents = np.concatenate([w, np.tile(x, (m, 1))], axis=1)
-            partials = np.concatenate([np.tile(vx, (m, 1)), vw], axis=1)
-            arity = 2 * n
-        else:
-            values = values + self.val(b)
-            parents = np.concatenate([w, np.tile(x, (m, 1)), b[:, None]], axis=1)
-            partials = np.concatenate([np.tile(vx, (m, 1)), vw, np.ones((m, 1))], axis=1)
-            arity = 2 * n + 1
-        return self._record(values, parents, partials, arity)
+    # -- structure ----------------------------------------------------------
 
-    def matmul(self, a: Ids, b: Ids) -> Ids:
-        """(m, k) @ (k, n) on node blocks -> (m, n) nodes."""
-        m, k = a.shape
-        k2, n = b.shape
-        if k != k2:
-            raise ContractViolationError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-        va, vb = self.val(a), self.val(b)
-        values = va @ vb
-        # output (i, j): parents are row i of a and column j of b
-        pa = np.repeat(a[:, None, :], n, axis=1)  # (m, n, k)
-        pb = np.repeat(b.T[None, :, :], m, axis=0)  # (m, n, k)
-        parents = np.concatenate([pa, pb], axis=2).reshape(m * n, 2 * k)
-        da = np.repeat(vb.T[None, :, :], m, axis=0)  # d/d a[i,:] = b[:, j]
-        db = np.repeat(va[:, None, :], n, axis=1)  # d/d b[:,j] = a[i, :]
-        partials = np.concatenate([da, db], axis=2).reshape(m * n, 2 * k)
-        return self._record(values, parents, partials, 2 * k).reshape(m, n)
+    def index(self, a: Node, index) -> Node:
+        """a[index] for any numpy index; the backward scatter-adds."""
+
+        def vjp(g):
+            full = np.zeros(a.shape)
+            if _repeats(index):
+                np.add.at(full, index, g)
+            else:
+                full[index] = g
+            return (full,)
+
+        return self._op(a.value[index], (a,), vjp)
+
+    def select(self, mask: np.ndarray, a: Node) -> Node:
+        """a where mask holds, exact zeros elsewhere (whatever a holds there)."""
+        return self._op(np.where(mask, a.value, 0.0), (a,), lambda g: (np.where(mask, g, 0.0),))
+
+    def concat(self, nodes: list[Node], axis: int = 0) -> Node:
+        cuts = np.cumsum([n.shape[axis] for n in nodes])[:-1]
+        return self._op(
+            np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes),
+            lambda g: tuple(np.split(g, cuts, axis=axis)),
+        )
+
+    def stack(self, nodes: list[Node]) -> Node:
+        """Equal-shape nodes stacked along a new first axis."""
+        return self._op(np.stack([n.value for n in nodes]), tuple(nodes), lambda g: tuple(g))
+
+    def reshape(self, a: Node, shape) -> Node:
+        return self._op(a.value.reshape(*shape), (a,), lambda g: (g.reshape(a.shape),))
+
+    def transpose(self, a: Node, axes) -> Node:
+        inverse = None if axes is None else tuple(np.argsort(axes))
+        return self._op(a.value.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
     # -- backward ----------------------------------------------------------
 
-    def gradient(self, root: int) -> np.ndarray:
-        """d root / d node for every node on the tape (index with leaf ids)."""
-        g = np.zeros(self._n)
-        g[root] = 1.0
-        for start, parents, partials, arity in reversed(self._ops):
-            k = parents.size // arity
-            seg = g[start : start + k]
-            if not seg.any():
+    def gradient(self, root: Node, wrt: Iterable[Node]) -> list[np.ndarray]:
+        """d root / d node for each node of wrt (zeros where root ignores it).
+
+        The walk pops the records as it goes, so a tape yields one gradient.
+        That frees each activation once its VJP has run, and it breaks the
+        reference cycle between the tape and its nodes, so the whole graph
+        dies by reference counting instead of waiting for the cycle collector.
+        """
+        grads = {root: np.ones(root.shape)}
+        owned: set[Node] = set()  # gradients the walk allocated and may add into
+        while self._ops:
+            out, parents, vjp = self._ops.pop()
+            g = grads.pop(out, None)
+            if g is None:
                 continue
-            np.add.at(g, parents, partials * np.repeat(seg, arity))
-        return g
+            for parent, gp in zip(parents, vjp(g)):
+                if gp is None or not parent.tracked:
+                    continue
+                acc = grads.get(parent)
+                if acc is None:
+                    grads[parent] = gp
+                elif parent in owned:
+                    acc += gp
+                else:
+                    grads[parent] = np.asarray(acc + gp)
+                    owned.add(parent)
+        return [
+            np.array(grads[n], dtype=float) if n in grads else np.zeros(n.shape)
+            for n in wrt
+        ]
 
 
 def grad_check(

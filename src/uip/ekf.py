@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .geometry import Quaternion, Vec3, quat_relative, quat_rotate
-from .skeleton import N_SENSORS, Skeleton, SensorPlacement, default_placement, default_skeleton, sensor_pose, tpose
+from .skeleton import N_SENSORS, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
 
 SIGMA_X0 = 0.05  # m, initial relative-position std per axis
 SIGMA_V0 = 0.01  # m/s, initial relative-velocity std per axis
@@ -169,23 +169,6 @@ def distance_estimate(state: PairState) -> float:
     return float(np.linalg.norm(state.x))
 
 
-def init_from_tpose(
-    skel: Skeleton, placement: SensorPlacement, i: int, j: int
-) -> PairState:
-    """Initial pair state from the calibration T-pose geometry."""
-    jp, jr = tpose(skel)
-    p_i, q_i = sensor_pose(placement, i, jp, jr)
-    p_j, q_j = sensor_pose(placement, j, jp, jr)
-    d = p_j - p_i
-    cov = np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3)
-    return PairState(
-        x=np.array([d.x, d.y, d.z]),
-        v=np.zeros(3),
-        q=quat_relative(q_i, q_j),
-        cov=cov,
-    )
-
-
 def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> float:
     """Upper bound on the i-j sensor distance: kinematic path length between mounts."""
     mi, mj = placement.mounts[i], placement.mounts[j]
@@ -248,7 +231,18 @@ class PairFilterBank:
         speed_mode: str = "predicted",
     ):
         self.pairs = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
-        self.states = {p: init_from_tpose(skel, placement, *p) for p in self.pairs}
+        # Every pair starts from the calibration T-pose geometry.
+        pos, rot = mount_poses(placement.mounts, *tpose(skel))
+        quats = [Quaternion(*q) for q in rot.tolist()]
+        self.states = {
+            (i, j): PairState(
+                x=pos[j] - pos[i],
+                v=np.zeros(3),
+                q=quat_relative(quats[i], quats[j]),
+                cov=np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3),
+            )
+            for (i, j) in self.pairs
+        }
         self.sigma_u = np.asarray(sigma_u, dtype=float)
         self.r_diag = r_diag
         self.dt = dt

@@ -47,10 +47,10 @@ def _smooth_noise(rng: np.random.Generator, n: int, rate: float, knot_s: float, 
     return knots[i0] * (1.0 - s) + knots[i0 + 1] * s
 
 
-def _ramp(n: int, rate: float) -> np.ndarray:
-    """0 during the lead-in, smoothstep up to 1 over RAMP_S, then 1."""
+def _ramp(n: int, rate: float, start: float = LEAD_IN_S) -> np.ndarray:
+    """0 until `start` (the lead-in), smoothstep up to 1 over RAMP_S, then 1."""
     t = np.arange(n) / rate
-    u = np.clip((t - LEAD_IN_S) / RAMP_S, 0.0, 1.0)
+    u = np.clip((t - start) / RAMP_S, 0.0, 1.0)
     return u * u * (3.0 - 2.0 * u)
 
 
@@ -101,8 +101,8 @@ def _generate_one(
     root = _standing_root(skel, n)
     ch: dict[str, list[tuple[str, np.ndarray]]] = {}
 
-    def noisy(sigma_deg: float, knot_s: float = 0.5) -> np.ndarray:
-        return _smooth_noise(rng, n, rate, knot_s, sigma_deg) * env
+    def noisy(sigma_deg: float, knot_s: float = 0.5, envelope: np.ndarray = env) -> np.ndarray:
+        return _smooth_noise(rng, n, rate, knot_s, sigma_deg) * envelope
 
     phase = rng.uniform(0.0, 2.0 * np.pi)
 
@@ -188,20 +188,25 @@ def _generate_one(
         # four joint degrees of freedom against the three the wrist
         # orientation observes, so a one-parameter arm-fold family is
         # invisible to the wrist IMU and only the wrist's position (the
-        # inter-sensor distances) pins it down.
+        # inter-sensor distances) pins it down. Each arm leaves the T-pose
+        # on its own schedule, one in the first tenth of the motion and the
+        # other 40-60% into it, so no shared descent locks the arms together.
         hang = math.radians(55.0)
+        span = n / rate - LEAD_IN_S
+        start_l, start_r = LEAD_IN_S + span * rng.permutation(rng.uniform((0.0, 0.4), (0.1, 0.6)))
+        env_l, env_r = _ramp(n, rate, start_l), _ramp(n, rate, start_r)
         ch["l_shoulder"] = [
-            ("y", noisy(14.0, 2.2)),
-            ("x", -hang * env + noisy(12.0, 2.0)),
-            ("z", noisy(12.0, 2.6)),
+            ("y", noisy(14.0, 2.2, env_l)),
+            ("x", -hang * env_l + noisy(12.0, 2.0, env_l)),
+            ("z", noisy(12.0, 2.6, env_l)),
         ]
         ch["r_shoulder"] = [
-            ("y", noisy(14.0, 2.5)),
-            ("x", hang * env + noisy(12.0, 2.3)),
-            ("z", noisy(12.0, 1.9)),
+            ("y", noisy(14.0, 2.5, env_r)),
+            ("x", hang * env_r + noisy(12.0, 2.3, env_r)),
+            ("z", noisy(12.0, 1.9, env_r)),
         ]
-        ch["l_elbow"] = [("z", -math.radians(35.0) * env + noisy(12.0, 2.1))]
-        ch["r_elbow"] = [("z", math.radians(35.0) * env + noisy(12.0, 2.4))]
+        ch["l_elbow"] = [("z", -math.radians(35.0) * env_l + noisy(12.0, 2.1, env_l))]
+        ch["r_elbow"] = [("z", math.radians(35.0) * env_r + noisy(12.0, 2.4, env_r))]
         ch["spine"] = [("y", noisy(1.5, 2.0)), ("z", noisy(1.2, 2.4))]
         ch["l_hip"] = [("y", noisy(0.8, 1.6))]
         ch["r_hip"] = [("y", noisy(0.8, 1.9))]

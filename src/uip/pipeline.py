@@ -20,7 +20,6 @@ from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
 from .posenet import (
-    ModelInput,
     PoseNetConfig,
     PoseNetParams,
     TrainConfig,
@@ -486,10 +485,7 @@ def evaluate_model(
         truth = read_truth(tdir / name / "truth.jsonl")
         frames = mi["times"].shape[0]
         mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
-        inputs = [
-            ModelInput(mi["r"][k], mi["a"][k], mi["d"][k], mask[k]) for k in range(frames)
-        ]
-        local = qfrom_rot6d(np.array([o.rotations for o in infer(params, inputs)]))
+        local = qfrom_rot6d(infer(params, mi["r"], mi["a"], mi["d"], mask).rotations)
         pred_pos, pred_rot = fk_batch(skel, local, np.zeros(3))
         truth_rot = np.asarray(truth.joint_rot)
         sip = sip_error(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Ids, Tape
+from ..autodiff import Node, Tape
 from ..errors import ContractViolationError
 from ..skeleton import N_SENSORS
 from .model import SENSOR_PAIRS
@@ -30,36 +30,31 @@ PAIR_I = np.array([i for i, _ in SENSOR_PAIRS])
 PAIR_J = np.array([j for _, j in SENSOR_PAIRS])
 
 
-def _frame_rows(p: Ids, n: int) -> Ids:
-    """(18, N) sensor-major columns -> (N*6, 3) frame-major rows."""
-    return p.reshape(N_SENSORS, 3, n).transpose(2, 0, 1).reshape(n * N_SENSORS, 3)
-
-
 def position_terms(
     tape: Tape,
-    p: Ids,
+    p: Node,
     pos_targets: np.ndarray,
     d: np.ndarray,
     valid: np.ndarray,
     lam: float,
-) -> list[int]:
-    """Scalar ids for the cosine and pairwise-distance parts of the loss.
+) -> list[Node]:
+    """Scalar nodes for the cosine and pairwise-distance parts of the loss.
 
-    p: (18, N) predicted positions; pos_targets: (N, 6, 3); d, valid:
+    p: (N, 18) predicted positions; pos_targets: (N, 6, 3); d, valid:
     (N, 6, 6) measured distances and mask. Either part disappears when
     nothing qualifies (all-zero targets, no valid pairs).
     """
     n = pos_targets.shape[0]
-    rows = _frame_rows(p, n)
+    rows = p.reshape(n * N_SENSORS, 3)
     tgt_rows = pos_targets.reshape(n * N_SENSORS, 3)
-    terms: list[int] = []
+    terms: list[Node] = []
 
-    pred_norm = np.linalg.norm(tape.val(rows), axis=1)
+    pred_norm = np.linalg.norm(rows.value, axis=1)
     tgt_norm = np.linalg.norm(tgt_rows, axis=1)
     include = (pred_norm > NORM_FLOOR) & (tgt_norm > NORM_FLOOR)
     if np.any(include):
         picked = rows[include]
-        tgt_unit = tape.leaf(tgt_rows[include] / tgt_norm[include][:, None])
+        tgt_unit = tape.const(tgt_rows[include] / tgt_norm[include][:, None])
         inv_norm = tape.recip(
             tape.sqrt(tape.add_const(tape.group_dot(picked, picked), DIST_EPS))
         )
@@ -71,41 +66,39 @@ def position_terms(
             tape.sum(tape.scale(tape.add_const(tape.neg(cos), 1.0), weights))
         )
 
-    pair_valid = valid[:, PAIR_I, PAIR_J].ravel()
-    if np.any(pair_valid):
-        rows3 = rows.reshape(n, N_SENSORS, 3)
-        a = rows3[:, PAIR_I, :].reshape(-1, 3)[pair_valid]
-        b = rows3[:, PAIR_J, :].reshape(-1, 3)[pair_valid]
-        measured = d[:, PAIR_I, PAIR_J].ravel()[pair_valid]
-        diff = tape.sub(a, b)
+    frame, pair = np.nonzero(valid[:, PAIR_I, PAIR_J])
+    if frame.size:
+        rows3 = p.reshape(n, N_SENSORS, 3)
+        i, j = PAIR_I[pair], PAIR_J[pair]
+        measured = d[frame, i, j]
+        diff = tape.sub(rows3[frame, i], rows3[frame, j])
         dist = tape.sqrt(tape.add_const(tape.group_dot(diff, diff), DIST_EPS))
         gaps = tape.abs(tape.add_const(dist, -measured))
         terms.append(tape.sum(tape.scale(gaps, lam / n)))
     return terms
 
 
-def rotation_term(tape: Tape, rot: Ids, rot_targets: np.ndarray) -> int:
-    """Mean squared error over all 6D rotation components."""
+def rotation_term(tape: Tape, rot: Node, rot_targets: np.ndarray) -> Node:
+    """Mean squared error over all 6D rotation components; rot is (N, 90)."""
     n = rot_targets.shape[0]
-    tgt = rot_targets.reshape(n, -1).T
-    sq = tape.square(tape.add_const(rot, -tgt))
-    return tape.sum(tape.scale(sq, 1.0 / sq.size))
+    sq = tape.square(tape.add_const(rot, -rot_targets.reshape(n, -1)))
+    return tape.sum(tape.scale(sq, 1.0 / sq.value.size))
 
 
-def contact_term(tape: Tape, logits: Ids, contact_targets: np.ndarray) -> int:
-    """Binary cross-entropy on logits: mean of softplus(z) - t*z."""
-    t = np.asarray(contact_targets, dtype=float).T
+def contact_term(tape: Tape, logits: Node, contact_targets: np.ndarray) -> Node:
+    """Binary cross-entropy on (N, 2) logits: mean of softplus(z) - t*z."""
+    t = np.asarray(contact_targets, dtype=float)
     bce = tape.blend(tape.softplus(logits), logits, 1.0, -t)
-    return tape.sum(tape.scale(bce, 1.0 / bce.size))
+    return tape.sum(tape.scale(bce, 1.0 / bce.value.size))
 
 
-def total_loss(tape: Tape, terms: list[int]) -> int:
-    """Sum of scalar loss ids; an empty list is a zero loss."""
+def total_loss(tape: Tape, terms: list[Node]) -> Node:
+    """Sum of scalar loss nodes; an empty list is a zero loss."""
     if not terms:
-        return int(tape.leaf(np.zeros(1))[0])
+        return tape.const(0.0)
     if len(terms) == 1:
         return terms[0]
-    return tape.sum(np.array(terms, dtype=np.int64))
+    return tape.sum(tape.stack(terms))
 
 
 def distance_aware_loss(
@@ -133,7 +126,7 @@ def distance_aware_loss(
     if valid is None:
         valid = ~np.eye(N_SENSORS, dtype=bool)
     v = np.asarray(valid, dtype=bool)
-    tape = Tape()
-    p = tape.leaf(p_hat).reshape(N_SENSORS * 3, 1)
+    tape = Tape(grads=False)
+    p = tape.const(p_hat.reshape(1, N_SENSORS * 3))
     terms = position_terms(tape, p, p_tilde[None], d[None], v[None], lam)
-    return tape.scalar_val(total_loss(tape, terms))
+    return float(total_loss(tape, terms).value)

@@ -1,4 +1,4 @@
-"""Pose network forward passes on the autodiff tape.
+"""Pose network forward pass on the array tape.
 
 Two branches estimate root-relative sensor positions per frame: a stacked
 LSTM over concatenated orientation/acceleration features (temporal), and a
@@ -7,12 +7,14 @@ distance-attention graph layer stack over per-frame sensor distances
 the fused positions plus the raw features to joint rotations and foot
 contacts.
 
-Everything runs through one tape-based implementation; the public
-functions wrap it for single frames or sequences and return plain arrays.
-Batch layout: a batch is W windows of T frames, flattened to N = W*T
-frame columns in window-major order. Sensor-vector blocks (positions,
-accelerations) use sensor-major rows: row 3*s + k is coordinate k of
-sensor s.
+`Forward` is the one implementation. Training runs it on a recording tape;
+inference, validation losses and the single-branch helpers run it on a
+values-only tape (`Tape(grads=False)`), which keeps no op records, so only
+the live activations stay in memory and the values are bitwise the
+training ones. Layout: a batch is W windows of T frames, flattened to
+N = W*T frames in window-major order, one row per frame. Position rows
+are sensor-major: column 3*s + k is coordinate k of sensor s. The graph
+layers hold one row per sensor node, row 6*f + s.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Ids, Tape
+from ..autodiff import Node, Tape
 from ..errors import ConfigError, ContractViolationError, DataError
 from ..skeleton import HEAD_SENSOR, N_SENSORS, PELVIS_SENSOR
 from .params import PoseNetParams
@@ -36,12 +38,13 @@ SENSOR_PAIRS: tuple[tuple[int, int], ...] = tuple(
 
 @dataclass(frozen=True)
 class ModelInput:
-    """One frame of network input.
+    """T frames of network input.
 
-    r: per-sensor orientations, 6D representation, shape (6, 6)
-    a: per-sensor world accelerations (gravity removed), m/s^2, shape (6, 3)
-    d: inter-sensor distances, m, shape (6, 6), symmetric with zero diagonal
-    valid: entry validity mask for d, shape (6, 6)
+    r: per-sensor orientations, 6D representation, shape (T, 6, 6)
+    a: per-sensor world accelerations (gravity removed), m/s^2, shape (T, 6, 3)
+    d: inter-sensor distances, m, shape (T, 6, 6), each frame symmetric
+       with zero diagonal
+    valid: entry validity mask for d, shape (T, 6, 6)
     """
 
     r: np.ndarray
@@ -54,15 +57,19 @@ class ModelInput:
         a = np.asarray(self.a, dtype=float)
         d = np.asarray(self.d, dtype=float)
         v = np.asarray(self.valid, dtype=bool)
-        if r.shape != (N_SENSORS, 6) or a.shape != (N_SENSORS, 3):
+        t = r.shape[0] if r.ndim == 3 else -1
+        if r.shape != (t, N_SENSORS, 6) or a.shape != (t, N_SENSORS, 3):
             raise ContractViolationError(
                 f"bad input shapes r{r.shape} a{a.shape}"
             )
-        if d.shape != (N_SENSORS, N_SENSORS) or v.shape != d.shape:
+        if t < 1:
+            raise ContractViolationError("need at least one input frame")
+        if d.shape != (t, N_SENSORS, N_SENSORS) or v.shape != d.shape:
             raise ContractViolationError(f"bad distance shapes d{d.shape} valid{v.shape}")
-        if not np.array_equal(d, d.T):
+        if not np.array_equal(d, d.transpose(0, 2, 1)):
             raise ContractViolationError("distance matrix must be symmetric")
-        if np.any(np.diag(d) != 0.0):
+        diag = np.arange(N_SENSORS)
+        if np.any(d[:, diag, diag] != 0.0):
             raise ContractViolationError("distance matrix diagonal must be zero")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
@@ -72,12 +79,12 @@ class ModelInput:
 
 @dataclass(frozen=True)
 class PoseOutput:
-    """Per-frame network output.
+    """Network output over T frames.
 
     p_t, p_s, p: temporal, spatial, and fused sensor positions relative to
-    the pelvis sensor, m, shape (6, 3). rotations: local joint rotations in
-    6D representation, shape (15, 6), not orthonormalized. contacts: foot
-    contact probabilities (left, right), each in [0, 1].
+    the pelvis sensor, m, shape (T, 6, 3). rotations: local joint rotations
+    in 6D representation, shape (T, 15, 6), not orthonormalized. contacts:
+    foot contact probabilities (left, right), shape (T, 2), each in [0, 1].
     """
 
     p_t: np.ndarray
@@ -103,6 +110,21 @@ def normalize_distances(d: np.ndarray, valid: np.ndarray | None = None) -> np.nd
             f"head-pelvis distance {ref:.4f} m too small to normalize by"
         )
     return d / ref
+
+
+def _normalize_batch(d: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """normalize_distances over (N, 6, 6) stacks, naming the first bad frame."""
+    ref = d[:, HEAD_SENSOR, PELVIS_SENSOR].copy()
+    all_invalid = ~valid.reshape(valid.shape[0], -1).any(axis=1)
+    ref[all_invalid] = 1.0
+    bad = ref <= MIN_NORMALIZER_M
+    if np.any(bad):
+        frame = int(np.argmax(bad))
+        raise DataError(
+            f"head-pelvis distance {ref[frame]:.4f} m too small to "
+            f"normalize by (frame {frame})"
+        )
+    return d / ref[:, None, None]
 
 
 def fusion_weights(
@@ -134,201 +156,143 @@ def fuse_positions(
 
 
 class Forward:
-    """Tape-side forward builder over one batch of equal-length windows."""
+    """The network over one batch of equal-length windows, on a tape."""
 
     def __init__(self, tape: Tape, params: PoseNetParams):
         self.tape = tape
         self.cfg = params.config
-        self.ids = {name: tape.leaf(arr) for name, arr in params.tensors.items()}
-        self._zero = int(tape.leaf(np.zeros(1))[0])
+        self.params = {name: tape.leaf(arr) for name, arr in params.tensors.items()}
 
-    def _tile(self, vec: Ids, n: int) -> Ids:
-        return np.tile(vec[:, None], (1, n))
+    def _linear(self, x: Node, name: str) -> Node:
+        """Rows of x through the `name` layer: x @ W.T + b."""
+        t = self.tape
+        return t.add(t.matmul(x, self.params[f"{name}_w"].T), self.params[f"{name}_b"])
+
+    def run(self, r: np.ndarray, a: np.ndarray, d: np.ndarray, valid: np.ndarray) -> dict[str, Node]:
+        """Both branches, fusion and the decoder.
+
+        r: (W, T, 6, 6) orientations, a: (W, T, 6, 3) accelerations; d,
+        valid: (W*T, 6, 6). Returns (N, 18) positions p_t, p_s and p,
+        (N, 90) rotations and (N, 2) contact logits.
+        """
+        w_count, t_count = r.shape[:2]
+        n = w_count * t_count
+        r_frames = r.reshape(n, N_SENSORS, 6)
+        a_frames = a.reshape(n, N_SENSORS, 3)
+        p_t = self.lstm(np.concatenate([r, a], axis=3).reshape(w_count, t_count, N_SENSORS * 9))
+        p_s, dn_masked = self.dagcn(r_frames, d, valid)
+        p = self.fuse(p_t, p_s, a_frames)
+        rot, con = self.decoder(p, r_frames, a_frames, dn_masked)
+        return {"p_t": p_t, "p_s": p_s, "p": p, "rotations": rot, "contacts": con}
 
     # -- temporal branch ---------------------------------------------------
 
-    def lstm(self, x: np.ndarray) -> Ids:
-        """x: (W, T, 54) features -> (18, W*T) position ids, window-major."""
+    def lstm(self, x: np.ndarray) -> Node:
+        """x: (W, T, 54) features -> (W*T, 18) positions, window-major rows."""
         t = self.tape
         w_count, t_count, _ = x.shape
         h_size = self.cfg.lstm_hidden
-        x_ids = t.leaf(x)
-        layer_in: list[Ids] = [x_ids[:, step, :].T for step in range(t_count)]
+        layer_in = [t.const(x[:, step]) for step in range(t_count)]
         for layer in range(self.cfg.lstm_layers):
-            wx = self.ids[f"lstm{layer}_wx"]
-            wh = self.ids[f"lstm{layer}_wh"]
-            b = self._tile(self.ids[f"lstm{layer}_b"], w_count)
-            h = t.leaf(np.zeros((h_size, w_count)))
-            c = t.leaf(np.zeros((h_size, w_count)))
-            outs: list[Ids] = []
-            for step in range(t_count):
-                z = t.add(t.add(t.matmul(wx, layer_in[step]), t.matmul(wh, h)), b)
-                gi = t.sigmoid(z[:h_size])
-                gf = t.sigmoid(z[h_size : 2 * h_size])
-                gg = t.tanh(z[2 * h_size : 3 * h_size])
-                go = t.sigmoid(z[3 * h_size :])
+            wx = self.params[f"lstm{layer}_wx"].T
+            wh = self.params[f"lstm{layer}_wh"].T
+            b = self.params[f"lstm{layer}_b"]
+            h = c = t.const(np.zeros((w_count, h_size)))
+            outs: list[Node] = []
+            for inp in layer_in:
+                z = t.add(t.add(t.matmul(inp, wx), t.matmul(h, wh)), b)
+                gi = t.sigmoid(z[:, :h_size])
+                gf = t.sigmoid(z[:, h_size : 2 * h_size])
+                gg = t.tanh(z[:, 2 * h_size : 3 * h_size])
+                go = t.sigmoid(z[:, 3 * h_size :])
                 c = t.add(t.mul(gf, c), t.mul(gi, gg))
                 h = t.mul(go, t.tanh(c))
                 outs.append(h)
             layer_in = outs
-        out = np.empty((N_SENSORS * 3, w_count * t_count), dtype=np.int64)
-        w_pt = self.ids["pt_w"]
-        b_pt = self._tile(self.ids["pt_b"], w_count)
-        for step in range(t_count):
-            y = t.add(t.matmul(w_pt, layer_in[step]), b_pt)
-            for w_idx in range(w_count):
-                out[:, w_idx * t_count + step] = y[:, w_idx]
-        return out
+        hs = t.stack(layer_in).transpose(1, 0, 2).reshape(w_count * t_count, h_size)
+        return self._linear(hs, "pt")
 
     # -- spatial branch ------------------------------------------------------
 
-    def _normalize_batch(self, d: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Per-frame head-pelvis normalization over (N, 6, 6) stacks."""
-        ref = d[:, HEAD_SENSOR, PELVIS_SENSOR].copy()
-        all_invalid = ~valid.reshape(valid.shape[0], -1).any(axis=1)
-        ref[all_invalid] = 1.0
-        bad = ref <= MIN_NORMALIZER_M
-        if np.any(bad):
-            frame = int(np.argmax(bad))
-            raise DataError(
-                f"head-pelvis distance {ref[frame]:.4f} m too small to "
-                f"normalize by (frame {frame})"
-            )
-        return d / ref[:, None, None]
-
-    def correlation(self, layer: int, dn: np.ndarray, mask: np.ndarray) -> Ids:
-        """Masked correlation matrices C for one layer over all frames.
+    def correlation(self, layer: int, dn: np.ndarray, mask: np.ndarray) -> Node:
+        """Masked correlation matrices C of one layer over all frames.
 
         dn: (N, 6, 6) normalized distances; mask: (N, 6, 6) validity with
-        the diagonal already cleared. Returns (N, 6, 6) node ids. Masked
-        entries are the shared zero node; each row with surviving entries
-        is renormalized to sum 1 unless its sum is vanishingly small (a row
-        of zeros stays zeros, keeping the map total).
+        the diagonal already cleared. Returns (N, 6, 6). Masked entries
+        are exact zeros; each row with surviving entries is renormalized
+        to sum 1 unless its sum is vanishingly small (such a row stays as
+        it is, keeping the map total).
         """
         t = self.tape
-        n = dn.shape[0]
-        s = N_SENSORS
-        a_ids = np.tile(self.ids[f"gcn{layer}_adj"].reshape(1, s * s), (n, 1))
-        b_ids = np.tile(self.ids[f"gcn{layer}_bias"].reshape(1, s * s), (n, 1))
-        raw = t.add(t.mul(a_ids, t.leaf(dn.reshape(n, s * s))), b_ids)
-        rows = raw.reshape(n * s, s).copy()
-        rows[~mask.reshape(n * s, s)] = self._zero
+        adj = self.params[f"gcn{layer}_adj"]
+        raw = t.add(t.mul(adj, t.const(dn)), self.params[f"gcn{layer}_bias"])
+        rows = t.select(mask, raw)
         sums = t.group_sum(rows)
-        keep = np.abs(t.val(sums)) >= 1e-30
-        out = rows.copy()
-        if np.any(keep):
-            inv = t.recip(sums[keep])
-            out[keep] = t.mul(rows[keep], np.repeat(inv[:, None], s, axis=1))
-        return out.reshape(n, s, s)
+        tiny = np.abs(sums.value) < 1e-30
+        inv = t.recip(t.add_const(t.select(~tiny, sums), tiny))
+        return t.mul(rows, inv.reshape(*tiny.shape, 1))
 
-    def dagcn(self, r_cols: np.ndarray, d: np.ndarray, valid: np.ndarray) -> tuple[Ids, np.ndarray]:
+    def dagcn(self, r: np.ndarray, d: np.ndarray, valid: np.ndarray) -> tuple[Node, np.ndarray]:
         """Spatial branch over N frames.
 
-        r_cols: (6, 6N) orientation features, column f*6+s is sensor s of
-        frame f; d, valid: (N, 6, 6) raw distances and mask. Returns
-        (18, N) position ids and the masked normalized distances (N, 36)
-        that the decoder reuses.
+        r: (N, 6, 6) orientations; d, valid: (N, 6, 6) raw distances and
+        mask. Returns (N, 18) positions and the masked normalized
+        distances (N, 36) that the decoder reuses.
         """
         t = self.tape
-        n = d.shape[0]
-        s = N_SENSORS
-        mask = valid.copy()
-        mask[:, np.arange(s), np.arange(s)] = False
-        dn = self._normalize_batch(d, valid)
-        dn_masked = np.where(mask, dn, 0.0).reshape(n, s * s)
-
-        emb = t.add(
-            t.matmul(self.ids["emb_w"], t.leaf(r_cols)),
-            self._tile(self.ids["emb_b"], n * s),
-        )
+        n, s, width = d.shape[0], N_SENSORS, self.cfg.gcn_width
+        mask = valid & ~np.eye(s, dtype=bool)
+        dn = _normalize_batch(d, valid)
+        emb = self._linear(t.const(r.reshape(n * s, 6)), "emb")
         h = emb
         for layer in range(self.cfg.gcn_layers):
-            c_ids = self.correlation(layer, dn, mask)
-            g = t.matmul(self.ids[f"gcn{layer}_w"], h)
-            g = t.mul(g, np.tile(self.ids[f"gcn{layer}_mod"], (1, n)))
-            h2 = np.empty_like(g)
-            for f in range(n):
-                h2[:, f * s : (f + 1) * s] = t.matmul(g[:, f * s : (f + 1) * s], c_ids[f])
-            h2 = t.add(
-                t.mul(h2, self._tile(self.ids[f"gcn{layer}_scale"], n * s)),
-                self._tile(self.ids[f"gcn{layer}_shift"], n * s),
-            )
-            h = t.add(h2, emb)
-        p = t.add(t.matmul(self.ids["ps_w"], h), self._tile(self.ids["ps_b"], n * s))
-        p = p.reshape(3, n, s).transpose(2, 0, 1).reshape(s * 3, n)
-        return p, dn_masked
+            param = {k: self.params[f"gcn{layer}_{k}"] for k in ("w", "mod", "scale", "shift")}
+            corr = self.correlation(layer, dn, mask)
+            g = t.mul(t.matmul(h, param["w"].T).reshape(n, s, width), param["mod"].T)
+            agg = t.matmul(corr.transpose(0, 2, 1), g).reshape(n * s, width)
+            h = t.add(t.add(t.mul(agg, param["scale"]), param["shift"]), emb)
+        p = self._linear(h, "ps").reshape(n, s * 3)
+        return p, np.where(mask, dn, 0.0).reshape(n, s * s)
 
     # -- fusion and decoder --------------------------------------------------
 
-    def fuse(self, p_t: Ids, p_s: Ids, accel: np.ndarray) -> Ids:
-        """Blend (18, N) branch outputs; accel is (N, 6, 3) world accel."""
+    def fuse(self, p_t: Node, p_s: Node, accel: np.ndarray) -> Node:
+        """Blend (N, 18) branch outputs; accel is (N, 6, 3) world accel."""
         norms = np.linalg.norm(accel, axis=2)  # (N, 6)
         w = fusion_weights(norms, self.cfg.accel_low, self.cfg.accel_high)
-        w18 = np.repeat(w, 3, axis=1).T  # rows sensor-major, (18, N)
+        w18 = np.repeat(w, 3, axis=1)  # sensor-major columns, (N, 18)
         return self.tape.blend(p_t, p_s, w18, 1.0 - w18)
 
-    def decoder(self, p: Ids, r_flat: np.ndarray, a_rows: np.ndarray, dn_masked: np.ndarray) -> tuple[Ids, Ids]:
+    def decoder(self, p: Node, r: np.ndarray, a: np.ndarray, dn_masked: np.ndarray) -> tuple[Node, Node]:
         """Joint-rotation and contact-logit heads from fused positions.
 
-        r_flat: (36, N) per-frame flattened orientations; a_rows: (18, N)
-        accelerations; dn_masked: (N, 36) masked normalized distances.
-        Returns (90, N) rotation ids and (2, N) contact logit ids.
+        r: (N, 6, 6) orientations, a: (N, 6, 3) accelerations, dn_masked:
+        (N, 36) masked normalized distances. Returns (N, 90) rotations and
+        (N, 2) contact logits.
         """
         t = self.tape
-        n = p.shape[1]
-        feats = np.concatenate(
-            [p, t.leaf(r_flat), t.leaf(a_rows), t.leaf(dn_masked.T)], axis=0
-        )
-        hidden = t.tanh(
-            t.add(t.matmul(self.ids["dec_w"], feats), self._tile(self.ids["dec_b"], n))
-        )
-        rot = t.add(t.matmul(self.ids["rot_w"], hidden), self._tile(self.ids["rot_b"], n))
-        con = t.add(t.matmul(self.ids["con_w"], hidden), self._tile(self.ids["con_b"], n))
-        return rot, con
+        n = dn_masked.shape[0]
+        raw = np.concatenate([r.reshape(n, -1), a.reshape(n, -1), dn_masked], axis=1)
+        hidden = t.tanh(self._linear(t.concat([p, t.const(raw)], axis=1), "dec"))
+        return self._linear(hidden, "rot"), self._linear(hidden, "con")
 
 
-def batch_features(r: np.ndarray, a: np.ndarray) -> dict[str, np.ndarray]:
-    """Input rearrangements shared by training and inference.
-
-    r: (W, T, 6, 6) orientations, a: (W, T, 6, 3) accelerations. Returns
-    the LSTM feature tensor plus the column layouts the other stages use.
-    """
-    w_count, t_count = r.shape[:2]
-    n = w_count * t_count
-    x = np.concatenate([r, a], axis=3).reshape(w_count, t_count, N_SENSORS * 9)
-    r_frames = r.reshape(n, N_SENSORS, 6)
-    a_frames = a.reshape(n, N_SENSORS, 3)
-    return {
-        "lstm_x": x,
-        "r_cols": r_frames.transpose(2, 0, 1).reshape(6, n * N_SENSORS),
-        "r_flat": r_frames.reshape(n, N_SENSORS * 6).T,
-        "a_rows": a_frames.transpose(1, 2, 0).reshape(N_SENSORS * 3, n),
-        "a_frames": a_frames,
-    }
-
-
-def _single_window(r_seq: np.ndarray, a_seq: np.ndarray) -> dict[str, np.ndarray]:
-    r = np.asarray(r_seq, dtype=float)[None, ...]
-    a = np.asarray(a_seq, dtype=float)[None, ...]
-    if r.shape[2:] != (N_SENSORS, 6) or a.shape[2:] != (N_SENSORS, 3):
-        raise ContractViolationError(
-            f"bad sequence shapes r{r.shape[1:]} a{a.shape[1:]}"
-        )
-    if r.shape[1] != a.shape[1]:
-        raise ContractViolationError("orientation and acceleration lengths differ")
-    if r.shape[1] < 1:
-        raise ContractViolationError("sequence must have at least one frame")
-    return batch_features(r, a)
+def _values_only(params: PoseNetParams) -> Forward:
+    return Forward(Tape(grads=False), params)
 
 
 def lstm_branch(params: PoseNetParams, r_seq: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
     """Temporal branch over one sequence -> (T, 6, 3) positions."""
-    feats = _single_window(r_seq, a_seq)
-    tape = Tape()
-    fwd = Forward(tape, params)
-    ids = fwd.lstm(feats["lstm_x"])
-    t_count = feats["lstm_x"].shape[1]
-    return tape.val(ids).T.reshape(t_count, N_SENSORS, 3)
+    r = np.asarray(r_seq, dtype=float)
+    a = np.asarray(a_seq, dtype=float)
+    if r.shape[1:] != (N_SENSORS, 6) or a.shape[1:] != (N_SENSORS, 3):
+        raise ContractViolationError(f"bad sequence shapes r{r.shape} a{a.shape}")
+    if r.shape[0] != a.shape[0]:
+        raise ContractViolationError("orientation and acceleration lengths differ")
+    if r.shape[0] < 1:
+        raise ContractViolationError("sequence must have at least one frame")
+    x = np.concatenate([r, a], axis=2).reshape(1, r.shape[0], N_SENSORS * 9)
+    return _values_only(params).lstm(x).value.reshape(r.shape[0], N_SENSORS, 3)
 
 
 def dagcn_branch(
@@ -349,11 +313,8 @@ def dagcn_branch(
     if valid is None:
         valid = ~np.eye(N_SENSORS, dtype=bool)
     v = np.asarray(valid, dtype=bool)
-    tape = Tape()
-    fwd = Forward(tape, params)
-    r_cols = r.T  # (6 features, 6 nodes), single frame
-    ids, _ = fwd.dagcn(r_cols, d[None, ...], v[None, ...])
-    return tape.val(ids[:, 0]).reshape(N_SENSORS, 3)
+    p, _ = _values_only(params).dagcn(r[None], d[None], v[None])
+    return p.value.reshape(N_SENSORS, 3)
 
 
 def dagcn_correlation(
@@ -368,38 +329,26 @@ def dagcn_correlation(
         valid = ~np.eye(N_SENSORS, dtype=bool)
     mask = np.asarray(valid, dtype=bool).copy()
     np.fill_diagonal(mask, False)
-    tape = Tape()
-    fwd = Forward(tape, params)
-    dn = fwd._normalize_batch(d[None, ...], mask[None, ...])
-    ids = fwd.correlation(layer, dn, mask[None, ...])
-    return tape.val(ids[0])
+    dn = _normalize_batch(d[None], mask[None])
+    return _values_only(params).correlation(layer, dn, mask[None]).value[0]
 
 
-def infer(params: PoseNetParams, inputs: list[ModelInput]) -> list[PoseOutput]:
-    """Run both branches, fusion, and the decoder over a sequence."""
-    if len(inputs) < 1:
-        raise ContractViolationError("need at least one input frame")
-    r = np.stack([f.r for f in inputs])
-    a = np.stack([f.a for f in inputs])
-    d = np.stack([f.d for f in inputs])
-    valid = np.stack([f.valid for f in inputs])
-    feats = batch_features(r[None, ...], a[None, ...])
-    tape = Tape()
-    fwd = Forward(tape, params)
-    p_t = fwd.lstm(feats["lstm_x"])
-    p_s, dn_masked = fwd.dagcn(feats["r_cols"], d, valid)
-    p = fwd.fuse(p_t, p_s, feats["a_frames"])
-    rot, con = fwd.decoder(p, feats["r_flat"], feats["a_rows"], dn_masked)
-    probs = tape.sigmoid(con)
-    out = []
-    for i in range(len(inputs)):
-        out.append(
-            PoseOutput(
-                p_t=tape.val(p_t[:, i]).reshape(N_SENSORS, 3),
-                p_s=tape.val(p_s[:, i]).reshape(N_SENSORS, 3),
-                p=tape.val(p[:, i]).reshape(N_SENSORS, 3),
-                rotations=tape.val(rot[:, i]).reshape(15, 6),
-                contacts=tape.val(probs[:, i]),
-            )
-        )
-    return out
+def infer(
+    params: PoseNetParams, r: np.ndarray, a: np.ndarray, d: np.ndarray, valid: np.ndarray
+) -> PoseOutput:
+    """Both branches, fusion, and the decoder over one sequence of T frames.
+
+    r: (T, 6, 6), a: (T, 6, 3), d and valid: (T, 6, 6), as ModelInput
+    checks them.
+    """
+    x = ModelInput(r, a, d, valid)
+    fwd = _values_only(params)
+    out = fwd.run(x.r[None], x.a[None], x.d, x.valid)
+    n = x.r.shape[0]
+    return PoseOutput(
+        p_t=out["p_t"].value.reshape(n, N_SENSORS, 3),
+        p_s=out["p_s"].value.reshape(n, N_SENSORS, 3),
+        p=out["p"].value.reshape(n, N_SENSORS, 3),
+        rotations=out["rotations"].value.reshape(n, 15, 6),
+        contacts=fwd.tape.sigmoid(out["contacts"]).value,
+    )

@@ -19,7 +19,7 @@ from ..errors import ConfigError, ContractViolationError, DataError, DivergenceE
 from ..rng import derive_rng
 from ..skeleton import N_SENSORS
 from .loss import contact_term, position_terms, rotation_term, total_loss
-from .model import Forward, batch_features
+from .model import Forward
 from .params import PoseNetConfig, PoseNetParams, init_params
 
 
@@ -159,32 +159,26 @@ def batch_loss(
     if any(w.frames != frames for w in windows):
         raise ContractViolationError("batch windows must share one length")
     data = _stacked(windows)
-    tape = Tape()
+    tape = Tape(grads=with_grads)
     fwd = Forward(tape, params)
-    feats = batch_features(data["r"], data["a"])
-    p_t = fwd.lstm(feats["lstm_x"])
-    p_s, dn_masked = fwd.dagcn(feats["r_cols"], data["d"], data["valid"])
-    p = fwd.fuse(p_t, p_s, feats["a_frames"])
-    rot, con = fwd.decoder(p, feats["r_flat"], feats["a_rows"], dn_masked)
-
-    pos_ids = position_terms(
-        tape, p, data["positions"], data["d"], data["valid"],
+    out = fwd.run(data["r"], data["a"], data["d"], data["valid"])
+    pos = position_terms(
+        tape, out["p"], data["positions"], data["d"], data["valid"],
         params.config.lambda_distance,
     )
-    rot_id = rotation_term(tape, rot, data["rotations"])
-    con_id = contact_term(tape, con, data["contacts"])
-    root = total_loss(tape, pos_ids + [rot_id, con_id])
+    rot = rotation_term(tape, out["rotations"], data["rotations"])
+    con = contact_term(tape, out["contacts"], data["contacts"])
+    root = total_loss(tape, pos + [rot, con])
 
-    value = tape.scalar_val(root)
+    value = float(root.value)
     breakdown = {
-        "position": float(sum(tape.scalar_val(i) for i in pos_ids)),
-        "rotation": tape.scalar_val(rot_id),
-        "contact": tape.scalar_val(con_id),
+        "position": float(sum(float(term.value) for term in pos)),
+        "rotation": float(rot.value),
+        "contact": float(con.value),
     }
     grads: dict[str, np.ndarray] = {}
     if with_grads:
-        g = tape.gradient(root)
-        grads = {name: g[ids] for name, ids in fwd.ids.items()}
+        grads = dict(zip(fwd.params, tape.gradient(root, fwd.params.values())))
     return value, breakdown, grads
 
 

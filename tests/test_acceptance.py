@@ -40,7 +40,6 @@ from uip.pipeline import (
     train_model,
 )
 from uip.posenet import (
-    ModelInput,
     PoseNetConfig,
     batch_loss,
     fuse_positions,
@@ -366,9 +365,9 @@ def test_criterion_07_spatial_branch_scale_invariance():
     np.fill_diagonal(valid, False)
     r = rng.normal(0.0, 0.4, (6, 6))
     a = rng.normal(0.0, 2.0, (6, 3))
-    base = infer(params, [ModelInput(r=r, a=a, d=d, valid=valid)])[0]
+    base = infer(params, r[None], a[None], d[None], valid[None])
     for k in (0.5, 1.3, 2.0):
-        scaled = infer(params, [ModelInput(r=r, a=a, d=k * d, valid=valid)])[0]
+        scaled = infer(params, r[None], a[None], k * d[None], valid[None])
         assert np.array_equal(scaled.p_s, base.p_s), f"p_s moved under scale {k}"
         assert np.array_equal(scaled.p, base.p)
 

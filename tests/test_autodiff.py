@@ -11,60 +11,61 @@ from uip.rng import derive_rng
 
 def test_leaf_values_roundtrip():
     t = Tape()
-    ids = t.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert ids.shape == (2, 2)
-    assert np.array_equal(t.val(ids), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = t.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert x.shape == (2, 2)
+    assert np.array_equal(x.value, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert len(t) == 4
 
 
 def test_elementwise_values():
     t = Tape()
     a = t.leaf(np.array([1.0, -2.0, 0.5]))
     b = t.leaf(np.array([3.0, 4.0, -1.0]))
-    assert np.array_equal(t.val(t.add(a, b)), np.array([4.0, 2.0, -0.5]))
-    assert np.array_equal(t.val(t.sub(a, b)), np.array([-2.0, -6.0, 1.5]))
-    assert np.array_equal(t.val(t.mul(a, b)), np.array([3.0, -8.0, -0.5]))
-    assert np.array_equal(t.val(t.neg(a)), np.array([-1.0, 2.0, -0.5]))
-    assert np.array_equal(t.val(t.square(b)), np.array([9.0, 16.0, 1.0]))
-    assert np.array_equal(t.val(t.abs(a)), np.array([1.0, 2.0, 0.5]))
+    assert np.array_equal(t.add(a, b).value, np.array([4.0, 2.0, -0.5]))
+    assert np.array_equal(t.sub(a, b).value, np.array([-2.0, -6.0, 1.5]))
+    assert np.array_equal(t.mul(a, b).value, np.array([3.0, -8.0, -0.5]))
+    assert np.array_equal(t.neg(a).value, np.array([-1.0, 2.0, -0.5]))
+    assert np.array_equal(t.square(b).value, np.array([9.0, 16.0, 1.0]))
+    assert np.array_equal(t.abs(a).value, np.array([1.0, 2.0, 0.5]))
 
 
 def test_scalar_reductions():
     t = Tape()
     a = t.leaf(np.array([1.0, 2.0, 3.0]))
     b = t.leaf(np.array([4.0, 5.0, 6.0]))
-    assert t.scalar_val(t.sum(a)) == 6.0
-    assert t.scalar_val(t.dot(a, b)) == 32.0
+    assert float(t.sum(a).value) == 6.0
+    assert float(t.group_dot(a, b).value) == 32.0
 
 
 def test_group_reductions():
     t = Tape()
     a = t.leaf(np.arange(6.0).reshape(2, 3))
     b = t.leaf(np.ones((2, 3)))
-    assert np.array_equal(t.val(t.group_sum(a)), np.array([3.0, 12.0]))
-    assert np.array_equal(t.val(t.group_dot(a, b)), np.array([3.0, 12.0]))
+    assert np.array_equal(t.group_sum(a).value, np.array([3.0, 12.0]))
+    assert np.array_equal(t.group_dot(a, b).value, np.array([3.0, 12.0]))
 
 
 def test_blend_is_bitwise_exact_at_endpoints():
     t = Tape()
     a = t.leaf(np.array([0.1, 0.2, 0.3]))
     b = t.leaf(np.array([7.0, 8.0, 9.0]))
-    w0 = t.val(t.blend(a, b, np.ones(3), np.zeros(3)))
-    w1 = t.val(t.blend(a, b, np.zeros(3), np.ones(3)))
-    assert np.array_equal(w0, t.val(a))
-    assert np.array_equal(w1, t.val(b))
+    w0 = t.blend(a, b, np.ones(3), np.zeros(3)).value
+    w1 = t.blend(a, b, np.zeros(3), np.ones(3)).value
+    assert np.array_equal(w0, a.value)
+    assert np.array_equal(w1, b.value)
 
 
-def _run_check(build, n, seed=0, tol=2e-7):
-    """grad_check helper: build(tape, leaf_ids) -> scalar node id."""
-    rng = derive_rng(seed, "autodiff")
-    x0 = rng.normal(0.5, 1.0, n)
+def _run_check(build, n, seed=0, tol=2e-7, x0=None):
+    """grad_check helper: build(tape, leaf) -> 0-d node."""
+    if x0 is None:
+        x0 = derive_rng(seed, "autodiff").normal(0.5, 1.0, n)
 
     def f(x):
         t = Tape()
-        ids = t.leaf(x)
-        root = build(t, ids)
-        g = t.gradient(root)
-        return t.scalar_val(root), g[ids]
+        leaf = t.leaf(x)
+        root = build(t, leaf)
+        (g,) = t.gradient(root, [leaf])
+        return float(root.value), g
 
     assert grad_check(f, x0) < tol
 
@@ -90,16 +91,8 @@ def test_grad_softplus():
 
 
 def test_grad_sqrt_recip():
-    rng = derive_rng(1, "autodiff", "pos")
-    x0 = rng.uniform(0.5, 2.0, 6)
-
-    def f(x):
-        t = Tape()
-        ids = t.leaf(x)
-        root = t.sum(t.add(t.sqrt(ids), t.recip(ids)))
-        return t.scalar_val(root), t.gradient(root)[ids]
-
-    assert grad_check(f, x0) < 2e-7
+    x0 = derive_rng(1, "autodiff", "pos").uniform(0.5, 2.0, 6)
+    _run_check(lambda t, x: t.sum(t.add(t.sqrt(x), t.recip(x))), 6, x0=x0)
 
 
 def test_grad_abs_square_scale():
@@ -121,12 +114,14 @@ def test_grad_dot_and_group_dot():
     _run_check(build, 12)
 
 
-def test_grad_affine():
+def test_grad_broadcast_add_mul():
+    # A bias row and a per-column scale broadcast over the rows of a
+    # matrix; their gradients sum over the broadcast axis.
     def build(t, x):
-        w = x[:6].reshape(2, 3)
-        v = x[6:9]
-        b = x[9:11]
-        return t.sum(t.affine(w, v, b))
+        m = x[:6].reshape(3, 2)
+        bias = x[6:8]
+        col = x[8:11].reshape(3, 1)
+        return t.sum(t.square(t.mul(t.add(m, bias), col)))
 
     _run_check(build, 11)
 
@@ -140,14 +135,13 @@ def test_grad_matmul():
     _run_check(build, 12)
 
 
-def test_affine_matches_numpy():
-    rng = derive_rng(2, "autodiff", "affine")
-    w = rng.normal(size=(3, 4))
-    x = rng.normal(size=4)
-    b = rng.normal(size=3)
-    t = Tape()
-    out = t.affine(t.leaf(w), t.leaf(x), t.leaf(b))
-    assert np.allclose(t.val(out), w @ x + b, atol=1e-12)
+def test_grad_stacked_matmul():
+    def build(t, x):
+        a = x[:12].reshape(2, 2, 3)
+        b = x[12:24].reshape(2, 3, 2)
+        return t.sum(t.square(t.matmul(a, b)))
+
+    _run_check(build, 24)
 
 
 def test_matmul_matches_numpy():
@@ -155,8 +149,71 @@ def test_matmul_matches_numpy():
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(3, 6))
     t = Tape()
-    out = t.matmul(t.leaf(a), t.leaf(b))
-    assert np.allclose(t.val(out), a @ b, atol=1e-12)
+    assert np.allclose(t.matmul(t.leaf(a), t.leaf(b)).value, a @ b, atol=1e-12)
+    sa = rng.normal(size=(5, 4, 3))
+    sb = rng.normal(size=(5, 3, 2))
+    stacked = t.matmul(t.leaf(sa), t.leaf(sb)).value
+    for f in range(5):
+        assert np.allclose(stacked[f], sa[f] @ sb[f], atol=1e-12)
+    with pytest.raises(ContractViolationError):
+        t.matmul(t.leaf(a), t.leaf(a))
+    with pytest.raises(ContractViolationError):
+        t.matmul(t.leaf(sa), t.leaf(b))
+
+
+def test_grad_gather():
+    # A slice, a boolean mask and an integer index that names rows twice:
+    # the backward scatter must add the repeated rows, not overwrite them.
+    rows = np.array([0, 2, 2, 1, 0])
+    keep = np.array([[True, False], [False, True], [True, True]])
+
+    def build(t, x):
+        m = x.reshape(3, 2)
+        picked = t.sum(t.square(m[rows]))
+        masked = t.sum(t.sigmoid(m[keep]))
+        sliced = t.sum(t.tanh(m[1:, :1]))
+        return t.add(t.add(picked, masked), sliced)
+
+    _run_check(build, 6)
+    t = Tape()
+    x = t.leaf(np.arange(6.0).reshape(3, 2))
+    (g,) = t.gradient(t.sum(x[rows]), [x])
+    assert np.array_equal(g, np.array([[2.0, 2.0], [1.0, 1.0], [2.0, 2.0]]))
+
+
+def test_grad_concat_and_stack():
+    def build(t, x):
+        a = x[:4].reshape(2, 2)
+        b = x[4:10].reshape(2, 3)
+        cat = t.concat([a, b], axis=1)  # (2, 5)
+        st = t.stack([t.sigmoid(x[:3]), t.square(x[3:6])])  # (2, 3)
+        return t.add(t.sum(t.square(cat)), t.group_dot(t.group_sum(st), x[6:8]))
+
+    _run_check(build, 10)
+
+
+def test_grad_reshape_transpose():
+    w = derive_rng(3, "autodiff", "weights").normal(size=(3, 4, 2))
+
+    def build(t, x):
+        y = x.reshape(2, 3, 4).transpose(1, 2, 0)  # (3, 4, 2), not its own inverse
+        return t.sum(t.mul(t.tanh(y), t.const(w)))
+
+    _run_check(build, 24)
+    t = Tape()
+    x = t.leaf(np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(x.T.value, np.arange(6.0).reshape(2, 3).T)
+
+
+def test_masked_select_zeros_and_blocks_gradients():
+    mask = np.array([True, False, True, False])
+    _run_check(lambda t, x: t.sum(t.square(t.select(mask, x))), 4)
+    t = Tape()
+    x = t.leaf(np.array([1.0, np.inf, -2.0, np.nan]))
+    y = t.select(mask, x)
+    assert np.array_equal(y.value, np.array([1.0, 0.0, -2.0, 0.0]))
+    (g,) = t.gradient(t.sum(y), [x])
+    assert np.array_equal(g, np.array([1.0, 0.0, 1.0, 0.0]))
 
 
 def test_gradient_of_unused_leaf_is_zero():
@@ -164,9 +221,9 @@ def test_gradient_of_unused_leaf_is_zero():
     a = t.leaf(np.array([1.0, 2.0]))
     b = t.leaf(np.array([3.0, 4.0]))
     root = t.sum(t.square(a))
-    g = t.gradient(root)
-    assert np.array_equal(g[b], np.zeros(2))
-    assert np.array_equal(g[a], np.array([2.0, 4.0]))
+    ga, gb = t.gradient(root, [a, b])
+    assert np.array_equal(gb, np.zeros(2))
+    assert np.array_equal(ga, np.array([2.0, 4.0]))
 
 
 def test_gradient_accumulates_over_reuse():
@@ -174,17 +231,45 @@ def test_gradient_accumulates_over_reuse():
     t = Tape()
     x = t.leaf(np.array([3.0]))
     root = t.sum(t.add(t.mul(x, x), x))
-    g = t.gradient(root)
-    assert g[x][0] == 7.0
+    (g,) = t.gradient(root, [x])
+    assert g[0] == 7.0
+
+
+def test_constants_take_no_gradient():
+    t = Tape()
+    c = t.const(np.array([2.0, 5.0]))
+    x = t.leaf(np.array([1.0, 3.0]))
+    gc, gx = t.gradient(t.sum(t.mul(c, x)), [c, x])
+    assert np.array_equal(gc, np.zeros(2))
+    assert np.array_equal(gx, np.array([2.0, 5.0]))
+
+
+def test_values_only_tape_matches_and_records_nothing():
+    rng = derive_rng(4, "autodiff", "values")
+    w = rng.normal(size=(3, 4))
+    v = rng.normal(size=(5, 3))
+
+    def run(t):
+        wl, vl = t.leaf(w), t.leaf(v)
+        return t, wl, t.sum(t.tanh(t.matmul(vl, wl)))
+
+    rec, w_rec, out_rec = run(Tape())
+    val, w_val, out_val = run(Tape(grads=False))
+    assert np.array_equal(out_rec.value, out_val.value)
+    assert not out_val.tracked
+    (g,) = val.gradient(out_val, [w_val])
+    assert np.array_equal(g, np.zeros((3, 4)))
+    (g,) = rec.gradient(out_rec, [w_rec])
+    assert np.any(g != 0.0)
 
 
 def test_softplus_is_stable_at_extremes():
     t = Tape()
     x = t.leaf(np.array([-800.0, 800.0]))
-    v = t.val(t.softplus(x))
+    v = t.softplus(x).value
     assert v[0] == 0.0
     assert math.isclose(v[1], 800.0, rel_tol=1e-12)
-    s = t.val(t.sigmoid(x))
+    s = t.sigmoid(x).value
     assert 0.0 <= s[0] < 1e-300
     assert s[1] == 1.0
 
@@ -192,10 +277,3 @@ def test_softplus_is_stable_at_extremes():
 def test_grad_check_rejects_silly_eps():
     with pytest.raises(ContractViolationError):
         grad_check(lambda x: (0.0, np.zeros_like(x)), np.ones(2), eps=0.5)
-
-
-def test_tape_grows_past_initial_capacity():
-    t = Tape(capacity=16)
-    ids = [t.leaf(np.ones(10)) for _ in range(20)]
-    total = t.sum(t.add(ids[0], ids[19]))
-    assert t.scalar_val(total) == 20.0

@@ -12,7 +12,6 @@ from uip.ekf import (
     assert_psd,
     distance_estimate,
     gate_table,
-    init_from_tpose,
     input_jacobian,
     max_reach,
     measurement,
@@ -22,7 +21,7 @@ from uip.ekf import (
     state_jacobian,
     update,
 )
-from uip.geometry import Quaternion, Vec3
+from uip.geometry import Quaternion, Vec3, quat_relative
 from uip.rng import derive_rng
 from uip.skeleton import N_SENSORS
 
@@ -226,16 +225,19 @@ def test_max_reach_bounds_random_poses(skel, placement):
                 assert (pj - pi).norm() <= max_reach(skel, placement, i, j) + 1e-9
 
 
-def test_init_from_tpose_matches_geometry(skel, placement):
+def test_bank_initial_states_match_tpose_geometry(skel, placement):
     from uip.skeleton import sensor_pose, tpose
 
     jp, jr = tpose(skel)
-    st = init_from_tpose(skel, placement, 0, 5)
-    p0, _ = sensor_pose(placement, 0, jp, jr)
-    p5, _ = sensor_pose(placement, 5, jp, jr)
-    assert np.allclose(st.x, (p5 - p0).to_array(), atol=1e-12)
-    assert np.array_equal(st.v, np.zeros(3))
-    assert_psd(st.cov)
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
+    for i, j in bank.pairs:
+        st = bank.states[(i, j)]
+        p_i, q_i = sensor_pose(placement, i, jp, jr)
+        p_j, q_j = sensor_pose(placement, j, jp, jr)
+        assert np.array_equal(st.x, (p_j - p_i).to_array())
+        assert st.q == quat_relative(q_i, q_j)
+        assert np.array_equal(st.v, np.zeros(3))
+        assert_psd(st.cov)
 
 
 def test_bank_tracks_a_moving_pair(skel, placement):

@@ -123,30 +123,30 @@ def test_distance_loss_validates_shapes():
 def test_rotation_term_is_componentwise_mse():
     rng = derive_rng(13, "loss", "rot")
     n = 3
-    pred = rng.normal(size=(90, n))
+    pred = rng.normal(size=(n, 90))
     targets = rng.normal(size=(n, 15, 6))
     tape = Tape()
     rot = tape.leaf(pred)
-    value = tape.scalar_val(rotation_term(tape, rot, targets))
-    want = np.mean((pred - targets.reshape(n, 90).T) ** 2)
+    value = float(rotation_term(tape, rot, targets).value)
+    want = np.mean((pred - targets.reshape(n, 90)) ** 2)
     assert value == pytest.approx(want, rel=1e-14)
 
 
 def test_contact_term_is_bce_on_logits():
     rng = derive_rng(14, "loss", "con")
     n = 4
-    logits = rng.normal(0.0, 3.0, (2, n))
+    logits = rng.normal(0.0, 3.0, (n, 2))
     targets = (rng.uniform(size=(n, 2)) < 0.5).astype(float)
     tape = Tape()
     z = tape.leaf(logits)
-    value = tape.scalar_val(contact_term(tape, z, targets))
-    want = np.mean(np.logaddexp(0.0, logits) - targets.T * logits)
+    value = float(contact_term(tape, z, targets).value)
+    want = np.mean(np.logaddexp(0.0, logits) - targets * logits)
     assert value == pytest.approx(want, rel=1e-14)
 
 
 def test_total_loss_empty_is_zero():
     tape = Tape()
-    assert tape.scalar_val(total_loss(tape, [])) == 0.0
+    assert float(total_loss(tape, []).value) == 0.0
 
 
 def test_batch_loss_breakdown_sums_to_total():

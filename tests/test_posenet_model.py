@@ -36,29 +36,38 @@ def distance_matrix(rng) -> np.ndarray:
     return d
 
 
-def model_input(rng, invalid_pairs=()) -> ModelInput:
+def model_input(rng, frames: int, invalid_pairs=()) -> ModelInput:
+    """A (T, ...) stack of plausible frames, drawn frame by frame."""
+    draws = [
+        (rng.normal(0.0, 0.4, (6, 6)), rng.normal(0.0, 2.0, (6, 3)), distance_matrix(rng))
+        for _ in range(frames)
+    ]
     return ModelInput(
-        r=rng.normal(0.0, 0.4, (6, 6)),
-        a=rng.normal(0.0, 2.0, (6, 3)),
-        d=distance_matrix(rng),
-        valid=valid_mask(invalid_pairs),
+        r=np.stack([r for r, _, _ in draws]),
+        a=np.stack([a for _, a, _ in draws]),
+        d=np.stack([d for _, _, d in draws]),
+        valid=np.stack([valid_mask(invalid_pairs)] * frames),
     )
+
+
+def run(params, mi: ModelInput):
+    return infer(params, mi.r, mi.a, mi.d, mi.valid)
 
 
 def test_model_input_validates_shapes_and_symmetry():
     rng = derive_rng(8, "pn", "mi")
-    good = model_input(rng)
-    assert good.d.shape == (6, 6)
+    good = model_input(rng, 3)
+    assert good.d.shape == (3, 6, 6)
     bad_d = good.d.copy()
-    bad_d[0, 1] += 0.01  # breaks symmetry
+    bad_d[1, 0, 1] += 0.01  # breaks symmetry in one frame
     with pytest.raises(ContractViolationError):
         ModelInput(r=good.r, a=good.a, d=bad_d, valid=good.valid)
     diag_d = good.d.copy()
-    diag_d[2, 2] = 0.4
+    diag_d[2, 2, 2] = 0.4
     with pytest.raises(ContractViolationError):
         ModelInput(r=good.r, a=good.a, d=diag_d, valid=good.valid)
     with pytest.raises(ContractViolationError):
-        ModelInput(r=good.r[:5], a=good.a, d=good.d, valid=good.valid)
+        ModelInput(r=good.r[:, :5], a=good.a, d=good.d, valid=good.valid)
 
 
 def test_normalize_divides_by_head_pelvis():
@@ -175,34 +184,33 @@ def test_lstm_branch_shapes_and_state_carry():
 def test_infer_shapes_and_determinism():
     rng = derive_rng(8, "pn", "infer")
     params = init_params(TINY_NET, 5)
-    inputs = [model_input(rng, invalid_pairs=[(0, 3)]) for _ in range(4)]
-    a = infer(params, inputs)
-    b = infer(params, inputs)
-    assert len(a) == 4
-    for oa, ob in zip(a, b):
-        assert oa.p.shape == (6, 3)
-        assert oa.p_t.shape == (6, 3)
-        assert oa.p_s.shape == (6, 3)
-        assert oa.rotations.shape == (15, 6)
-        assert oa.contacts.shape == (2,)
-        assert np.array_equal(oa.p, ob.p)
-        assert np.array_equal(oa.rotations, ob.rotations)
-        assert ((oa.contacts > 0.0) & (oa.contacts < 1.0)).all()
+    inputs = model_input(rng, 4, invalid_pairs=[(0, 3)])
+    a = run(params, inputs)
+    b = run(params, inputs)
+    assert a.p.shape == (4, 6, 3)
+    assert a.p_t.shape == (4, 6, 3)
+    assert a.p_s.shape == (4, 6, 3)
+    assert a.rotations.shape == (4, 15, 6)
+    assert a.contacts.shape == (4, 2)
+    for k in range(4):
+        assert np.array_equal(a.p[k], b.p[k])
+        assert np.array_equal(a.rotations[k], b.rotations[k])
+        assert ((a.contacts[k] > 0.0) & (a.contacts[k] < 1.0)).all()
 
 
 def test_infer_rejects_empty_sequence():
     params = init_params(TINY_NET, 6)
     with pytest.raises(ContractViolationError):
-        infer(params, [])
+        infer(params, np.zeros((0, 6, 6)), np.zeros((0, 6, 3)), np.zeros((0, 6, 6)), np.zeros((0, 6, 6), bool))
 
 
 def test_zero_params_fixed_point():
     rng = derive_rng(8, "pn", "zero")
     params = zero_params(TINY_NET)
-    outs = infer(params, [model_input(rng) for _ in range(2)])
-    for o in outs:
-        assert np.array_equal(o.p, np.zeros((6, 3)))
-        assert np.array_equal(o.contacts, np.full(2, 0.5))
+    out = run(params, model_input(rng, 2))
+    for k in range(2):
+        assert np.array_equal(out.p[k], np.zeros((6, 3)))
+        assert np.array_equal(out.contacts[k], np.full(2, 0.5))
 
 
 def test_fusion_blends_branches_per_sensor():
@@ -212,7 +220,6 @@ def test_fusion_blends_branches_per_sensor():
     params = init_params(TINY_NET, 7)
     a = np.zeros((6, 3))
     a[2] = (9.0, 0.0, 0.0)  # fast sensor
-    mi = ModelInput(r=rng.normal(0.0, 0.4, (6, 6)), a=a, d=distance_matrix(rng), valid=valid_mask())
-    out = infer(params, [mi])[0]
-    assert np.array_equal(out.p[0], out.p_s[0])
-    assert np.array_equal(out.p[2], out.p_t[2])
+    out = infer(params, rng.normal(0.0, 0.4, (1, 6, 6)), a[None], distance_matrix(rng)[None], valid_mask()[None])
+    assert np.array_equal(out.p[0, 0], out.p_s[0, 0])
+    assert np.array_equal(out.p[0, 2], out.p_t[0, 2])
