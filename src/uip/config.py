@@ -93,13 +93,10 @@ class EkfSettings:
     accel_noise: float = 0.3
     range_sigma: float = 0.06
     speed_sigma: float = 0.5
-    speed_mode: str = "predicted"
 
     def __post_init__(self):
         if self.accel_noise <= 0.0 or self.range_sigma <= 0.0 or self.speed_sigma <= 0.0:
             raise ConfigError("ekf noise parameters must be positive")
-        if self.speed_mode not in ("predicted", "range_rate"):
-            raise ConfigError(f"unknown ekf.speed_mode {self.speed_mode!r}")
 
 
 @dataclass(frozen=True)

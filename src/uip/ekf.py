@@ -1,33 +1,37 @@
 """Per-pair EKF over relative sensor position and velocity.
 
-Fifteen independent filters, one per unordered sensor pair (i, j). The
-estimated state is x_ij (relative position) and v_ij (relative velocity)
-with a 6x6 covariance; the relative orientation q_ij is overwritten
-deterministically from the per-sensor orientation estimates each predict,
-so orientation carries no covariance.
+Fifteen independent filters, one per unordered sensor pair (i, j), held
+as one bank of arrays over a leading pair axis in `PAIR_I`/`PAIR_J`
+order: relative position x_ij (15, 3), relative velocity v_ij (15, 3) and
+their 6x6 covariances (15, 6, 6). One set of kernels carries the math for
+the whole bank and for the single-pair API, which runs it over a leading
+axis of one.
 
 Prediction integrates the difference of the gravity-free world-frame
-acceleration estimates at 100 Hz; the update consumes the calibrated UWB
-range (25 Hz) through h(x) = [|x|, |v|] with the analytic Jacobian, plus
-a speed pseudo-measurement. Ranges outside the anthropometric gate leave
-the state untouched bitwise.
+acceleration estimates on the IMU grid; the update consumes the
+calibrated UWB range through h(x) = [|x|, |v|] with the analytic
+Jacobian, where the speed row is a pseudo-measurement of the predicted
+speed (zero innovation, covariance only). A pair that has no valid range,
+whose range falls outside the anthropometric gate, or whose innovation
+covariance is singular is left untouched bitwise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .geometry import Quaternion, Vec3, quat_relative, quat_rotate
-from .skeleton import N_SENSORS, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
+from .geometry import Quaternion, Vec3, quat_relative
+from .skeleton import N_SENSORS, PAIR_I, PAIR_J, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
 
 SIGMA_X0 = 0.05  # m, initial relative-position std per axis
 SIGMA_V0 = 0.01  # m/s, initial relative-velocity std per axis
 GATE_MARGIN = 1.05
 GATE_BODY_HEIGHT = 2.0  # gates come from the tallest supported body, same for everyone
 _NORM_FLOOR = 1e-3  # below 1 mm (or 1 mm/s) the direction is undefined; Jacobian row zeroes
+_SINGULAR_DET = 1e-30  # innovation covariances with |det| below this skip the update
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(S) = signs * S with both axes reversed, transposed
 
 
 @dataclass(frozen=True)
@@ -81,92 +85,99 @@ def process_noise(dt: float, sigma_u: np.ndarray) -> np.ndarray:
     return (w * sigma_u**2) @ w.T
 
 
-def predict(state: PairState, u: ControlInput, dt: float, sigma_u: np.ndarray, q_process: np.ndarray | None = None) -> PairState:
+# Kernels over a leading pair axis (P,), shared by the bank and the single-pair API.
+
+
+def _symmetrize(cov: np.ndarray) -> np.ndarray:
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
+
+
+def _predict(x, v, cov, da, dt: float, q_process: np.ndarray):
+    """One prediction step for (P,) pairs -> (x, v, cov, finite (P,))."""
+    f = state_jacobian(dt)
+    x = x + dt * v + 0.5 * dt * dt * da
+    v = v + dt * da
+    cov = _symmetrize(f @ cov @ f.T + q_process)
+    return x, v, cov, np.isfinite(cov).all(axis=(1, 2))
+
+
+def _measure(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = [|x|, |v|] (P, 2) and its Jacobian H (P, 2, 6).
+
+    A Jacobian row is zero where its norm is under the 1 mm (1 mm/s) floor.
+    """
+    xv = np.stack([x, v], axis=1)
+    norms = np.linalg.norm(xv, axis=2)
+    unit = xv / np.where(norms < _NORM_FLOOR, np.inf, norms)[:, :, None]
+    jac = np.zeros((x.shape[0], 2, 6))
+    jac[:, 0, 0:3], jac[:, 1, 3:6] = unit[:, 0], unit[:, 1]
+    return norms, jac
+
+
+def _update(x, v, cov, d, r_diag: tuple[float, float]):
+    """Range update for (P,) pairs with measured ranges d (P,).
+
+    Returns (applied, x, v, cov, finite), each over (P,). A pair is not
+    applied when its innovation covariance S is singular; its outputs are
+    then finite but meaningless.
+    """
+    h_val, hm = _measure(x, v)
+    hmt = hm.swapaxes(1, 2)
+    r_var = np.square(r_diag)
+    s = hm @ cov @ hmt + np.diag(r_var)
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    applied = np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET)
+    adj = s[:, ::-1, ::-1].swapaxes(1, 2) * _ADJUGATE_SIGNS
+    k = cov @ hmt @ (adj / np.where(applied, det, 1.0)[:, None, None])
+    # The speed row feeds back the predicted speed: its innovation is zero.
+    dx = k[:, :, 0] * (d - h_val[:, 0])[:, None]
+    ikh = np.eye(6) - k @ hm
+    cov = _symmetrize(ikh @ cov @ ikh.swapaxes(1, 2) + (k * r_var) @ k.swapaxes(1, 2))  # Joseph form keeps PSD
+    x, v = x + dx[:, 0:3], v + dx[:, 3:6]
+    finite = np.isfinite(np.concatenate([x, v, cov.reshape(-1, 36)], axis=1)).all(axis=1)
+    return applied, x, v, cov, finite
+
+
+def predict(state: PairState, u: ControlInput, dt: float, sigma_u: np.ndarray) -> PairState:
     """One prediction step. Non-finite inputs mark the filter diverged."""
     if state.diverged:
         raise ContractViolationError("filter diverged; re-init before predicting")
     if not (u.a_i.is_finite() and u.a_j.is_finite() and u.q_i.is_finite() and u.q_j.is_finite()):
         return replace(state, diverged=True)
-    da = u.a_j - u.a_i
-    da_arr = np.array([da.x, da.y, da.z])
-    x = state.x + dt * state.v + 0.5 * dt * dt * da_arr
-    v = state.v + dt * da_arr
-    q = quat_relative(u.q_i, u.q_j)
-    f = state_jacobian(dt)
-    if q_process is None:
-        q_process = process_noise(dt, sigma_u)
-    cov = f @ state.cov @ f.T + q_process
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)):
+    da = np.array([u.a_j - u.a_i])
+    x, v, cov, finite = _predict(state.x[None], state.v[None], state.cov[None], da, dt, process_noise(dt, sigma_u))
+    if not finite[0]:
         return replace(state, diverged=True)
-    return PairState(x=x, v=v, q=q, cov=cov)
+    return PairState(x=x[0], v=v[0], q=quat_relative(u.q_i, u.q_j), cov=cov[0])
 
 
 def measurement(state: PairState) -> np.ndarray:
     """h(x) = [|x_ij|, |v_ij|]."""
-    return np.array([float(np.linalg.norm(state.x)), float(np.linalg.norm(state.v))])
+    return _measure(state.x[None], state.v[None])[0][0]
 
 
 def measurement_jacobian(state: PairState) -> np.ndarray:
     """H = d h / d (x, v), rows zeroed where the norm is under 1 mm (or mm/s)."""
-    h = np.zeros((2, 6))
-    nx = float(np.linalg.norm(state.x))
-    nv = float(np.linalg.norm(state.v))
-    if nx >= _NORM_FLOOR:
-        h[0, 0:3] = state.x / nx
-    if nv >= _NORM_FLOOR:
-        h[1, 3:6] = state.v / nv
-    return h
+    return _measure(state.x[None], state.v[None])[1][0]
 
 
-def update(
-    state: PairState,
-    d_measured: float,
-    gate: tuple[float, float],
-    r_diag: tuple[float, float],
-    speed_mode: str = "predicted",
-    range_rate: float | None = None,
-) -> PairState:
-    """Range update with the speed pseudo-measurement.
+def update(state: PairState, d_measured: float, gate: tuple[float, float], r_diag: tuple[float, float]) -> PairState:
+    """Range update with the predicted-speed pseudo-measurement.
 
-    Ranges outside [gate_lo, gate_hi] are rejected: the input state is
-    returned unchanged. speed_mode "predicted" feeds the predicted speed
-    back (zero innovation, covariance-only); "range_rate" damps the speed
-    toward |d(range)/dt| of consecutive accepted ranges when available.
+    Ranges outside [gate_lo, gate_hi], and updates whose innovation
+    covariance is singular, return the input state unchanged.
     """
     if state.diverged:
         raise ContractViolationError("filter diverged; re-init before updating")
     lo, hi = gate
     if not (lo <= d_measured <= hi):
         return state
-    if speed_mode not in ("predicted", "range_rate"):
-        raise ContractViolationError(f"unknown speed_mode '{speed_mode}'")
-    h_val = measurement(state)
-    if speed_mode == "range_rate" and range_rate is not None:
-        z = np.array([d_measured, abs(range_rate)])
-    else:
-        z = np.array([d_measured, h_val[1]])
-    hm = measurement_jacobian(state)
-    r = np.diag([r_diag[0] ** 2, r_diag[1] ** 2])
-    s = hm @ state.cov @ hm.T + r
-    det = float(np.linalg.det(s))
-    if not math.isfinite(det) or abs(det) < 1e-30:
-        return state  # singular innovation covariance: skip this update
-    k = state.cov @ hm.T @ np.linalg.inv(s)
-    innov = z - h_val
-    dx = k @ innov
-    x = state.x + dx[0:3]
-    v = state.v + dx[3:6]
-    ikh = np.eye(6) - k @ hm
-    cov = ikh @ state.cov @ ikh.T + k @ r @ k.T  # Joseph form keeps PSD through rounding
-    cov = 0.5 * (cov + cov.T)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v)) and np.all(np.isfinite(cov))):
+    applied, x, v, cov, finite = _update(state.x[None], state.v[None], state.cov[None], np.array([d_measured]), r_diag)
+    if not applied[0]:
+        return state
+    if not finite[0]:
         return replace(state, diverged=True)
-    return PairState(x=x, v=v, q=state.q, cov=cov)
-
-
-def distance_estimate(state: PairState) -> float:
-    return float(np.linalg.norm(state.x))
+    return PairState(x=x[0], v=v[0], q=state.q, cov=cov[0])
 
 
 def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> float:
@@ -179,18 +190,12 @@ def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> flo
             path.append(skel.joints[path[-1]].parent)
         return path
 
-    pi = path_to_root(mi.joint)
-    pj = path_to_root(mj.joint)
-    common = set(pi) & set(pj)
+    pi, pj = path_to_root(mi.joint), path_to_root(mj.joint)
+    common = set(pi) & set(pj)  # the shared ancestors, which a path climbs through last
     reach = mi.offset.norm() + mj.offset.norm()
-    for joint in pi:
-        if joint in common:
-            break
-        reach += skel.joints[joint].offset.norm()
-    for joint in pj:
-        if joint in common:
-            break
-        reach += skel.joints[joint].offset.norm()
+    for joint in pi + pj:
+        if joint not in common:
+            reach += skel.joints[joint].offset.norm()
     return reach
 
 
@@ -202,16 +207,15 @@ def gate_table(margin: float = GATE_MARGIN) -> np.ndarray:
     """
     skel = default_skeleton(GATE_BODY_HEIGHT)
     placement = default_placement(skel)
+    reach = np.array([max_reach(skel, placement, i, j) for i, j in zip(PAIR_I, PAIR_J)])
     table = np.zeros((N_SENSORS, N_SENSORS))
-    for i in range(N_SENSORS):
-        for j in range(i + 1, N_SENSORS):
-            table[i, j] = table[j, i] = margin * max_reach(skel, placement, i, j)
+    table[PAIR_I, PAIR_J] = table[PAIR_J, PAIR_I] = margin * reach
     return table
 
 
 def assert_psd(cov: np.ndarray, tol: float = -1e-9) -> None:
     """Raise unless the covariance is symmetric PSD within tolerance."""
-    if not np.allclose(cov, cov.T, atol=1e-12):
+    if not (np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)).all():  # np.allclose's test, a third of its cost
         raise ContractViolationError("covariance not symmetric")
     eig = np.linalg.eigvalsh(cov)
     if float(eig.min()) <= tol:
@@ -219,7 +223,13 @@ def assert_psd(cov: np.ndarray, tol: float = -1e-9) -> None:
 
 
 class PairFilterBank:
-    """The 15 pair filters plus distance-matrix assembly on the 100 Hz grid."""
+    """The 15 pair filters as arrays, plus distance-matrix assembly.
+
+    x (15, 3), v (15, 3), cov (15, 6, 6) and diverged (15,) follow the
+    `PAIR_I`/`PAIR_J` pair order. A pair that diverges keeps its last
+    finite state and leaves the distance mask; the next predict_all (or an
+    update that measures it) raises ContractViolationError.
+    """
 
     def __init__(
         self,
@@ -228,66 +238,77 @@ class PairFilterBank:
         sigma_u: np.ndarray,
         r_diag: tuple[float, float],
         dt: float = 0.01,
-        speed_mode: str = "predicted",
     ):
-        self.pairs = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
         # Every pair starts from the calibration T-pose geometry.
-        pos, rot = mount_poses(placement.mounts, *tpose(skel))
-        quats = [Quaternion(*q) for q in rot.tolist()]
-        self.states = {
-            (i, j): PairState(
-                x=pos[j] - pos[i],
-                v=np.zeros(3),
-                q=quat_relative(quats[i], quats[j]),
-                cov=np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3),
-            )
-            for (i, j) in self.pairs
-        }
-        self.sigma_u = np.asarray(sigma_u, dtype=float)
+        pos, _ = mount_poses(placement.mounts, *tpose(skel))
+        n = PAIR_I.size
+        self.x = pos[PAIR_J] - pos[PAIR_I]
+        self.v = np.zeros((n, 3))
+        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), (n, 1, 1))
+        self.diverged = np.zeros(n, dtype=bool)
         self.r_diag = r_diag
         self.dt = dt
-        self.speed_mode = speed_mode
-        self.gates = gate_table()
-        self._q_process = process_noise(dt, self.sigma_u)
-        self._last_range: dict[tuple[int, int], tuple[float, float]] = {}
+        self.gates = gate_table()[PAIR_I, PAIR_J]
+        self._q_process = process_noise(dt, sigma_u)
 
-    def predict_all(self, controls: list[tuple[Vec3, Quaternion]]) -> None:
-        """One 100 Hz step; controls[s] = (accel_world, orientation) for sensor s."""
-        for (i, j) in self.pairs:
-            a_i, q_i = controls[i]
-            a_j, q_j = controls[j]
-            u = ControlInput(a_i=a_i, a_j=a_j, q_i=q_i, q_j=q_j)
-            self.states[(i, j)] = predict(
-                self.states[(i, j)], u, self.dt, self.sigma_u, self._q_process
-            )
+    def _commit(self, rows: np.ndarray, x, v, cov, finite: np.ndarray) -> None:
+        """Store stepped pairs; a pair whose step went non-finite diverges, state kept."""
+        self.diverged[rows[~finite]] = True
+        rows = rows[finite]
+        self.x[rows], self.v[rows], self.cov[rows] = x[finite], v[finite], cov[finite]
 
-    def update_all(self, distances: np.ndarray, valid: np.ndarray, t: float) -> None:
-        """One 25 Hz measurement tick with calibrated ranges."""
-        for (i, j) in self.pairs:
-            if not valid[i, j]:
-                continue
-            d = float(distances[i, j])
-            rate = None
-            if self.speed_mode == "range_rate" and (i, j) in self._last_range:
-                t0, d0 = self._last_range[(i, j)]
-                if t > t0:
-                    rate = (d - d0) / (t - t0)
-            gate = (0.0, float(self.gates[i, j]))
-            new = update(
-                self.states[(i, j)], d, gate, self.r_diag, speed_mode=self.speed_mode, range_rate=rate
-            )
-            if new is not self.states[(i, j)]:
-                self._last_range[(i, j)] = (t, d)
-            self.states[(i, j)] = new
+    def predict_all(self, accel: np.ndarray) -> None:
+        """One IMU-rate step; accel (6, 3) gravity-free world acceleration per sensor."""
+        if self.diverged.any():
+            raise ContractViolationError("filter diverged; re-init before predicting")
+        finite = np.isfinite(accel).all(axis=1)
+        ok = finite[PAIR_I] & finite[PAIR_J]
+        self.diverged |= ~ok
+        rows = np.flatnonzero(ok)
+        da = accel[PAIR_J[rows]] - accel[PAIR_I[rows]]
+        x, v, cov, fin = _predict(self.x[rows], self.v[rows], self.cov[rows], da, self.dt, self._q_process)
+        self._commit(rows, x, v, cov, fin)
+
+    def update_all(self, distances: np.ndarray, valid: np.ndarray) -> None:
+        """One measurement tick: calibrated ranges (6, 6) and their validity (6, 6)."""
+        d = distances[PAIR_I, PAIR_J]
+        measured = valid[PAIR_I, PAIR_J]
+        if (measured & self.diverged).any():
+            raise ContractViolationError("filter diverged; re-init before updating")
+        go = np.flatnonzero(measured & (0.0 <= d) & (d <= self.gates))
+        applied, x, v, cov, fin = _update(self.x[go], self.v[go], self.cov[go], d[go], self.r_diag)
+        self._commit(go[applied], x[applied], v[applied], cov[applied], fin[applied])
 
     def distance_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Current (6, 6) distance estimates and validity mask."""
+        held = ~self.diverged
         d = np.zeros((N_SENSORS, N_SENSORS))
         mask = np.zeros((N_SENSORS, N_SENSORS), dtype=bool)
-        for (i, j) in self.pairs:
-            st = self.states[(i, j)]
-            if st.diverged:
-                continue
-            d[i, j] = d[j, i] = distance_estimate(st)
-            mask[i, j] = mask[j, i] = True
+        d[PAIR_I, PAIR_J] = d[PAIR_J, PAIR_I] = np.where(held, np.linalg.norm(self.x, axis=1), 0.0)
+        mask[PAIR_I, PAIR_J] = mask[PAIR_J, PAIR_I] = held
         return d, mask
+
+    def run(
+        self, accel: np.ndarray, round_frames: np.ndarray, distances: np.ndarray, valid: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Filter one clip -> (d_stream, mask_stream), each (T, 6, 6).
+
+        accel (T, 6, 3) is on the frame grid. Round r (distances[r] and
+        valid[r], each (6, 6)) updates the bank right after the predict of
+        frame round_frames[r]; rounds sharing a frame apply in round order,
+        and rounds past the last frame never apply.
+        """
+        pair_shape = (len(round_frames), N_SENSORS, N_SENSORS)
+        if accel.shape[1:] != (N_SENSORS, 3) or distances.shape != pair_shape or valid.shape != pair_shape:
+            raise ContractViolationError(f"need accel (T, 6, 3) and ranges {pair_shape}, got {accel.shape}")
+        frames = accel.shape[0]
+        d_stream = np.zeros((frames, N_SENSORS, N_SENSORS))
+        mask_stream = np.zeros((frames, N_SENSORS, N_SENSORS), dtype=bool)
+        rnd = 0
+        for k in range(frames):
+            self.predict_all(accel[k])
+            while rnd < len(round_frames) and round_frames[rnd] <= k:
+                self.update_all(distances[rnd], valid[rnd])
+                rnd += 1
+            d_stream[k], mask_stream[k] = self.distance_matrix()
+        return d_stream, mask_stream

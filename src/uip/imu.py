@@ -145,15 +145,6 @@ def tpose_calibrate(
     return gyro_off, accel_off
 
 
-@dataclass(frozen=True, slots=True)
-class OrientationEstimate:
-    """Filter output per sample: orientation plus gravity-free world acceleration."""
-
-    t: float
-    q: Quaternion
-    accel_world: Vec3
-
-
 class ComplementaryFilter:
     """Gyro integration with accelerometer tilt correction.
 
@@ -185,7 +176,8 @@ class ComplementaryFilter:
         self.accel_gate = accel_gate
         self.dt = dt
 
-    def step(self, accel: Vec3, gyro: Vec3) -> OrientationEstimate:
+    def step(self, accel: Vec3, gyro: Vec3) -> tuple[Quaternion, Vec3]:
+        """One sample -> (orientation, gravity-free world acceleration)."""
         q = self.q * Quaternion.from_rotvec(gyro.scaled(self.dt))
         q = q.normalized()
         a_norm = accel.norm()
@@ -201,7 +193,7 @@ class ComplementaryFilter:
                 q = (corr * q).normalized()
         self.q = q
         a_world = quat_rotate(q, accel)
-        return OrientationEstimate(0.0, q, Vec3(a_world.x, a_world.y, a_world.z - GRAVITY_REACTION.z))
+        return q, Vec3(a_world.x, a_world.y, a_world.z - GRAVITY_REACTION.z)
 
 
 def orientation_filter(
@@ -210,16 +202,19 @@ def orientation_filter(
     gain: float = 5e-6,
     gyro_offset: Vec3 | None = None,
     accel_offset: Vec3 | None = None,
-) -> list[OrientationEstimate]:
-    """Run the complementary filter over a raw stream, offsets removed first."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the complementary filter over a raw stream, offsets removed first.
+
+    Returns per-sample orientations (T, 4) and gravity-free world
+    accelerations (T, 3).
+    """
     accel = (stream.accel - np.asarray(accel_offset or Vec3.zero())).tolist()
     # gyro[i] spans the interval [t_i, t_i + dt], so it belongs to the
     # i+1 estimate; the first estimate integrates nothing.
     gyro = [[0.0, 0.0, 0.0]] + (stream.gyro[:-1] - np.asarray(gyro_offset or Vec3.zero())).tolist()
     dt = float(stream.t[1] - stream.t[0]) if len(stream) > 1 else DT
     filt = ComplementaryFilter(init, gain=gain, dt=dt)
-    out: list[OrientationEstimate] = []
-    for t, a, g in zip(stream.t.tolist(), accel, gyro):
-        est = filt.step(Vec3(*a), Vec3(*g))
-        out.append(OrientationEstimate(t, est.q, est.accel_world))
-    return out
+    quats, accel_world = np.zeros((len(stream), 4)), np.zeros((len(stream), 3))
+    for k, (a, g) in enumerate(zip(accel, gyro)):
+        quats[k], accel_world[k] = filt.step(Vec3(*a), Vec3(*g))
+    return quats, accel_world

@@ -31,6 +31,8 @@ from .rng import derive_rng
 from .skeleton import (
     MotionClip,
     N_SENSORS,
+    PAIR_I,
+    PAIR_J,
     Skeleton,
     default_placement,
     default_skeleton,
@@ -69,9 +71,8 @@ from .ekf import PairFilterBank
 
 CLIPS_FILE = "clips.json"
 CONFIG_FILE = "config.json"
+RMSE_FILE = "rmse_report.json"
 CONTACT_SPEED = 0.4  # m/s; slower ankles count as planted
-
-PAIRS = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
 
 
 def _setup(cfg: RunConfig):
@@ -195,20 +196,24 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
     return {"clips": meta, "files": hashes}
 
 
-def read_clip_meta(dataset_dir: str | Path) -> list[dict]:
-    p = Path(dataset_dir) / CLIPS_FILE
+def _read_json(p: Path):
     if not p.is_file():
         raise DataError(f"missing file {p}")
     try:
-        meta = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{p} is not valid JSON: {exc}") from exc
+
+
+def read_clip_meta(dataset_dir: str | Path) -> list[dict]:
+    p = Path(dataset_dir) / CLIPS_FILE
+    meta = _read_json(p)
     if not isinstance(meta, list) or not meta:
         raise DataError(f"{p}: expected a non-empty clip list")
     return meta
 
 
-def _calibrate_imu(cfg: RunConfig, dataset: Path, srot_t) -> list[tuple[Vec3, Vec3]]:
+def _calibrate_imu(dataset: Path, srot_t) -> list[tuple[Vec3, Vec3]]:
     offsets = []
     for s in range(N_SENSORS):
         stream = read_imu_csv(dataset / f"tpose_imu_s{s}.csv")
@@ -218,15 +223,12 @@ def _calibrate_imu(cfg: RunConfig, dataset: Path, srot_t) -> list[tuple[Vec3, Ve
 
 def _calibrate_uwb(cfg: RunConfig, dataset: Path, spos_t) -> CalibrationResult:
     ranging = read_ranging_csv(dataset / "tpose_ranging.csv")
-    raw, truth = [], []
-    for i, j in PAIRS:
-        d_true = float(np.linalg.norm(spos_t[i] - spos_t[j]))
-        picked = ranging.valid[:, i, j]
-        raw.extend(ranging.distances[picked, i, j])
-        truth.extend([d_true] * int(picked.sum()))
-    return ransac_affine_calibrate(
-        np.array(raw), np.array(truth), derive_rng(cfg.seed, "uwb", "cal")
-    )
+    # Every valid T-pose range against its static truth, pair-major.
+    picked = ranging.valid[:, PAIR_I, PAIR_J].T
+    raw = ranging.distances[:, PAIR_I, PAIR_J].T[picked]
+    d_true = np.linalg.norm(spos_t[PAIR_I] - spos_t[PAIR_J], axis=1)
+    truth = np.broadcast_to(d_true[:, None], picked.shape)[picked]
+    return ransac_affine_calibrate(raw, truth, derive_rng(cfg.seed, "uwb", "cal"))
 
 
 def _local_rotations(skel: Skeleton, joint_rot: np.ndarray) -> np.ndarray:
@@ -269,7 +271,7 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
     srot_t = [Quaternion(*q) for q in srot_t.tolist()]
     written: list[str] = []
 
-    offsets = _calibrate_imu(cfg, dataset, srot_t)
+    offsets = _calibrate_imu(dataset, srot_t)
     cal = _calibrate_uwb(cfg, dataset, spos_t)
     write_calibration(out / "calibration.json", cal)
     written.append("calibration.json")
@@ -284,39 +286,25 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
         ranging = read_ranging_csv(cdir / "ranging.csv")
 
         # Orientation filter per sensor, seeded at the calibration pose.
-        estimates = []
+        quats = np.zeros((frames, N_SENSORS, 4))
+        accel_w = np.zeros((frames, N_SENSORS, 3))
         for s in range(N_SENSORS):
             stream = read_imu_csv(cdir / f"imu_s{s}.csv")
             if len(stream) != frames:
                 raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, truth {frames}")
             gyro_off, accel_off = offsets[s]
-            estimates.append(orientation_filter(stream, srot_t[s], cfg.imu.filter_gain, gyro_off, accel_off))
-        quats = np.array([[e.q for e in est] for est in estimates]).swapaxes(0, 1)
-        accel_w = np.array([[e.accel_world for e in est] for est in estimates]).swapaxes(0, 1)
+            quats[:, s], accel_w[:, s] = orientation_filter(stream, srot_t[s], cfg.imu.filter_gain, gyro_off, accel_off)
 
         # Pair EKF bank on the IMU grid, measurement ticks at round times.
         # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
         # reach the covariance, so only the accel entries carry sigma.
         sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
         bank = PairFilterBank(
-            skel,
-            placement,
-            sigma_u=sigma_u,
-            r_diag=(cfg.ekf.range_sigma, cfg.ekf.speed_sigma),
-            dt=1.0 / rate,
-            speed_mode=cfg.ekf.speed_mode,
+            skel, placement, sigma_u=sigma_u, r_diag=(cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate
         )
-        d_cal = apply_calibration(ranging.distances, cal)
-        round_frame = np.rint(ranging.times * rate).astype(int)
-        rnd = 0
-        d_stream = np.zeros((frames, N_SENSORS, N_SENSORS))
-        mask_stream = np.zeros((frames, N_SENSORS, N_SENSORS), dtype=bool)
-        for k in range(frames):
-            bank.predict_all([(est[k].accel_world, est[k].q) for est in estimates])
-            while rnd < len(round_frame) and round_frame[rnd] <= k:
-                bank.update_all(d_cal[rnd], ranging.valid[rnd], float(truth.times[k]))
-                rnd += 1
-            d_stream[k], mask_stream[k] = bank.distance_matrix()
+        d_stream, mask_stream = bank.run(
+            accel_w, np.rint(ranging.times * rate).astype(int), apply_calibration(ranging.distances, cal), ranging.valid
+        )
 
         cdir_out = out / name
         cdir_out.mkdir(exist_ok=True)
@@ -333,8 +321,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
             truth.sensor_pos, ranging, cal, d_stream, mask_stream, rate
         )
 
-    (out / "rmse_report.json").write_text(json.dumps(rmse_report, indent=2) + "\n")
-    written.append("rmse_report.json")
+    (out / RMSE_FILE).write_text(json.dumps(rmse_report, indent=2) + "\n")
+    written.append(RMSE_FILE)
     (out / CLIPS_FILE).write_text((dataset / CLIPS_FILE).read_text())
     written.append(CLIPS_FILE)
     cfg.save(out / CONFIG_FILE)
@@ -355,7 +343,7 @@ def _distance_rmse(sensor_pos, ranging, cal, d_stream, mask_stream, rate) -> dic
     measured = ranging.valid[inside]
     raw = apply_calibration(ranging.distances[inside], cal)
     raw_rmse, filt_rmse = [], []
-    for i, j in PAIRS:
+    for i, j in zip(PAIR_I, PAIR_J):
         d_true = np.linalg.norm(sensor_pos[frame, i] - sensor_pos[frame, j], axis=1)
         hit = measured[:, i, j]
         held = hit & mask_stream[frame, i, j]
@@ -477,6 +465,7 @@ def evaluate_model(
     cfg = load_config(tdir / CONFIG_FILE)
     skel, _ = _setup(cfg)
     sip_index = {name: skel.joint_index(name) for name in SIP_JOINTS}
+    rmse_report = _read_json(fdir / RMSE_FILE)
     per_clip: list[ClipMetrics] = []
     for entry in read_clip_meta(fdir):
         name = entry["name"]
@@ -494,7 +483,12 @@ def evaluate_model(
         )
         pos = position_error(pred_pos, pred_rot[:, 0], truth.joint_pos, truth_rot[:, 0])
         jit = jitter(pred_pos, rate)
-        rmse = _filtered_pair_rmse(mi, truth.sensor_pos)
+        try:
+            rmse = tuple(rmse_report[name]["filtered_rmse_m"])
+            if len(rmse) != PAIR_I.size:
+                raise ValueError(f"{len(rmse)} pairs")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{fdir / RMSE_FILE}: bad filtered_rmse_m for clip {name}: {exc}") from exc
         per_clip.append(
             ClipMetrics(
                 name=name,
@@ -503,7 +497,7 @@ def evaluate_model(
                 sip_error_deg=sip,
                 pos_error_cm=pos,
                 jitter_km_s3=jit,
-                distance_rmse_m=rmse,
+                distance_rmse_m=None if None in rmse else rmse,
             )
         )
 
@@ -527,20 +521,6 @@ def evaluate_model(
     (out / "run.json").write_text(json.dumps({"no_distances": no_distances}, indent=2) + "\n")
     write_manifest(out, ["report.json", "report.csv", "clip_metrics.json", "run.json"])
     return {"reports": reports, "clips": per_clip}
-
-
-def _filtered_pair_rmse(mi: dict, sensor_pos: np.ndarray) -> tuple[float, ...] | None:
-    """Per-pair RMSE of the filtered distances against truth, if any."""
-    frames = min(mi["times"].shape[0], sensor_pos.shape[0])
-    out = []
-    for i, j in PAIRS:
-        truth_d = np.linalg.norm(sensor_pos[:frames, i] - sensor_pos[:frames, j], axis=1)
-        picked = mi["mask"][:frames, i, j]
-        if not picked.any():
-            return None
-        err = mi["d"][:frames, i, j][picked] - truth_d[picked]
-        out.append(float(np.sqrt(np.mean(err**2))))
-    return tuple(out)
 
 
 def summarize_runs(run_dirs: list[str | Path]) -> str:

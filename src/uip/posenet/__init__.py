@@ -3,7 +3,6 @@ from .loss import contact_term, distance_aware_loss, position_terms, rotation_te
 from .model import (
     ModelInput,
     PoseOutput,
-    SENSOR_PAIRS,
     dagcn_branch,
     dagcn_correlation,
     fuse_positions,
@@ -29,7 +28,6 @@ __all__ = [
     "PoseNetConfig",
     "PoseNetParams",
     "PoseOutput",
-    "SENSOR_PAIRS",
     "TrainConfig",
     "TrainingWindow",
     "batch_loss",

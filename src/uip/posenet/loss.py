@@ -16,8 +16,7 @@ import numpy as np
 
 from ..autodiff import Node, Tape
 from ..errors import ContractViolationError
-from ..skeleton import N_SENSORS
-from .model import SENSOR_PAIRS
+from ..skeleton import N_SENSORS, PAIR_I, PAIR_J
 
 # A sensor position shorter than this has no usable direction; its cosine
 # term is skipped for the frame.
@@ -25,9 +24,6 @@ NORM_FLOOR = 1e-9
 # Added under the pairwise-distance square root so coincident sensor
 # predictions keep a finite gradient.
 DIST_EPS = 1e-12
-
-PAIR_I = np.array([i for i, _ in SENSOR_PAIRS])
-PAIR_J = np.array([j for _, j in SENSOR_PAIRS])
 
 
 def position_terms(

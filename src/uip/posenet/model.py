@@ -30,11 +30,6 @@ from .params import PoseNetParams
 # Minimum believable head-pelvis separation for distance normalization.
 MIN_NORMALIZER_M = 0.01
 
-# Pairs (i < j) in lexicographic order; shared with the ranging stack.
-SENSOR_PAIRS: tuple[tuple[int, int], ...] = tuple(
-    (i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)
-)
-
 
 @dataclass(frozen=True)
 class ModelInput:

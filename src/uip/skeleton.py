@@ -23,6 +23,10 @@ L_KNEE_SENSOR = 3
 R_KNEE_SENSOR = 4
 HEAD_SENSOR = 5
 N_SENSORS = 6
+# The 15 unordered sensor pairs i < j in lexicographic order: pair p joins
+# sensors PAIR_I[p] and PAIR_J[p]. Every per-pair array uses this order.
+PAIR_I, PAIR_J = np.triu_indices(N_SENSORS, 1)
+PAIR_I.flags.writeable = PAIR_J.flags.writeable = False
 
 SENSOR_NAMES = ("pelvis", "l_wrist", "r_wrist", "l_knee", "r_knee", "head")
 
@@ -291,10 +295,9 @@ def pairwise_occlusion(
     """Occlusion ratio for all 15 sensor pairs of a posed frame -> (6, 6) symmetric."""
     sp = np.asarray(sensor_pos, dtype=float)
     mounted = sensor_exclusions(skel, placement)
-    i, j = np.triu_indices(N_SENSORS, 1)
     out = np.zeros((N_SENSORS, N_SENSORS))
-    out[i, j] = out[j, i] = _occluded_share(
-        world_capsules(skel, joint_pos), sp[i], sp[j], mounted[i] | mounted[j], resolution
+    out[PAIR_I, PAIR_J] = out[PAIR_J, PAIR_I] = _occluded_share(
+        world_capsules(skel, joint_pos), sp[PAIR_I], sp[PAIR_J], mounted[PAIR_I] | mounted[PAIR_J], resolution
     )
     return out
 

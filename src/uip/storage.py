@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,21 +231,30 @@ def read_ranging_csv(path: str | Path) -> RawDistanceStream:
         rows = list(csv.reader(f))
     if not rows or rows[0] != RANGING_HEADER:
         raise DataError(f"{p}: expected header {','.join(RANGING_HEADER)}")
-    body = rows[1:]
-    if not body:
+    if len(rows) < 2:
         raise DataError(f"{p}: empty ranging stream")
-    n_rounds = int(body[-1][0]) + 1
+    parsed = []
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            k, t, i, j, d = int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4])
+            ok = {"0": False, "1": True}[row[5]]
+        except (ValueError, IndexError, KeyError) as exc:
+            raise DataError(f"{p}:{line}: bad ranging row: {exc}") from exc
+        if not (math.isfinite(t) and math.isfinite(d)):
+            raise DataError(f"{p}:{line}: non-finite time or distance")
+        if k < 0 or not 0 <= i < j < N_SENSORS:
+            raise DataError(f"{p}:{line}: round {k} or pair ({i}, {j}) out of range")
+        parsed.append((line, k, t, i, j, d, ok))
+    n_rounds = parsed[-1][1] + 1
     times = np.zeros(n_rounds)
     dists = np.zeros((n_rounds, N_SENSORS, N_SENSORS))
     valid = np.zeros((n_rounds, N_SENSORS, N_SENSORS), dtype=bool)
-    try:
-        for row in body:
-            k, t, i, j, d, ok = int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4]), row[5]
-            times[k] = t
-            dists[k, i, j] = dists[k, j, i] = d
-            valid[k, i, j] = valid[k, j, i] = ok == "1"
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{p}: bad ranging row: {exc}") from exc
+    for line, k, t, i, j, d, ok in parsed:
+        if k >= n_rounds:
+            raise DataError(f"{p}:{line}: round {k} after the last round {n_rounds - 1}")
+        times[k] = t
+        dists[k, i, j] = dists[k, j, i] = d
+        valid[k, i, j] = valid[k, j, i] = ok
     return RawDistanceStream(times=times, distances=dists, valid=valid)
 
 

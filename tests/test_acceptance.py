@@ -277,22 +277,11 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
 
     start = time.perf_counter()
     r_world = np.zeros((frames, N_SENSORS, 3))
-    quats = [[None] * N_SENSORS for _ in range(frames)]
     for s in range(N_SENSORS):
-        for k, est in enumerate(orientation_filter(streams[s], sensor_rot[0][s])):
-            r_world[k, s] = est.accel_world.to_array()
-            quats[k][s] = est.q
+        _, r_world[:, s] = orientation_filter(streams[s], sensor_rot[0][s])
     bank = PairFilterBank(skel, placement, sigma_u=SIGMA_U, r_diag=R_DIAG, dt=1.0 / rate)
-    round_at_frame = {int(round(t * rate)): k for k, t in enumerate(ranging.times)}
-    d_stream = np.zeros((frames, N_SENSORS, N_SENSORS))
-    mask_stream = np.zeros((frames, N_SENSORS, N_SENSORS), dtype=bool)
-    for k in range(frames):
-        controls = [(Vec3(*r_world[k, s]), quats[k][s]) for s in range(N_SENSORS)]
-        bank.predict_all(controls)
-        if k in round_at_frame:
-            rnd = round_at_frame[k]
-            bank.update_all(ranging.distances[rnd], ranging.valid[rnd], float(k) / rate)
-        d_stream[k], mask_stream[k] = bank.distance_matrix()
+    round_frames = np.rint(ranging.times * rate).astype(int)
+    d_stream, mask_stream = bank.run(r_world, round_frames, ranging.distances, ranging.valid)
     filter_elapsed = time.perf_counter() - start
 
     filtered_means = []

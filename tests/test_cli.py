@@ -162,6 +162,24 @@ def test_nan_imu_sample_is_a_data_error(env, tmp_path, capsys):
     assert "imu_s2.csv:11: non-finite" in err
 
 
+def test_nan_range_is_a_data_error(env, tmp_path, capsys):
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    ranging = data / "clip_000_walk" / "ranging.csv"
+    lines = ranging.read_text().splitlines()
+    row = next(k for k in range(1, len(lines)) if lines[k].endswith(",1"))
+    fields = lines[row].split(",")
+    fields[4] = "nan"
+    lines[row] = ",".join(fields)
+    ranging.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"ranging.csv:{row + 1}: non-finite" in err
+    assert not (tmp_path / "out" / "rmse_report.json").exists()
+
+
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise DivergenceError("non-finite loss at epoch 1")

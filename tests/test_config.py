@@ -52,6 +52,8 @@ def test_unknown_keys_are_named_with_their_path():
         config_from_dict({"imux": {}})
     with pytest.raises(ConfigError, match="train.momentum"):
         config_from_dict({"train": {"momentum": 0.9}})
+    with pytest.raises(ConfigError, match="ekf.speed_mode"):
+        config_from_dict({"ekf": {"speed_mode": "predicted"}})
 
 
 def test_bad_json_and_missing_file(tmp_path):
@@ -100,7 +102,5 @@ def test_section_bounds():
         UwbSettings(drop_prob=1.0)
     with pytest.raises(ConfigError):
         EkfSettings(range_sigma=0.0)
-    with pytest.raises(ConfigError):
-        EkfSettings(speed_mode="psychic")
     with pytest.raises(ConfigError):
         ModelSettings(window_stride=0)

@@ -10,7 +10,6 @@ from uip.ekf import (
     PairFilterBank,
     PairState,
     assert_psd,
-    distance_estimate,
     gate_table,
     input_jacobian,
     max_reach,
@@ -23,7 +22,7 @@ from uip.ekf import (
 )
 from uip.geometry import Quaternion, Vec3, quat_relative
 from uip.rng import derive_rng
-from uip.skeleton import N_SENSORS
+from uip.skeleton import N_SENSORS, PAIR_I, PAIR_J
 
 DT = 0.01
 SIGMA_U = np.concatenate([np.full(6, 0.3), np.zeros(6)])
@@ -138,12 +137,13 @@ def test_predict_integrates_relative_acceleration():
         q=Quaternion.identity(),
         cov=np.eye(6) * 0.01,
     )
-    u = ControlInput(
-        a_i=Vec3(0.0, 0.0, 0.0), a_j=Vec3(2.0, 0.0, 0.0), q_i=Quaternion.identity(), q_j=Quaternion.identity()
-    )
+    q_i = Quaternion.from_axis_angle(Vec3(0, 0, 1), 0.4)
+    q_j = Quaternion.from_axis_angle(Vec3(1, 0, 0), -0.7)
+    u = ControlInput(a_i=Vec3(0.0, 0.0, 0.0), a_j=Vec3(2.0, 0.0, 0.0), q_i=q_i, q_j=q_j)
     out = predict(st, u, DT, SIGMA_U)
     assert np.allclose(out.x, [1.0 + 0.5 * 2.0 * DT**2, 0.2 * DT, 0.0], atol=1e-12)
     assert np.allclose(out.v, [2.0 * DT, 0.2, 0.0], atol=1e-12)
+    assert out.q == quat_relative(q_i, q_j)
 
 
 def test_predict_marks_divergence_on_nonfinite_input():
@@ -168,7 +168,7 @@ def test_update_moves_estimate_toward_range():
         cov=np.eye(6) * 0.04,
     )
     out = update(st, 1.0, (0.0, 3.0), R_DIAG)
-    d = distance_estimate(out)
+    d = float(np.linalg.norm(out.x))
     assert 0.8 < d <= 1.0
     assert out.cov[0, 0] < st.cov[0, 0]
 
@@ -179,12 +179,6 @@ def test_update_outside_gate_returns_same_object():
     assert out is st
     out = update(st, -0.5, (0.0, 3.0), R_DIAG)
     assert out is st
-
-
-def test_update_rejects_unknown_speed_mode():
-    st = random_state(derive_rng(7, "ekf", "mode"))
-    with pytest.raises(ContractViolationError):
-        update(st, 1.0, (0.0, 3.0), R_DIAG, speed_mode="psychic")
 
 
 def test_update_keeps_covariance_psd_with_tiny_r():
@@ -230,14 +224,15 @@ def test_bank_initial_states_match_tpose_geometry(skel, placement):
 
     jp, jr = tpose(skel)
     bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
-    for i, j in bank.pairs:
-        st = bank.states[(i, j)]
-        p_i, q_i = sensor_pose(placement, i, jp, jr)
-        p_j, q_j = sensor_pose(placement, j, jp, jr)
-        assert np.array_equal(st.x, (p_j - p_i).to_array())
-        assert st.q == quat_relative(q_i, q_j)
-        assert np.array_equal(st.v, np.zeros(3))
-        assert_psd(st.cov)
+    assert bank.x.shape == bank.v.shape == (15, 3)
+    assert bank.cov.shape == (15, 6, 6)
+    assert not bank.diverged.any()
+    for p, (i, j) in enumerate(zip(PAIR_I, PAIR_J)):
+        p_i, _ = sensor_pose(placement, i, jp, jr)
+        p_j, _ = sensor_pose(placement, j, jp, jr)
+        assert np.array_equal(bank.x[p], (p_j - p_i).to_array())
+        assert np.array_equal(bank.v[p], np.zeros(3))
+        assert_psd(bank.cov[p])
 
 
 def test_bank_tracks_a_moving_pair(skel, placement):
@@ -246,8 +241,7 @@ def test_bank_tracks_a_moving_pair(skel, placement):
     # raw noise level.
     rng = derive_rng(7, "ekf", "bank")
     bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
-    base = {p: bank.states[p].x.copy() for p in bank.pairs}
-    idq = Quaternion.identity()
+    base = {(i, j): bank.x[p].copy() for p, (i, j) in enumerate(zip(PAIR_I, PAIR_J))}
     sigma = 0.05
     amp, w = 0.1, 2 * math.pi * 0.5
     errs = []
@@ -256,9 +250,9 @@ def test_bank_tracks_a_moving_pair(skel, placement):
         # sensor 1 oscillates along x starting from rest (matching the
         # filter's zero initial velocity); everything else is still
         a1 = amp * w * w * math.cos(w * t)
-        controls = [(Vec3.zero(), idq) for _ in range(N_SENSORS)]
-        controls[1] = (Vec3(a1, 0.0, 0.0), idq)
-        bank.predict_all(controls)
+        accel = np.zeros((N_SENSORS, 3))
+        accel[1, 0] = a1
+        bank.predict_all(accel)
         offset = amp * (1.0 - math.cos(w * t))
         if k % 4 == 0:
             d = np.zeros((N_SENSORS, N_SENSORS))
@@ -272,7 +266,7 @@ def test_bank_tracks_a_moving_pair(skel, placement):
                     if j == 1:
                         x[0] += offset
                     d[i, j] = d[j, i] = np.linalg.norm(x) + rng.normal(0.0, sigma)
-            bank.update_all(d, valid, t)
+            bank.update_all(d, valid)
         est, mask = bank.distance_matrix()
         assert mask[0, 1]
         x_true = base[(0, 1)].copy()
@@ -288,3 +282,113 @@ def test_bank_distance_matrix_symmetric(skel, placement):
     assert np.array_equal(np.diag(d), np.zeros(N_SENSORS))
     assert mask[~np.eye(N_SENSORS, dtype=bool)].all()
     assert not mask.diagonal().any()
+
+
+def _single_pair_states(bank) -> list[PairState]:
+    return [
+        PairState(bank.x[p].copy(), bank.v[p].copy(), Quaternion.identity(), bank.cov[p].copy())
+        for p in range(PAIR_I.size)
+    ]
+
+
+def test_bank_matches_fifteen_single_pair_filters(skel, placement):
+    # A short clip of random accelerations with valid, invalid (one of
+    # them NaN) and gated-out ranges: every bank row must follow its own
+    # single-pair filter, and a pair without an accepted range must not
+    # move at all in the update.
+    rng = derive_rng(7, "ekf", "batched")
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
+    states = _single_pair_states(bank)
+    gates = gate_table()
+    ident = Quaternion.identity()
+    skipped = 0
+    with np.errstate(all="raise"):
+        for k in range(120):
+            accel = rng.normal(0.0, 2.0, (N_SENSORS, 3))
+            bank.predict_all(accel)
+            states = [
+                predict(st, ControlInput(Vec3(*accel[i]), Vec3(*accel[j]), ident, ident), DT, SIGMA_U)
+                for st, i, j in zip(states, PAIR_I, PAIR_J)
+            ]
+            if k % 3 == 0:
+                d, _ = bank.distance_matrix()
+                d = d + rng.normal(0.0, 0.05, d.shape)
+                valid = rng.random((N_SENSORS, N_SENSORS)) < 0.7
+                d[0, 3] = d[3, 0] = 99.0  # past every gate
+                d[1, 4] = d[4, 1] = -0.2  # below the lower gate
+                d[2, 5] = d[5, 2] = math.nan
+                valid[2, 5] = valid[5, 2] = False
+                before = bank.x.copy(), bank.v.copy(), bank.cov.copy()
+                bank.update_all(d, valid)
+                for p, (i, j) in enumerate(zip(PAIR_I, PAIR_J)):
+                    new = update(states[p], d[i, j], (0.0, gates[i, j]), R_DIAG) if valid[i, j] else states[p]
+                    if new is states[p]:
+                        skipped += 1
+                        for held, old in zip((bank.x, bank.v, bank.cov), before):
+                            assert np.array_equal(held[p], old[p])
+                    states[p] = new
+            for p, st in enumerate(states):
+                assert np.abs(bank.x[p] - st.x).max() < 1e-12
+                assert np.abs(bank.v[p] - st.v).max() < 1e-12
+                assert np.abs(bank.cov[p] - st.cov).max() < 1e-12
+    assert skipped >= 3 * 40
+    assert not bank.diverged.any()
+
+
+def test_bank_skips_singular_updates_bitwise(skel, placement):
+    # With zero measurement noise, a pair whose |x| and |v| are both under
+    # the norm floor has H = 0 and S = 0: its update is skipped.
+    bank = PairFilterBank(skel, placement, SIGMA_U, (0.0, 0.0), dt=DT)
+    bank.predict_all(np.arange(N_SENSORS * 3, dtype=float).reshape(N_SENSORS, 3))
+    bank.x[3] = bank.v[3] = 0.0
+    before = bank.x.copy(), bank.v.copy(), bank.cov.copy()
+    st = PairState(bank.x[3].copy(), bank.v[3].copy(), Quaternion.identity(), bank.cov[3].copy())
+    assert update(st, 0.5, (0.0, 3.0), (0.0, 0.0)) is st
+    d = np.full((N_SENSORS, N_SENSORS), 0.5)
+    with np.errstate(all="raise"):
+        bank.update_all(d, ~np.eye(N_SENSORS, dtype=bool))
+    for held, old in zip((bank.x, bank.v, bank.cov), before):
+        assert np.array_equal(held[3], old[3])
+    assert (bank.x != before[0]).any(axis=1).sum() == PAIR_I.size - 1
+
+
+def test_bank_nonfinite_accel_diverges_exactly_that_sensors_pairs(skel, placement):
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
+    before = bank.x.copy(), bank.v.copy(), bank.cov.copy()
+    accel = np.ones((N_SENSORS, 3))
+    accel[2, 1] = math.inf
+    hit = (PAIR_I == 2) | (PAIR_J == 2)
+    with np.errstate(all="raise"):
+        bank.predict_all(accel)
+        assert np.array_equal(bank.diverged, hit)
+        assert hit.sum() == 5
+        for held, old in zip((bank.x, bank.v, bank.cov), before):
+            assert np.array_equal(held[hit], old[hit])
+        d, mask = bank.distance_matrix()
+        assert not mask[2].any() and not mask[:, 2].any()
+        assert np.array_equal(d[2], np.zeros(N_SENSORS))
+        others = np.delete(np.delete(mask, 2, axis=0), 2, axis=1)
+        assert others[~np.eye(N_SENSORS - 1, dtype=bool)].all()
+        valid = np.zeros((N_SENSORS, N_SENSORS), dtype=bool)
+        valid[0, 1] = valid[1, 0] = True
+        bank.update_all(np.ones((N_SENSORS, N_SENSORS)), valid)  # measures no diverged pair
+        valid[1, 2] = valid[2, 1] = True
+        with pytest.raises(ContractViolationError):
+            bank.update_all(np.ones((N_SENSORS, N_SENSORS)), valid)
+        with pytest.raises(ContractViolationError):
+            bank.predict_all(np.zeros((N_SENSORS, 3)))
+
+
+def test_bank_run_checks_shapes(skel, placement):
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
+    ranges = np.zeros((2, N_SENSORS, N_SENSORS))
+    valid = ranges.astype(bool)
+    d, mask = bank.run(np.zeros((3, N_SENSORS, 3)), np.array([0, 2]), ranges, valid)
+    assert d.shape == mask.shape == (3, N_SENSORS, N_SENSORS)
+    for accel, frames, r, v in (
+        (np.zeros((3, N_SENSORS, 2)), np.array([0, 2]), ranges, valid),
+        (np.zeros((3, N_SENSORS, 3)), np.array([0]), ranges, valid),
+        (np.zeros((3, N_SENSORS, 3)), np.array([0, 2]), ranges, valid[:, :5]),
+    ):
+        with pytest.raises(ContractViolationError):
+            bank.run(accel, frames, r, v)

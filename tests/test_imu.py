@@ -127,9 +127,10 @@ def test_filter_first_estimate_is_init():
     init = Quaternion.from_axis_angle(Vec3(0, 0, 1), 0.3)
     pos = np.zeros((30, 3))
     stream = synthesize_imu(pos, [init] * 30, quiet_noise(), derive_rng(5, "imu", "f0"), dt=DT)
-    est = orientation_filter(stream, init)
-    assert quat_angle_between(est[0].q, init) < 1e-12
-    assert len(est) == 30
+    quats, accel = orientation_filter(stream, init)
+    assert quat_angle_between(Quaternion(*quats[0]), init) < 1e-12
+    assert quats.shape == (30, 4)
+    assert accel.shape == (30, 3)
 
 
 def test_filter_tracks_clean_rotation():
@@ -137,19 +138,19 @@ def test_filter_tracks_clean_rotation():
     quats = [Quaternion.from_rotvec(w.scaled(k * DT)) for k in range(200)]
     pos = np.zeros((200, 3))
     stream = synthesize_imu(pos, quats, quiet_noise(), derive_rng(5, "imu", "track"), dt=DT)
-    est = orientation_filter(stream, quats[0])
+    est, _ = orientation_filter(stream, quats[0])
     for k in (50, 120, 199):
-        assert quat_angle_between(est[k].q, quats[k]) < 1e-6
+        assert quat_angle_between(Quaternion(*est[k]), quats[k]) < 1e-6
 
 
 def test_filter_static_estimate_holds_and_accel_world_is_zero():
     q = Quaternion.from_axis_angle(Vec3(1, 0, 0), 0.5)
     pos = np.zeros((100, 3))
     stream = synthesize_imu(pos, [q] * 100, quiet_noise(), derive_rng(5, "imu", "hold"), dt=DT)
-    est = orientation_filter(stream, q)
-    for e in est[::20]:
-        assert quat_angle_between(e.q, q) < 1e-9
-        assert e.accel_world.norm() < 1e-9
+    quats, accel = orientation_filter(stream, q)
+    for k in range(0, 100, 20):
+        assert quat_angle_between(Quaternion(*quats[k]), q) < 1e-9
+        assert np.linalg.norm(accel[k]) < 1e-9
 
 
 def test_filter_offsets_remove_planted_bias():
@@ -160,10 +161,10 @@ def test_filter_offsets_remove_planted_bias():
     )
     pos = np.zeros((300, 3))
     stream = synthesize_imu(pos, [q] * 300, noise, derive_rng(5, "imu", "bias"), dt=DT)
-    drifted = orientation_filter(stream, q)
-    corrected = orientation_filter(stream, q, gyro_offset=bias_g)
-    assert quat_angle_between(drifted[-1].q, q) > 0.05
-    assert quat_angle_between(corrected[-1].q, q) < 1e-9
+    drifted, _ = orientation_filter(stream, q)
+    corrected, _ = orientation_filter(stream, q, gyro_offset=bias_g)
+    assert quat_angle_between(Quaternion(*drifted[-1]), q) > 0.05
+    assert quat_angle_between(Quaternion(*corrected[-1]), q) < 1e-9
 
 
 def test_filter_gate_skips_dynamic_accel():

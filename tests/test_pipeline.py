@@ -28,7 +28,15 @@ from uip.pipeline import (
     train_model,
 )
 from uip.posenet import PoseNetParams
-from uip.storage import read_calibration, read_manifest, read_targets, read_truth, verify_manifest
+from uip.storage import (
+    read_calibration,
+    read_manifest,
+    read_ranging_csv,
+    read_targets,
+    read_truth,
+    verify_manifest,
+)
+from uip.uwb import apply_calibration
 
 SMALL = RunConfig(
     seed=19,
@@ -116,18 +124,29 @@ def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
         SMALL, motions=MotionSettings(catalog=("walk",), duration_s=2.0, rate_hz=20.0)
     )
     synthesize_dataset(cfg, tmp_path / "data")
-    ticks = []
-    update_all = PairFilterBank.update_all
+    frames, ticks, ranges = [], [], []
+    predict_all, update_all = PairFilterBank.predict_all, PairFilterBank.update_all
 
-    def counted(bank, distances, valid, t):
-        ticks.append(t)
-        update_all(bank, distances, valid, t)
+    def counted_predict(bank, accel):
+        frames.append(len(frames))
+        predict_all(bank, accel)
 
-    monkeypatch.setattr(PairFilterBank, "update_all", counted)
+    def counted_update(bank, distances, valid):
+        ticks.append(frames[-1])
+        ranges.append(distances)
+        update_all(bank, distances, valid)
+
+    monkeypatch.setattr(PairFilterBank, "predict_all", counted_predict)
+    monkeypatch.setattr(PairFilterBank, "update_all", counted_update)
     filter_dataset(tmp_path / "data", tmp_path / "filt")
+    assert len(frames) == 40
     assert len(ticks) == 50
     assert len(set(ticks)) == 40
     assert ticks == sorted(ticks)
+    name = read_clip_meta(tmp_path / "data")[0]["name"]
+    ranging = read_ranging_csv(tmp_path / "data" / name / "ranging.csv")
+    cal = read_calibration(tmp_path / "filt" / "calibration.json")
+    assert np.array_equal(np.array(ranges), apply_calibration(ranging.distances, cal))
 
 
 def test_window_math_and_ablation(pipe):
@@ -201,6 +220,18 @@ def test_eval_outputs_and_determinism(pipe, trained):
     assert [c["name"] for c in clip_doc] == [m["name"] for m in read_clip_meta(pipe.filt)]
     run = json.loads((out_a / "run.json").read_text())
     assert run == {"no_distances": False}
+
+
+def test_eval_distance_rmse_is_the_filter_stages(trained, tmp_path):
+    # With one clip, report.json's per-pair filtered-distance RMSE is the
+    # one the filter stage wrote to rmse_report.json for that clip.
+    cfg = dataclasses.replace(SMALL, motions=dataclasses.replace(SMALL.motions, catalog=("walk",)))
+    synthesize_dataset(cfg, tmp_path / "data")
+    filter_dataset(tmp_path / "data", tmp_path / "filt")
+    evaluate_model(trained / "checkpoint.json", tmp_path / "filt", tmp_path / "data", tmp_path / "eval")
+    (row,) = json.loads((tmp_path / "filt" / "rmse_report.json").read_text()).values()
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["overall"]["distance_rmse_m"] == pytest.approx(row["filtered_rmse_m"], rel=1e-15, abs=0.0)
 
 
 def test_summarize_runs_table(pipe, trained):

@@ -104,6 +104,33 @@ def test_ranging_csv_roundtrip(tmp_path):
     assert np.array_equal(back.valid, stream.valid)
 
 
+def test_ranging_csv_rejects_garbage(tmp_path):
+    path = tmp_path / "ranging.csv"
+    header = "round,t,i,j,d_raw,valid\n"
+    good = "0,0.0,0,1,1.25,1\n"
+    path.write_text(header + good + "1,0.04,0,1,1.5,1\n")
+    assert read_ranging_csv(path).times.shape == (2,)
+    for row, why in (
+        ("1,0.04,0,1,nan,1", "non-finite"),
+        ("1,0.04,0,1,inf,0", "non-finite"),
+        ("1,nan,0,1,1.5,1", "non-finite"),
+        ("1,0.04,-1,1,1.5,1", "out of range"),  # would wrap to sensor 5
+        ("1,0.04,2,2,1.5,1", "out of range"),
+        ("1,0.04,3,1,1.5,1", "out of range"),
+        ("1,0.04,0,6,1.5,1", "out of range"),
+        ("-1,0.04,0,1,1.5,1", "out of range"),
+        ("1,0.04,0,1,far,1", "bad ranging row"),
+        ("1,0.04,0,1", "bad ranging row"),
+        ("1,0.04,0,1,1.5,yes", "bad ranging row"),
+    ):
+        path.write_text(header + good + row + "\n")
+        with pytest.raises(DataError, match=rf"ranging\.csv:3: .*{why}"):
+            read_ranging_csv(path)
+    path.write_text(header + "5,0.2,0,1,1.5,1\n" + good)
+    with pytest.raises(DataError, match=r"ranging\.csv:2: round 5 after the last round 0"):
+        read_ranging_csv(path)
+
+
 def test_truth_roundtrip(tmp_path):
     rng = derive_rng(53, "storage", "truth")
     frames, joints = 2, 3
