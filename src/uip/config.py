@@ -132,7 +132,6 @@ class TrainSettings:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 7
-    output_dir: str | None = None
     motions: MotionSettings = field(default_factory=MotionSettings)
     skeleton: SkeletonSettings = field(default_factory=SkeletonSettings)
     imu: ImuSettings = field(default_factory=ImuSettings)
@@ -183,7 +182,7 @@ def config_from_dict(data: dict) -> RunConfig:
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _build(_SECTIONS[key], value, key)
-        elif key in ("seed", "output_dir"):
+        elif key == "seed":
             kwargs[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError
-from .geometry import Quaternion, Vec3, quat_relative
+from .geometry import qconj, qmul, qnormalize
 from .skeleton import N_SENSORS, PAIR_I, PAIR_J, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
 
 SIGMA_X0 = 0.05  # m, initial relative-position std per axis
@@ -40,7 +40,7 @@ class PairState:
 
     x: np.ndarray  # (3,) relative position j - i, world frame
     v: np.ndarray  # (3,) relative velocity
-    q: Quaternion  # relative orientation q_i^-1 q_j
+    q: np.ndarray  # (4,) relative orientation q_i^-1 q_j
     cov: np.ndarray  # (6, 6) over (x, v)
     diverged: bool = False
 
@@ -49,10 +49,10 @@ class PairState:
 class ControlInput:
     """Per-step inputs for one pair: accelerations and orientations of both ends."""
 
-    a_i: Vec3  # gravity-free world acceleration estimate, sensor i
-    a_j: Vec3
-    q_i: Quaternion
-    q_j: Quaternion
+    a_i: np.ndarray  # (3,) gravity-free world acceleration estimate, sensor i
+    a_j: np.ndarray
+    q_i: np.ndarray  # (4,) orientations
+    q_j: np.ndarray
 
 
 def state_jacobian(dt: float) -> np.ndarray:
@@ -142,13 +142,13 @@ def predict(state: PairState, u: ControlInput, dt: float, sigma_u: np.ndarray) -
     """One prediction step. Non-finite inputs mark the filter diverged."""
     if state.diverged:
         raise ContractViolationError("filter diverged; re-init before predicting")
-    if not (u.a_i.is_finite() and u.a_j.is_finite() and u.q_i.is_finite() and u.q_j.is_finite()):
+    if not np.isfinite(np.concatenate([u.a_i, u.a_j, u.q_i, u.q_j])).all():
         return replace(state, diverged=True)
-    da = np.array([u.a_j - u.a_i])
+    da = np.subtract(u.a_j, u.a_i)[None]
     x, v, cov, finite = _predict(state.x[None], state.v[None], state.cov[None], da, dt, process_noise(dt, sigma_u))
     if not finite[0]:
         return replace(state, diverged=True)
-    return PairState(x=x[0], v=v[0], q=quat_relative(u.q_i, u.q_j), cov=cov[0])
+    return PairState(x=x[0], v=v[0], q=qnormalize(qmul(qconj(u.q_i), u.q_j)), cov=cov[0])
 
 
 def measurement(state: PairState) -> np.ndarray:
@@ -192,11 +192,11 @@ def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> flo
 
     pi, pj = path_to_root(mi.joint), path_to_root(mj.joint)
     common = set(pi) & set(pj)  # the shared ancestors, which a path climbs through last
-    reach = mi.offset.norm() + mj.offset.norm()
+    reach = np.linalg.norm(mi.offset) + np.linalg.norm(mj.offset)
     for joint in pi + pj:
         if joint not in common:
-            reach += skel.joints[joint].offset.norm()
-    return reach
+            reach += np.linalg.norm(skel.joints[joint].offset)
+    return float(reach)
 
 
 def gate_table(margin: float = GATE_MARGIN) -> np.ndarray:

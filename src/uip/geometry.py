@@ -9,196 +9,21 @@ Conventions, used everywhere in the package:
 - a stationary accelerometer measures the +g reaction, i.e. rotating
   (0, 0, +9.81) into the sensor frame
 
-Records are array rows: Vec3 and Quaternion are named tuples, so
-`np.asarray` of one record, or of nested lists of records, is already a
-(..., 3) or (..., 4) float array. Each formula has one array kernel (the
-`q*` functions below, over any leading shape); whole trajectories go
-through those. The scalar record methods serve the recurrent filters,
-which advance one sample at a time, and use the same operation order as
-the kernels, so both give bitwise-equal results.
+Vectors are (..., 3) and quaternions (..., 4) float arrays. Each formula
+has one kernel (the `q*` functions below), which broadcasts over any
+leading shape, so one frame, a trajectory and a whole clip of joints go
+through the same code.
 """
 from __future__ import annotations
-
-import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolationError
 
 GRAVITY_MAGNITUDE = 9.81
+GRAVITY_REACTION = np.array([0.0, 0.0, GRAVITY_MAGNITUDE])
+GRAVITY_REACTION.flags.writeable = False
 _UNIT_NORM_TOL = 1e-6
-
-
-class Vec3(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scaled(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise ContractViolationError("cannot normalize a zero vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
-
-    @staticmethod
-    def zero() -> "Vec3":
-        return Vec3(0.0, 0.0, 0.0)
-
-
-GRAVITY_REACTION = Vec3(0.0, 0.0, GRAVITY_MAGNITUDE)
-
-
-class Quaternion(NamedTuple):
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    def norm(self) -> float:
-        w, x, y, z = self
-        return math.sqrt(w * w + x * x + y * y + z * z)
-
-    def normalized(self) -> "Quaternion":
-        """Unit-norm, canonicalized so that w >= 0."""
-        n = self.norm()
-        if n == 0.0 or not math.isfinite(n):
-            raise ContractViolationError(f"cannot normalize quaternion with norm {n}")
-        w, x, y, z = self
-        s = 1.0 / n
-        if w < 0.0:
-            s = -s
-        return Quaternion(w * s, x * s, y * s, z * s)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        """Hamilton product. Not normalized; compose and re-normalize as needed."""
-        w1, x1, y1, z1 = self
-        w2, x2, y2, z2 = other
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def rotation_angle(self) -> float:
-        """Angle of the rotation this (unit) quaternion encodes, in [0, pi]."""
-        return float(qangle(self))
-
-    def to_rotvec(self) -> Vec3:
-        """Rotation vector (axis * angle), angle in [0, pi]. Inverse of from_rotvec."""
-        return Vec3(*qrotvec(self).tolist())
-
-    @staticmethod
-    def from_rotvec(r: Vec3) -> "Quaternion":
-        angle = r.norm()
-        if angle < 1e-12:
-            # first-order expansion keeps this smooth through zero
-            return Quaternion(1.0, 0.5 * r.x, 0.5 * r.y, 0.5 * r.z).normalized()
-        s = math.sin(0.5 * angle) / angle
-        return Quaternion(math.cos(0.5 * angle), r.x * s, r.y * s, r.z * s)
-
-    @staticmethod
-    def from_axis_angle(axis: Vec3, angle: float) -> "Quaternion":
-        u = axis.normalized()
-        half = 0.5 * angle
-        s = math.sin(half)
-        return Quaternion(math.cos(half), u.x * s, u.y * s, u.z * s)
-
-    def to_matrix(self) -> np.ndarray:
-        """3x3 rotation matrix of a unit quaternion."""
-        return qmatrix(self)
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Quaternion":
-        """Unit quaternion from a rotation matrix (Shepperd's method)."""
-        return Quaternion(*qfrom_matrix(m).tolist())
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self))
-
-
-def quat_rotate(q: Quaternion, v: Vec3) -> Vec3:
-    """Rotate v by unit quaternion q (sensor->world if q is the sensor orientation)."""
-    w, x, y, z = q
-    vx, vy, vz = v
-    n2 = w * w + x * x + y * y + z * z
-    if abs(n2 - 1.0) > 3.0 * _UNIT_NORM_TOL:
-        raise ContractViolationError(f"quat_rotate requires a unit quaternion, |q|^2 = {n2}")
-    # v' = v + 2 w (u x v) + 2 u x (u x v), u = quaternion vector part
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return Vec3(
-        vx + w * tx + (y * tz - z * ty),
-        vy + w * ty + (z * tx - x * tz),
-        vz + w * tz + (x * ty - y * tx),
-    )
-
-
-def quat_relative(q_i: Quaternion, q_j: Quaternion) -> Quaternion:
-    """Relative rotation q_i^-1 * q_j, normalized and canonicalized."""
-    return (q_i.conjugate() * q_j).normalized()
-
-
-def quat_angle_between(q_a: Quaternion, q_b: Quaternion) -> float:
-    """Geodesic angle between two unit quaternions, radians in [0, pi]."""
-    return (q_a.conjugate() * q_b).rotation_angle()
-
-
-def quat_from_rot6d(r6) -> Quaternion:
-    """Orthonormalize a 6D representation (Gram-Schmidt) back to a quaternion.
-
-    Degenerate inputs (zero or parallel columns) fall back to identity so
-    that untrained network output still evaluates.
-    """
-    return Quaternion(*qfrom_rot6d(r6).tolist())
 
 
 # -- array kernels: quaternions (..., 4), vectors (..., 3), leading shapes broadcast
@@ -207,7 +32,8 @@ def quat_from_rot6d(r6) -> Quaternion:
 def _parts(a) -> list[np.ndarray]:
     """Components along the last axis: (w, x, y, z) or (x, y, z)."""
     a = np.asarray(a, dtype=float)
-    return [a[..., i] for i in range(a.shape[-1])]
+    # a row (one quaternion or vector) splits into numpy scalars, the cheapest operands
+    return list(a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))))
 
 
 def _join(*parts) -> np.ndarray:
@@ -216,6 +42,13 @@ def _join(*parts) -> np.ndarray:
     for i, part in enumerate(parts):
         out[..., i] = part
     return out
+
+
+def vcross(a, b) -> np.ndarray:
+    """Cross products a x b of vectors."""
+    ax, ay, az = _parts(a)
+    bx, by, bz = _parts(b)
+    return _join(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 def qmul(a, b) -> np.ndarray:
@@ -256,7 +89,7 @@ def qrotate(q, v) -> np.ndarray:
     off = np.abs(n2 - 1.0) > 3.0 * _UNIT_NORM_TOL
     if off.any():
         raise ContractViolationError(
-            f"quat_rotate requires a unit quaternion, |q|^2 = {n2[off].flat[0]}"
+            f"qrotate requires a unit quaternion, |q|^2 = {n2[off].flat[0]}"
         )
     # v' = v + 2 w (u x v) + 2 u x (u x v), u = quaternion vector part
     tx = 2.0 * (y * vz - z * vy)
@@ -285,6 +118,31 @@ def qrotvec(q) -> np.ndarray:
     # small-angle: sin(a/2) ~ a/2, so vector part ~ axis * a/2
     s = np.where(small, 2.0, 2.0 * np.arctan2(v, w) / np.where(small, 1.0, v))
     return q[..., 1:] * s[..., None]
+
+
+def qfrom_rotvec(r) -> np.ndarray:
+    """Unit quaternions of rotation vectors (axis * angle); qrotvec inverts it."""
+    x, y, z = _parts(r)
+    angle = np.sqrt(x * x + y * y + z * z)
+    small = angle < 1e-12
+    a = np.where(small, 1.0, angle)
+    s = np.sin(0.5 * a) / a
+    q = _join(np.cos(0.5 * a), x * s, y * s, z * s)
+    if small.any():
+        # first-order expansion keeps this smooth through zero
+        q[small] = qnormalize(_join(1.0, 0.5 * x, 0.5 * y, 0.5 * z)[small])
+    return q
+
+
+def qfrom_axis_angle(axis, angle) -> np.ndarray:
+    """Rotations by angle (radians) about axis, which need not be unit length."""
+    x, y, z = _parts(axis)
+    n = np.sqrt(x * x + y * y + z * z)
+    if (n == 0.0).any():
+        raise ContractViolationError("cannot rotate about a zero axis")
+    half = 0.5 * np.asarray(angle, dtype=float)
+    s = np.sin(half)
+    return _join(np.cos(half), x / n * s, y / n * s, z / n * s)
 
 
 def qmatrix(q) -> np.ndarray:
@@ -337,5 +195,5 @@ def qfrom_rot6d(r6) -> np.ndarray:
     nb = np.sqrt((b_orth * b_orth).sum(axis=-1))
     degenerate |= nb < 1e-8
     c1 = b_orth / np.where(degenerate, 1.0, nb)[..., None]
-    m = np.stack([c0, c1, np.cross(c0, c1)], axis=-1)
+    m = np.stack([c0, c1, vcross(c0, c1)], axis=-1)
     return qfrom_matrix(np.where(degenerate[..., None, None], np.eye(3), m))

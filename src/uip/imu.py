@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ContractViolationError
-from .geometry import GRAVITY_REACTION, Quaternion, Vec3, qangle, qconj, qmul, qnormalize, qrotate, qrotvec, quat_rotate
+from .geometry import GRAVITY_MAGNITUDE, GRAVITY_REACTION, qangle, qconj, qfrom_rotvec, qmul, qnormalize, qrotate, qrotvec, vcross
 
 DT = 0.01  # 100 Hz sample grid used throughout
 
@@ -37,8 +37,8 @@ class ImuNoiseModel:
 
     accel_sigma: float = 0.08
     gyro_sigma: float = 0.006
-    accel_bias: Vec3 = field(default_factory=Vec3.zero)
-    gyro_bias: Vec3 = field(default_factory=Vec3.zero)
+    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         if self.accel_sigma < 0 or self.gyro_sigma < 0:
@@ -52,8 +52,8 @@ class ImuNoiseModel:
         accel_bias_sigma: float,
         gyro_bias_sigma: float,
     ) -> "ImuNoiseModel":
-        ab = Vec3.from_array(rng.normal(0.0, accel_bias_sigma, 3))
-        gb = Vec3.from_array(rng.normal(0.0, gyro_bias_sigma, 3))
+        ab = rng.normal(0.0, accel_bias_sigma, 3)
+        gb = rng.normal(0.0, gyro_bias_sigma, 3)
         return ImuNoiseModel(accel_sigma, gyro_sigma, ab, gb)
 
 
@@ -80,7 +80,7 @@ def synthesize_accel(positions: np.ndarray, n: int = 4, dt: float = DT) -> np.nd
 def synthesize_gyro(orientations, dt: float = DT) -> np.ndarray:
     """Body-frame angular velocity from consecutive orientation pairs.
 
-    orientations: (T, 4) array or sequence of Quaternion.
+    orientations: (T, 4).
     omega_t = rotvec(q_t^-1 q_{t+1}) / dt; the last sample is replicated.
     Consecutive frames must stay within a 90 degree rotation of each other
     (antipodal pairs are a contract violation).
@@ -109,22 +109,22 @@ def synthesize_imu(
 ) -> ImuStream:
     """Raw IMU stream for one sensor from its ground-truth trajectory.
 
-    positions: (T, 3); orientations: (T, 4) array or sequence of Quaternion.
+    positions: (T, 3); orientations: (T, 4).
     """
     t_len = positions.shape[0]
     world_acc = synthesize_accel(positions, n=n, dt=dt)
-    accel = qrotate(qconj(orientations), world_acc + np.asarray(GRAVITY_REACTION))
+    accel = qrotate(qconj(orientations), world_acc + GRAVITY_REACTION)
     gyro = synthesize_gyro(orientations, dt=dt)
-    accel += noise.accel_bias.to_array() + rng.normal(0.0, noise.accel_sigma, (t_len, 3))
-    gyro += noise.gyro_bias.to_array() + rng.normal(0.0, noise.gyro_sigma, (t_len, 3))
+    accel += noise.accel_bias + rng.normal(0.0, noise.accel_sigma, (t_len, 3))
+    gyro += noise.gyro_bias + rng.normal(0.0, noise.gyro_sigma, (t_len, 3))
     return ImuStream(t=np.arange(t_len) * dt, accel=accel, gyro=gyro)
 
 
 def tpose_calibrate(
     stream: ImuStream,
-    expected_orientation: Quaternion,
+    expected_orientation,
     max_gyro_std: float = 0.05,
-) -> tuple[Vec3, Vec3]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimate (gyro_offset, accel_offset) from a stationary T-pose window.
 
     The stream must cover at least 1 s. Movement during the window (any
@@ -139,20 +139,36 @@ def tpose_calibrate(
         raise CalibrationError(
             f"movement during T-pose calibration (gyro std {gyro_std.max():.4f} rad/s)"
         )
-    gyro_off = Vec3.from_array(stream.gyro.mean(axis=0))
-    expected = quat_rotate(expected_orientation.conjugate(), GRAVITY_REACTION)
-    accel_off = Vec3.from_array(stream.accel.mean(axis=0) - expected.to_array())
-    return gyro_off, accel_off
+    expected = qrotate(qconj(expected_orientation), GRAVITY_REACTION)
+    return stream.gyro.mean(axis=0), stream.accel.mean(axis=0) - expected
 
 
-class ComplementaryFilter:
-    """Gyro integration with accelerometer tilt correction.
+# Accelerometer magnitudes (m/s^2) inside this open interval are trusted as gravity.
+ACCEL_GATE = (8.5, 11.0)
+# libm's atan2: numpy's vectorized arctan2 rounds differently on some CPUs.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
-    Each step integrates the (bias-corrected) gyro, then, when the accel
-    magnitude is inside the quasi-static gate, nudges the estimate about a
-    horizontal axis by `gain` times the tilt discrepancy. Yaw is never
-    corrected, so a yaw-rate bias shows up as linear heading drift. Any
-    orientation estimator with this step interface can be swapped in.
+
+def orientation_filter(
+    accel,
+    gyro,
+    init,
+    gain: float = 5e-6,
+    gyro_offset=0.0,
+    accel_offset=0.0,
+    dt: float = DT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complementary filter: gyro integration with accelerometer tilt correction.
+
+    accel and gyro are raw samples (T, ..., 3) of any number of sensors,
+    init (..., 4) their orientations at the first sample, and the offsets
+    (..., 3) are removed first. Returns per-sample orientations
+    (T, ..., 4) and gravity-free world accelerations (T, ..., 3).
+
+    Each step integrates the gyro, then, for the sensors whose accel
+    magnitude is inside ACCEL_GATE, nudges the estimate about a horizontal
+    axis by `gain` times the tilt discrepancy. Yaw is never corrected, so
+    a yaw-rate bias shows up as linear heading drift.
 
     The default gain treats the accelerometer as a slow trim: during
     dynamic motion the in-gate accel direction is systematically off
@@ -161,60 +177,36 @@ class ComplementaryFilter:
     beyond clip length. Raise the gain toward 1e-2 when gyro quality,
     not dynamic distortion, limits accuracy.
     """
-
-    def __init__(
-        self,
-        init: Quaternion,
-        gain: float = 5e-6,
-        accel_gate: tuple[float, float] = (8.5, 11.0),
-        dt: float = DT,
-    ):
-        if not 0.0 <= gain <= 1.0:
-            raise ContractViolationError(f"gain {gain} outside [0, 1]")
-        self.q = init.normalized()
-        self.gain = gain
-        self.accel_gate = accel_gate
-        self.dt = dt
-
-    def step(self, accel: Vec3, gyro: Vec3) -> tuple[Quaternion, Vec3]:
-        """One sample -> (orientation, gravity-free world acceleration)."""
-        q = self.q * Quaternion.from_rotvec(gyro.scaled(self.dt))
-        q = q.normalized()
-        a_norm = accel.norm()
-        lo, hi = self.accel_gate
-        if lo < a_norm < hi:
-            up_meas = quat_rotate(q, accel).scaled(1.0 / a_norm)
-            axis = up_meas.cross(Vec3(0.0, 0.0, 1.0))
-            axis_n = axis.norm()
-            if axis_n > 1e-12:
-                # axis is horizontal by construction, so yaw stays untouched
-                angle = math.atan2(axis_n, up_meas.z)
-                corr = Quaternion.from_rotvec(axis.scaled(self.gain * angle / axis_n))
-                q = (corr * q).normalized()
-        self.q = q
-        a_world = quat_rotate(q, accel)
-        return q, Vec3(a_world.x, a_world.y, a_world.z - GRAVITY_REACTION.z)
-
-
-def orientation_filter(
-    stream: ImuStream,
-    init: Quaternion,
-    gain: float = 5e-6,
-    gyro_offset: Vec3 | None = None,
-    accel_offset: Vec3 | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the complementary filter over a raw stream, offsets removed first.
-
-    Returns per-sample orientations (T, 4) and gravity-free world
-    accelerations (T, 3).
-    """
-    accel = (stream.accel - np.asarray(accel_offset or Vec3.zero())).tolist()
+    if not 0.0 <= gain <= 1.0:
+        raise ContractViolationError(f"gain {gain} outside [0, 1]")
+    accel = np.asarray(accel, dtype=float) - accel_offset
+    gyro = np.asarray(gyro, dtype=float) - gyro_offset
     # gyro[i] spans the interval [t_i, t_i + dt], so it belongs to the
     # i+1 estimate; the first estimate integrates nothing.
-    gyro = [[0.0, 0.0, 0.0]] + (stream.gyro[:-1] - np.asarray(gyro_offset or Vec3.zero())).tolist()
-    dt = float(stream.t[1] - stream.t[0]) if len(stream) > 1 else DT
-    filt = ComplementaryFilter(init, gain=gain, dt=dt)
-    quats, accel_world = np.zeros((len(stream), 4)), np.zeros((len(stream), 3))
-    for k, (a, g) in enumerate(zip(accel, gyro)):
-        quats[k], accel_world[k] = filt.step(Vec3(*a), Vec3(*g))
-    return quats, accel_world
+    steps = qfrom_rotvec(np.concatenate([np.zeros_like(gyro[:1]), gyro[:-1]]) * dt)
+    ax, ay, az = np.moveaxis(accel, -1, 0)
+    a_norm = np.sqrt(ax * ax + ay * ay + az * az)
+    gated = (ACCEL_GATE[0] < a_norm) & (a_norm < ACCEL_GATE[1])
+    quats = np.empty(steps.shape)
+    q = qnormalize(np.broadcast_to(init, steps.shape[1:]))
+    for k in range(steps.shape[0]):
+        q = qnormalize(qmul(q, steps[k]))
+        hit = gated[k]
+        if hit.any():
+            q[hit] = _tilt_correct(q[hit], accel[k][hit], a_norm[k][hit], gain)
+        quats[k] = q
+    world = qrotate(quats, accel)
+    world[..., 2] -= GRAVITY_MAGNITUDE
+    return quats, world
+
+
+def _tilt_correct(q: np.ndarray, accel: np.ndarray, a_norm: np.ndarray, gain: float) -> np.ndarray:
+    """Rotate (N, 4) estimates a gain share of the way to the tilt their accel (N, 3) measures."""
+    up = qrotate(q, accel) * (1.0 / a_norm)[:, None]
+    axis = vcross(up, (0.0, 0.0, 1.0))
+    axis_n = np.sqrt(axis[:, 0] * axis[:, 0] + axis[:, 1] * axis[:, 1] + axis[:, 2] * axis[:, 2])
+    tilted = axis_n > 1e-12
+    # axis is horizontal by construction, so yaw stays untouched
+    angle = _atan2(axis_n, up[:, 2]).astype(float)
+    corr = qfrom_rotvec(axis * (gain * angle / np.where(tilted, axis_n, 1.0))[:, None])
+    return np.where(tilted[:, None], qnormalize(qmul(corr, q)), q)

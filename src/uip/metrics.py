@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, DataError
-from .geometry import Quaternion, qangle, qconj, qmul, qnormalize, qrotate
+from .geometry import qangle, qconj, qmul, qnormalize, qrotate
 
 # Global orientation error is reported over these four bones (the joint
 # frame at the top of each upper arm and upper leg).
@@ -76,12 +76,12 @@ class ClipMetrics:
 
 
 def sip_error(
-    pred: dict[str, Sequence[Quaternion]], truth: dict[str, Sequence[Quaternion]]
+    pred: dict[str, np.ndarray], truth: dict[str, np.ndarray]
 ) -> float:
     """Mean global orientation error of the four SIP bones, in degrees.
 
     pred and truth map joint names to per-frame global orientations
-    (sequences of Quaternion or (T, 4) arrays); both must cover every SIP
+    (T, 4); both must cover every SIP
     joint with equal frame counts.
     """
     angles = []
@@ -99,9 +99,9 @@ def sip_error(
 
 def position_error(
     pred_pos: np.ndarray,
-    pred_root_rot: Sequence[Quaternion],
+    pred_root_rot: np.ndarray,
     truth_pos: np.ndarray,
-    truth_root_rot: Sequence[Quaternion],
+    truth_root_rot: np.ndarray,
     root: int = 0,
 ) -> float:
     """Mean joint distance in cm after per-frame rigid root alignment.

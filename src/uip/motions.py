@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import Quaternion, Vec3
+from .geometry import qfrom_axis_angle, qmul, qnormalize
 from .rng import derive_rng
 from .skeleton import MotionClip, Skeleton, default_skeleton, validate_kind
 
@@ -29,11 +29,7 @@ MOTION_KINDS = (
 LEAD_IN_S = 2.0
 RAMP_S = 1.0
 
-_AXES = {
-    "x": Vec3(1.0, 0.0, 0.0),
-    "y": Vec3(0.0, 1.0, 0.0),
-    "z": Vec3(0.0, 0.0, 1.0),
-}
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, rate: float, knot_s: float, sigma_deg: float) -> np.ndarray:
@@ -63,25 +59,16 @@ def _build_clip(
     root_xyz: np.ndarray,
     meta: dict,
 ) -> MotionClip:
-    n = root_xyz.shape[0]
-    name_to_idx = {j.name: i for i, j in enumerate(skel.joints)}
-    idq = Quaternion.identity()
-    frames: list[list[Quaternion]] = []
-    # precompose per-joint quaternions frame by frame
-    per_joint: list[tuple[int, list[tuple[Vec3, np.ndarray]]]] = []
+    local = np.zeros((root_xyz.shape[0], skel.n_joints, 4))
+    local[..., 0] = 1.0
     for jname, parts in channels.items():
-        per_joint.append((name_to_idx[jname], [(_AXES[ax], arr) for ax, arr in parts]))
-    for t in range(n):
-        row = [idq] * skel.n_joints
-        for jidx, parts in per_joint:
-            q = None
-            for axis, arr in parts:
-                r = Quaternion.from_axis_angle(axis, float(arr[t]))
-                q = r if q is None else q * r
-            row[jidx] = q.normalized()
-        frames.append(row)
-    root = [Vec3(float(p[0]), float(p[1]), float(p[2])) for p in root_xyz]
-    return MotionClip(name=name, kind=kind, rate=rate, local_rot=frames, root_pos=root, meta=meta)
+        # each channel's elementary rotations compose in listed order, all frames at once
+        q = None
+        for ax, arr in parts:
+            r = qfrom_axis_angle(_AXES[ax], arr)
+            q = r if q is None else qmul(q, r)
+        local[:, skel.joint_index(jname)] = qnormalize(q)
+    return MotionClip(name=name, kind=kind, rate=rate, local_rot=local, root_pos=root_xyz, meta=meta)
 
 
 def _standing_root(skel: Skeleton, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError
-from .geometry import Quaternion, Vec3, qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_quat
+from .geometry import qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_quat
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
@@ -42,6 +42,7 @@ from .skeleton import (
     tpose,
 )
 from .storage import (
+    TruthData,
     read_imu_csv,
     read_model_input,
     read_ranging_csv,
@@ -124,7 +125,7 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
 
     # Stationary T-pose segment: calibration source for IMU offsets and
     # the affine range correction.
-    jp_t, jr_t = map(np.asarray, tpose(skel))
+    jp_t, jr_t = tpose(skel)
     spos_t, srot_t = mount_poses(placement.mounts, jp_t, jr_t)
     n_tpose = int(round(cfg.imu.tpose_seconds * rate))
     for s in range(N_SENSORS):
@@ -213,12 +214,21 @@ def read_clip_meta(dataset_dir: str | Path) -> list[dict]:
     return meta
 
 
-def _calibrate_imu(dataset: Path, srot_t) -> list[tuple[Vec3, Vec3]]:
-    offsets = []
-    for s in range(N_SENSORS):
-        stream = read_imu_csv(dataset / f"tpose_imu_s{s}.csv")
-        offsets.append(tpose_calibrate(stream, srot_t[s]))
-    return offsets
+def _calibrate_imu(dataset: Path, srot_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sensor gyro and accel offsets, each (6, 3), from the T-pose streams."""
+    offsets = [tpose_calibrate(read_imu_csv(dataset / f"tpose_imu_s{s}.csv"), srot_t[s]) for s in range(N_SENSORS)]
+    gyro_off, accel_off = (np.array(o) for o in zip(*offsets))
+    return gyro_off, accel_off
+
+
+def _read_clip_truth(path: Path, skel: Skeleton, frames: int | None = None) -> TruthData:
+    """The truth stream of one clip, checked against the skeleton (and a frame count)."""
+    truth = read_truth(path)
+    if truth.joint_pos.shape[1] != skel.n_joints:
+        raise DataError(f"{path}: {truth.joint_pos.shape[1]} joints per frame, the skeleton has {skel.n_joints}")
+    if frames is not None and truth.times.shape[0] != frames:
+        raise DataError(f"{path}: {truth.times.shape[0]} frames, the model input has {frames}")
+    return truth
 
 
 def _calibrate_uwb(cfg: RunConfig, dataset: Path, spos_t) -> CalibrationResult:
@@ -267,11 +277,10 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
     out.mkdir(parents=True, exist_ok=True)
     skel, placement = _setup(cfg)
     rate = cfg.motions.rate_hz
-    spos_t, srot_t = mount_poses(placement.mounts, *map(np.asarray, tpose(skel)))
-    srot_t = [Quaternion(*q) for q in srot_t.tolist()]
+    spos_t, srot_t = mount_poses(placement.mounts, *tpose(skel))
     written: list[str] = []
 
-    offsets = _calibrate_imu(dataset, srot_t)
+    gyro_off, accel_off = _calibrate_imu(dataset, srot_t)
     cal = _calibrate_uwb(cfg, dataset, spos_t)
     write_calibration(out / "calibration.json", cal)
     written.append("calibration.json")
@@ -281,19 +290,24 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
     for entry in meta:
         name = entry["name"]
         cdir = dataset / name
-        truth = read_truth(cdir / "truth.jsonl")
+        truth = _read_clip_truth(cdir / "truth.jsonl", skel)
         frames = truth.times.shape[0]
         ranging = read_ranging_csv(cdir / "ranging.csv")
 
-        # Orientation filter per sensor, seeded at the calibration pose.
-        quats = np.zeros((frames, N_SENSORS, 4))
-        accel_w = np.zeros((frames, N_SENSORS, 3))
-        for s in range(N_SENSORS):
-            stream = read_imu_csv(cdir / f"imu_s{s}.csv")
+        # One orientation filter over all six sensors, seeded at the calibration pose.
+        streams = [read_imu_csv(cdir / f"imu_s{s}.csv") for s in range(N_SENSORS)]
+        for s, stream in enumerate(streams):
             if len(stream) != frames:
                 raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, truth {frames}")
-            gyro_off, accel_off = offsets[s]
-            quats[:, s], accel_w[:, s] = orientation_filter(stream, srot_t[s], cfg.imu.filter_gain, gyro_off, accel_off)
+        quats, accel_w = orientation_filter(
+            np.stack([st.accel for st in streams], axis=1),
+            np.stack([st.gyro for st in streams], axis=1),
+            srot_t,
+            cfg.imu.filter_gain,
+            gyro_off,
+            accel_off,
+            dt=1.0 / rate,
+        )
 
         # Pair EKF bank on the IMU grid, measurement ticks at round times.
         # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
@@ -311,8 +325,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
         write_model_input(
             cdir_out / "model_input.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d_stream, mask_stream
         )
-        targets_pos = _pelvis_frame_targets(truth.sensor_pos, np.asarray(truth.sensor_rot))
-        targets_rot = _local_rotations(skel, np.asarray(truth.joint_rot))
+        targets_pos = _pelvis_frame_targets(truth.sensor_pos, truth.sensor_rot)
+        targets_rot = _local_rotations(skel, truth.joint_rot)
         contacts = _contact_labels(skel, truth.joint_pos, rate)
         write_targets(cdir_out / "targets.jsonl", truth.times, targets_pos, targets_rot, contacts)
         written += [f"{name}/model_input.jsonl", f"{name}/targets.jsonl"]
@@ -471,17 +485,16 @@ def evaluate_model(
         name = entry["name"]
         rate = float(entry["rate_hz"])
         mi = read_model_input(fdir / name / "model_input.jsonl")
-        truth = read_truth(tdir / name / "truth.jsonl")
         frames = mi["times"].shape[0]
+        truth = _read_clip_truth(tdir / name / "truth.jsonl", skel, frames)
         mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
         local = qfrom_rot6d(infer(params, mi["r"], mi["a"], mi["d"], mask).rotations)
         pred_pos, pred_rot = fk_batch(skel, local, np.zeros(3))
-        truth_rot = np.asarray(truth.joint_rot)
         sip = sip_error(
             {n: pred_rot[:, i] for n, i in sip_index.items()},
-            {n: truth_rot[:, i] for n, i in sip_index.items()},
+            {n: truth.joint_rot[:, i] for n, i in sip_index.items()},
         )
-        pos = position_error(pred_pos, pred_rot[:, 0], truth.joint_pos, truth_rot[:, 0])
+        pos = position_error(pred_pos, pred_rot[:, 0], truth.joint_pos, truth.joint_rot[:, 0])
         jit = jitter(pred_pos, rate)
         try:
             rmse = tuple(rmse_report[name]["filtered_rmse_m"])

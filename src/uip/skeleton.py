@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .geometry import Quaternion, Vec3, qangle, qconj, qmul, qnormalize, qrotate
+from .geometry import qangle, qconj, qfrom_axis_angle, qmul, qnormalize, qrotate
 
 PELVIS_SENSOR = 0
 L_WRIST_SENSOR = 1
@@ -35,7 +35,7 @@ SENSOR_NAMES = ("pelvis", "l_wrist", "r_wrist", "l_knee", "r_knee", "head")
 class Joint:
     name: str
     parent: int  # -1 for root
-    offset: Vec3  # from parent, in the parent frame
+    offset: tuple[float, float, float]  # from parent, in the parent frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +76,8 @@ class Skeleton:
 @dataclass(frozen=True, slots=True)
 class SensorMount:
     joint: int
-    offset: Vec3  # in the joint frame
-    rotation: Quaternion  # sensor frame relative to the joint frame
+    offset: tuple[float, float, float]  # in the joint frame
+    rotation: tuple[float, float, float, float]  # sensor frame relative to the joint frame
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class MotionClip:
     name: str
     kind: str
     rate: float  # Hz
-    local_rot: list[list[Quaternion]]  # [frame][joint]
-    root_pos: list[Vec3]  # [frame]
+    local_rot: np.ndarray  # (T, J, 4)
+    root_pos: np.ndarray  # (T, 3)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -113,21 +113,21 @@ def default_skeleton(height: float = 1.70) -> Skeleton:
     """Symmetric adult skeleton scaled uniformly to the given standing height."""
     s = height / 1.70
     j = [
-        Joint("pelvis", -1, Vec3.zero()),
-        Joint("spine", 0, Vec3(0.0, 0.0, 0.26 * s)),
-        Joint("head", 1, Vec3(0.0, 0.0, 0.31 * s)),
-        Joint("l_shoulder", 1, Vec3(0.0, 0.19 * s, 0.17 * s)),
-        Joint("l_elbow", 3, Vec3(0.0, 0.28 * s, 0.0)),
-        Joint("l_wrist", 4, Vec3(0.0, 0.26 * s, 0.0)),
-        Joint("r_shoulder", 1, Vec3(0.0, -0.19 * s, 0.17 * s)),
-        Joint("r_elbow", 6, Vec3(0.0, -0.28 * s, 0.0)),
-        Joint("r_wrist", 7, Vec3(0.0, -0.26 * s, 0.0)),
-        Joint("l_hip", 0, Vec3(0.0, 0.095 * s, -0.06 * s)),
-        Joint("l_knee", 9, Vec3(0.0, 0.0, -0.42 * s)),
-        Joint("l_ankle", 10, Vec3(0.0, 0.0, -0.41 * s)),
-        Joint("r_hip", 0, Vec3(0.0, -0.095 * s, -0.06 * s)),
-        Joint("r_knee", 12, Vec3(0.0, 0.0, -0.42 * s)),
-        Joint("r_ankle", 13, Vec3(0.0, 0.0, -0.41 * s)),
+        Joint("pelvis", -1, (0.0, 0.0, 0.0)),
+        Joint("spine", 0, (0.0, 0.0, 0.26 * s)),
+        Joint("head", 1, (0.0, 0.0, 0.31 * s)),
+        Joint("l_shoulder", 1, (0.0, 0.19 * s, 0.17 * s)),
+        Joint("l_elbow", 3, (0.0, 0.28 * s, 0.0)),
+        Joint("l_wrist", 4, (0.0, 0.26 * s, 0.0)),
+        Joint("r_shoulder", 1, (0.0, -0.19 * s, 0.17 * s)),
+        Joint("r_elbow", 6, (0.0, -0.28 * s, 0.0)),
+        Joint("r_wrist", 7, (0.0, -0.26 * s, 0.0)),
+        Joint("l_hip", 0, (0.0, 0.095 * s, -0.06 * s)),
+        Joint("l_knee", 9, (0.0, 0.0, -0.42 * s)),
+        Joint("l_ankle", 10, (0.0, 0.0, -0.41 * s)),
+        Joint("r_hip", 0, (0.0, -0.095 * s, -0.06 * s)),
+        Joint("r_knee", 12, (0.0, 0.0, -0.42 * s)),
+        Joint("r_ankle", 13, (0.0, 0.0, -0.41 * s)),
     ]
     caps = [
         Capsule(0, 1, 0.13 * s),  # lower torso
@@ -147,15 +147,16 @@ def default_skeleton(height: float = 1.70) -> Skeleton:
 
 def default_placement(skel: Skeleton) -> SensorPlacement:
     """Standard six-sensor strap-down placement on the default skeleton."""
-    yaw180 = Quaternion.from_axis_angle(Vec3(0.0, 0.0, 1.0), np.pi)
-    tilt = Quaternion.from_axis_angle(Vec3(0.0, 1.0, 0.0), 0.25)
+    yaw180 = tuple(qfrom_axis_angle((0.0, 0.0, 1.0), np.pi).tolist())
+    tilt = tuple(qfrom_axis_angle((0.0, 1.0, 0.0), 0.25).tolist())
+    level = (1.0, 0.0, 0.0, 0.0)
     mounts = (
-        SensorMount(skel.joint_index("pelvis"), Vec3(-0.11, 0.0, 0.03), yaw180),
-        SensorMount(skel.joint_index("l_wrist"), Vec3(0.0, 0.02, 0.035), Quaternion.identity()),
-        SensorMount(skel.joint_index("r_wrist"), Vec3(0.0, -0.02, 0.035), Quaternion.identity()),
-        SensorMount(skel.joint_index("l_knee"), Vec3(0.06, 0.0, -0.06), tilt),
-        SensorMount(skel.joint_index("r_knee"), Vec3(0.06, 0.0, -0.06), tilt),
-        SensorMount(skel.joint_index("head"), Vec3(-0.09, 0.0, 0.05), yaw180),
+        SensorMount(skel.joint_index("pelvis"), (-0.11, 0.0, 0.03), yaw180),
+        SensorMount(skel.joint_index("l_wrist"), (0.0, 0.02, 0.035), level),
+        SensorMount(skel.joint_index("r_wrist"), (0.0, -0.02, 0.035), level),
+        SensorMount(skel.joint_index("l_knee"), (0.06, 0.0, -0.06), tilt),
+        SensorMount(skel.joint_index("r_knee"), (0.06, 0.0, -0.06), tilt),
+        SensorMount(skel.joint_index("head"), (-0.09, 0.0, 0.05), yaw180),
     )
     return SensorPlacement(mounts)
 
@@ -193,37 +194,11 @@ def mount_poses(mounts, joint_pos, joint_rot) -> tuple[np.ndarray, np.ndarray]:
     return pos, qnormalize(qmul(rot, [m.rotation for m in mounts]))
 
 
-def _records(pos: np.ndarray, rot: np.ndarray) -> tuple[list[Vec3], list[Quaternion]]:
-    return [Vec3(*p) for p in pos.tolist()], [Quaternion(*q) for q in rot.tolist()]
-
-
-def fk_pose(
-    skel: Skeleton, local_rot: list[Quaternion], root_pos: Vec3
-) -> tuple[list[Vec3], list[Quaternion]]:
-    """Global joint positions and orientations for one posed frame."""
-    return _records(*fk_batch(skel, local_rot, root_pos))
-
-
-def tpose(skel: Skeleton) -> tuple[list[Vec3], list[Quaternion]]:
-    """The calibration pose: identity rotations, root at standing height."""
-    root = Vec3(0.0, 0.0, 0.96 * skel.body_height / 1.70)
-    return fk_pose(skel, [Quaternion.identity()] * skel.n_joints, root)
-
-
-def sensor_pose(
-    placement: SensorPlacement, sensor: int, joint_pos: list[Vec3], joint_rot: list[Quaternion]
-) -> tuple[Vec3, Quaternion]:
-    """World pose of one sensor given a posed skeleton frame."""
-    pos, rot = _records(*mount_poses([placement.mounts[sensor]], joint_pos, joint_rot))
-    return pos[0], rot[0]
-
-
-def sensor_truth(
-    skel: Skeleton, clip: MotionClip, placement: SensorPlacement
-) -> tuple[np.ndarray, list[list[Quaternion]]]:
-    """Ground-truth sensor trajectories: positions (T, 6, 3) and orientations."""
-    pos, rot = mount_poses(placement.mounts, *fk_batch(skel, clip.local_rot, clip.root_pos))
-    return pos, [[Quaternion(*q) for q in row] for row in rot.tolist()]
+def tpose(skel: Skeleton) -> tuple[np.ndarray, np.ndarray]:
+    """The calibration pose: identity rotations, root at standing height -> (J, 3), (J, 4)."""
+    local = np.zeros((skel.n_joints, 4))
+    local[:, 0] = 1.0
+    return fk_batch(skel, local, (0.0, 0.0, 0.96 * skel.body_height / 1.70))
 
 
 def world_capsules(skel: Skeleton, joint_pos) -> list[tuple[np.ndarray, np.ndarray, float]]:

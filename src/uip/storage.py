@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .geometry import Quaternion
 from .imu import ImuStream
 from .metrics import MetricReport
 from .skeleton import N_SENSORS
@@ -112,9 +111,9 @@ class TruthData:
 
     times: np.ndarray  # (T,)
     joint_pos: np.ndarray  # (T, J, 3)
-    joint_rot: list[list[Quaternion]]  # [frame][joint], global
+    joint_rot: np.ndarray  # (T, J, 4), global
     sensor_pos: np.ndarray  # (T, 6, 3)
-    sensor_rot: list[list[Quaternion]]  # [frame][sensor]
+    sensor_rot: np.ndarray  # (T, 6, 4)
 
 
 def _write_frames(path: str | Path, times, **fields) -> None:
@@ -135,42 +134,83 @@ def write_truth(
     path: str | Path,
     times: np.ndarray,
     joint_pos: np.ndarray,
-    joint_rot,
+    joint_rot: np.ndarray,
     sensor_pos: np.ndarray,
-    sensor_rot,
+    sensor_rot: np.ndarray,
 ) -> None:
-    """Positions (T, J, 3), (T, 6, 3); rotations (T, J, 4), (T, 6, 4) or nested Quaternion lists."""
+    """Positions (T, J, 3), (T, 6, 3); rotations (T, J, 4), (T, 6, 4)."""
     _write_frames(
         path, times, joints=_pose_entries(joint_pos, joint_rot), sensors=_pose_entries(sensor_pos, sensor_rot)
     )
 
 
-def _read_poses(entries, path, frame) -> tuple[np.ndarray, list[Quaternion]]:
-    pos = np.zeros((len(entries), 3))
-    rot = []
-    for i, e in enumerate(entries):
-        try:
-            pos[i] = e["p"]
-            rot.append(Quaternion(*e["q"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: frame {frame}: bad pose entry: {exc}") from exc
-    return pos, rot
+_POSE_WIDTHS = {"p": 3, "q": 4}
+
+
+def _finite_number(v) -> bool:
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308
+
+
+def _truth_frame_problem(rec, n_joints: int) -> str | None:
+    """What makes one truth record malformed, or None."""
+    if not isinstance(rec, dict):
+        return "record is not an object"
+    for key in ("t", "joints", "sensors"):
+        if key not in rec:
+            return f"missing key {key!r}"
+    if not _finite_number(rec["t"]):
+        return "t is not a finite number"
+    for key, count in (("joints", n_joints), ("sensors", N_SENSORS)):
+        entries = rec[key]
+        if not isinstance(entries, list):
+            return f"{key} is not a list"
+        if len(entries) != count:
+            return f"{len(entries)} {key}, expected {count}"
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                return f"{key}[{i}] is not an object"
+            for field, width in _POSE_WIDTHS.items():
+                v = e.get(field)
+                if not (isinstance(v, list) and len(v) == width and all(map(_finite_number, v))):
+                    return f"{key}[{i}].{field} is not {width} finite numbers"
+    return None
 
 
 def read_truth(path: str | Path) -> TruthData:
+    """Read a truth stream; a malformed frame raises DataError naming the file and frame.
+
+    Every frame must hold a time, the same number (at least one) of joints
+    and exactly six sensors, each a {"p": 3 numbers, "q": 4 numbers} entry,
+    all finite.
+    """
     records = read_jsonl(path)
     if not records:
         raise DataError(f"{path}: empty truth stream")
-    times = np.array([r["t"] for r in records])
-    jp, jr, sp, sr = [], [], [], []
+    try:
+        arrays = [np.array([r["t"] for r in records])] + [
+            np.array([[e[field] for e in r[key]] for r in records])
+            for key in ("joints", "sensors")
+            for field in _POSE_WIDTHS
+        ]
+    except (KeyError, TypeError, ValueError):
+        arrays = None
+    if arrays is not None:
+        t_len, n_joints = len(records), arrays[1].shape[1] if arrays[1].ndim == 3 else 0
+        shapes = [(t_len,), (t_len, n_joints, 3), (t_len, n_joints, 4), (t_len, N_SENSORS, 3), (t_len, N_SENSORS, 4)]
+        if n_joints and all(
+            a.shape == shape and a.dtype.kind in "fi" and np.isfinite(a).all() for a, shape in zip(arrays, shapes)
+        ):
+            return TruthData(*(a.astype(float, copy=False) for a in arrays))
+    # Slow path, only for a stream that failed the checks above: find the first bad frame.
+    first = records[0].get("joints") if isinstance(records[0], dict) else None
+    n_joints = len(first) if isinstance(first, list) and first else 1
     for k, rec in enumerate(records):
-        p, q = _read_poses(rec["joints"], path, k)
-        jp.append(p)
-        jr.append(q)
-        p, q = _read_poses(rec["sensors"], path, k)
-        sp.append(p)
-        sr.append(q)
-    return TruthData(times, np.stack(jp), jr, np.stack(sp), sr)
+        problem = _truth_frame_problem(rec, n_joints)
+        if problem:
+            raise DataError(f"{path}: frame {k}: {problem}")
+    raise DataError(f"{path}: malformed truth stream")
 
 
 # -- raw sensor logs ---------------------------------------------------------

@@ -29,7 +29,7 @@ from uip.ekf import (
     state_jacobian,
     update,
 )
-from uip.geometry import Quaternion, Vec3, quat_rotate
+from uip.geometry import qfrom_rotvec, qmul, qnormalize, qrotate
 from uip.imu import ImuNoiseModel, orientation_filter, synthesize_imu
 from uip.metrics import SIP_JOINTS, jitter, position_error, sip_error
 from uip.motions import generate_motion_suite
@@ -52,9 +52,9 @@ from uip.skeleton import (
     N_SENSORS,
     default_placement,
     default_skeleton,
-    fk_pose,
+    fk_batch,
+    mount_poses,
     pairwise_occlusion,
-    sensor_pose,
     tpose,
 )
 from uip.storage import read_manifest, read_report_json
@@ -67,17 +67,14 @@ from uip.uwb import (
 
 from conftest import random_windows
 
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 PAIRS = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
 
 
 def _tpose_sensor_positions():
     skel = default_skeleton()
     placement = default_placement(skel)
-    jp, jr = tpose(skel)
-    pos = np.zeros((N_SENSORS, 3))
-    for s in range(N_SENSORS):
-        p, _ = sensor_pose(placement, s, jp, jr)
-        pos[s] = p.to_array()
+    pos, _ = mount_poses(placement.mounts, *tpose(skel))
     return skel, placement, pos
 
 
@@ -134,14 +131,12 @@ R_DIAG = (0.06, 0.5)
 
 def _transition(x6: np.ndarray, u12: np.ndarray) -> np.ndarray:
     """Mean propagation as a plain function of the state and input vectors."""
-    st = PairState(x=x6[:3].copy(), v=x6[3:].copy(), q=Quaternion.identity(), cov=np.eye(6))
+    st = PairState(x=x6[:3].copy(), v=x6[3:].copy(), q=IDENTITY, cov=np.eye(6))
 
     def quat(vec):
-        return Quaternion(1.0, *vec).normalized()
+        return qnormalize(np.concatenate([[1.0], vec]))
 
-    u = ControlInput(
-        a_i=Vec3(*u12[0:3]), a_j=Vec3(*u12[3:6]), q_i=quat(u12[6:9]), q_j=quat(u12[9:12])
-    )
+    u = ControlInput(a_i=u12[0:3], a_j=u12[3:6], q_i=quat(u12[6:9]), q_j=quat(u12[9:12]))
     out = predict(st, u, DT, SIGMA_U)
     return np.concatenate([out.x, out.v])
 
@@ -174,16 +169,15 @@ def test_criterion_04_jacobians_and_covariance_health():
     assert worst < 1e-6
 
     state = PairState(
-        x=np.array([0.4, 0.1, -0.2]), v=np.zeros(3), q=Quaternion.identity(), cov=0.01 * np.eye(6)
+        x=np.array([0.4, 0.1, -0.2]), v=np.zeros(3), q=IDENTITY, cov=0.01 * np.eye(6)
     )
     rng = derive_rng(4, "acceptance", "psd")
-    ident = Quaternion.identity()
     for step in range(100_000):
         u = ControlInput(
-            a_i=Vec3(*rng.normal(0.0, 2.0, 3)),
-            a_j=Vec3(*rng.normal(0.0, 2.0, 3)),
-            q_i=ident,
-            q_j=ident,
+            a_i=rng.normal(0.0, 2.0, 3),
+            a_j=rng.normal(0.0, 2.0, 3),
+            q_i=IDENTITY,
+            q_j=IDENTITY,
         )
         state = predict(state, u, DT, SIGMA_U)
         if step % 5 == 0:
@@ -193,33 +187,25 @@ def test_criterion_04_jacobians_and_covariance_health():
     assert not state.diverged
 
 
-def _nlerp(a: Quaternion, b: Quaternion, w: float) -> Quaternion:
-    dot = a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z
-    s = 1.0 if dot >= 0.0 else -1.0
-    return Quaternion(
-        a.w + w * (s * b.w - a.w),
-        a.x + w * (s * b.x - a.x),
-        a.y + w * (s * b.y - a.y),
-        a.z + w * (s * b.z - a.z),
-    ).normalized()
+def _nlerp(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Normalized lerp from quaternions a to b (..., 4) by weights w (..., 1), short arc."""
+    dot = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3]
+    s = np.where(dot >= 0.0, 1.0, -1.0)[..., None]
+    return qnormalize(a + w * (s * b - a))
 
 
 def _stitch(clips, rate: float, blend_s: float = 1.0) -> MotionClip:
     """Concatenate clips with a root-aligned pose crossfade at each seam."""
     blend = int(round(blend_s * rate))
-    local = [list(f) for f in clips[0].local_rot]
-    root = list(clips[0].root_pos)
+    local, root = [clips[0].local_rot], [clips[0].root_pos]
     for nxt in clips[1:]:
-        shift = root[-1] - nxt.root_pos[0]
-        tail = local[-1]
-        for k in range(nxt.n_frames):
-            w = min((k + 1) / blend, 1.0)
-            pose = [
-                _nlerp(tail[j], nxt.local_rot[k][j], w) for j in range(len(tail))
-            ]
-            local.append(pose)
-            root.append(nxt.root_pos[k] + shift)
-    return MotionClip(name="mixed", kind="mixed", rate=rate, local_rot=local, root_pos=root)
+        shift = root[-1][-1] - nxt.root_pos[0]
+        w = np.minimum((np.arange(nxt.n_frames) + 1) / blend, 1.0)
+        local.append(_nlerp(local[-1][-1], nxt.local_rot, w[:, None, None]))
+        root.append(nxt.root_pos + shift)
+    return MotionClip(
+        name="mixed", kind="mixed", rate=rate, local_rot=np.concatenate(local), root_pos=np.concatenate(root)
+    )
 
 
 def test_criterion_05_filtering_beats_raw_on_mixed_motion():
@@ -233,24 +219,14 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
     frames = clip.n_frames
     assert frames == 6000
 
-    sensor_pos = np.zeros((frames, N_SENSORS, 3))
-    sensor_rot = []
-    joint_vecs = []
-    for k in range(frames):
-        jp, jr = fk_pose(skel, clip.local_rot[k], clip.root_pos[k])
-        joint_vecs.append(jp)
-        row = []
-        for s in range(N_SENSORS):
-            p, q = sensor_pose(placement, s, jp, jr)
-            sensor_pos[k, s] = p.to_array()
-            row.append(q)
-        sensor_rot.append(row)
+    joint_vecs, joint_rot = fk_batch(skel, clip.local_rot, clip.root_pos)
+    sensor_pos, sensor_rot = mount_poses(placement.mounts, joint_vecs, joint_rot)
 
     noise = ImuNoiseModel(accel_sigma=0.08, gyro_sigma=0.006)
     streams = [
         synthesize_imu(
             sensor_pos[:, s],
-            [sensor_rot[k][s] for k in range(frames)],
+            sensor_rot[:, s],
             noise,
             derive_rng(5, "acceptance", "imu", s),
             dt=1.0 / rate,
@@ -276,9 +252,12 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
     )
 
     start = time.perf_counter()
-    r_world = np.zeros((frames, N_SENSORS, 3))
-    for s in range(N_SENSORS):
-        _, r_world[:, s] = orientation_filter(streams[s], sensor_rot[0][s])
+    _, r_world = orientation_filter(
+        np.stack([st.accel for st in streams], axis=1),
+        np.stack([st.gyro for st in streams], axis=1),
+        sensor_rot[0],
+        dt=1.0 / rate,
+    )
     bank = PairFilterBank(skel, placement, sigma_u=SIGMA_U, r_diag=R_DIAG, dt=1.0 / rate)
     round_frames = np.rint(ranging.times * rate).astype(int)
     d_stream, mask_stream = bank.run(r_world, round_frames, ranging.distances, ranging.valid)
@@ -448,28 +427,24 @@ def test_criterion_10_metric_oracles():
     rng = derive_rng(10, "acceptance", "sip")
     pred, truth = {}, {}
     for name in SIP_JOINTS:
-        qs = [
-            Quaternion.from_rotvec(Vec3(*(0.3 * rng.normal(size=3)))) for _ in range(9)
-        ]
-        axis = Vec3(*rng.normal(size=3)).normalized()
-        turn = Quaternion.from_rotvec(axis.scaled(math.radians(10.0)))
+        qs = np.array([qfrom_rotvec(0.3 * rng.normal(size=3)) for _ in range(9)])
+        axis = rng.normal(size=3)
+        turn = qfrom_rotvec(axis / np.linalg.norm(axis) * math.radians(10.0))
         truth[name] = qs
-        pred[name] = [q * turn for q in qs]
+        pred[name] = qmul(qs, turn)
     assert abs(sip_error(pred, truth) - 10.0) < 1e-9
 
     rng = derive_rng(10, "acceptance", "pos")
     frames, joints = 6, 15
     tp = rng.normal(0.0, 0.5, (frames, joints, 3))
-    t_rot = [Quaternion.from_rotvec(Vec3(*(0.4 * rng.normal(size=3)))) for _ in range(frames)]
+    t_rot = np.array([qfrom_rotvec(0.4 * rng.normal(size=3)) for _ in range(frames)])
     pp = np.empty_like(tp)
-    p_rot = []
+    p_rot = np.empty_like(t_rot)
     for k in range(frames):
-        move = Quaternion.from_rotvec(Vec3(*rng.normal(size=3)))
+        move = qfrom_rotvec(rng.normal(size=3))
         shift = rng.normal(0.0, 2.0, 3)
-        for j in range(joints):
-            v = quat_rotate(move, Vec3(*tp[k, j]))
-            pp[k, j] = (v.x + shift[0], v.y + shift[1], v.z + shift[2])
-        p_rot.append((move * t_rot[k]).normalized())
+        pp[k] = qrotate(move, tp[k]) + shift
+        p_rot[k] = qnormalize(qmul(move, t_rot[k]))
     assert position_error(pp, p_rot, tp, t_rot) < 1e-9
 
 

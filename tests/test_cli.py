@@ -180,6 +180,23 @@ def test_nan_range_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "out" / "rmse_report.json").exists()
 
 
+def test_malformed_truth_is_a_data_error(env, tmp_path, capsys):
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    truth = data / "clip_000_walk" / "truth.jsonl"
+    lines = truth.read_text().splitlines()
+    record = json.loads(lines[4])
+    del record["t"]
+    lines[4] = json.dumps(record)
+    truth.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "truth.jsonl: frame 4: missing key 't'" in err
+
+
 def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise DivergenceError("non-finite loss at epoch 1")

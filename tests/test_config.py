@@ -54,6 +54,8 @@ def test_unknown_keys_are_named_with_their_path():
         config_from_dict({"train": {"momentum": 0.9}})
     with pytest.raises(ConfigError, match="ekf.speed_mode"):
         config_from_dict({"ekf": {"speed_mode": "predicted"}})
+    with pytest.raises(ConfigError, match="output_dir"):
+        config_from_dict({"output_dir": "runs"})
 
 
 def test_bad_json_and_missing_file(tmp_path):

@@ -20,13 +20,14 @@ from uip.ekf import (
     state_jacobian,
     update,
 )
-from uip.geometry import Quaternion, Vec3, quat_relative
+from uip.geometry import qconj, qfrom_axis_angle, qfrom_rotvec, qmul, qnormalize
 from uip.rng import derive_rng
-from uip.skeleton import N_SENSORS, PAIR_I, PAIR_J
+from uip.skeleton import N_SENSORS, PAIR_I, PAIR_J, fk_batch, mount_poses, tpose
 
 DT = 0.01
 SIGMA_U = np.concatenate([np.full(6, 0.3), np.zeros(6)])
 R_DIAG = (0.06, 0.5)
+IDENT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def random_state(rng) -> PairState:
@@ -35,28 +36,28 @@ def random_state(rng) -> PairState:
     return PairState(
         x=rng.normal(0.0, 0.5, 3),
         v=rng.normal(0.0, 0.5, 3),
-        q=Quaternion.identity(),
+        q=IDENT,
         cov=cov,
     )
 
 
 def random_control(rng) -> ControlInput:
     return ControlInput(
-        a_i=Vec3(*rng.normal(0.0, 2.0, 3)),
-        a_j=Vec3(*rng.normal(0.0, 2.0, 3)),
-        q_i=Quaternion.identity(),
-        q_j=Quaternion.identity(),
+        a_i=rng.normal(0.0, 2.0, 3),
+        a_j=rng.normal(0.0, 2.0, 3),
+        q_i=IDENT,
+        q_j=IDENT,
     )
 
 
 def transition(x6: np.ndarray, u12: np.ndarray) -> np.ndarray:
     """The mean propagation as a plain function of state and input."""
-    st = PairState(x=x6[:3].copy(), v=x6[3:].copy(), q=Quaternion.identity(), cov=np.eye(6))
+    st = PairState(x=x6[:3].copy(), v=x6[3:].copy(), q=IDENT, cov=np.eye(6))
     u = ControlInput(
-        a_i=Vec3(*u12[0:3]),
-        a_j=Vec3(*u12[3:6]),
-        q_i=Quaternion.identity(),
-        q_j=Quaternion.identity(),
+        a_i=u12[0:3],
+        a_j=u12[3:6],
+        q_i=IDENT,
+        q_j=IDENT,
     )
     out = predict(st, u, DT, SIGMA_U)
     return np.concatenate([out.x, out.v])
@@ -116,7 +117,7 @@ def test_measurement_jacobian_matches_finite_differences():
 
 
 def test_measurement_jacobian_zeroes_degenerate_rows():
-    st = PairState(np.zeros(3), np.array([0.0, 0.0, 0.5]), Quaternion.identity(), np.eye(6))
+    st = PairState(np.zeros(3), np.array([0.0, 0.0, 0.5]), IDENT, np.eye(6))
     hm = measurement_jacobian(st)
     assert np.array_equal(hm[0], np.zeros(6))
     assert np.allclose(hm[1, 3:6], [0.0, 0.0, 1.0])
@@ -134,25 +135,25 @@ def test_predict_integrates_relative_acceleration():
     st = PairState(
         x=np.array([1.0, 0.0, 0.0]),
         v=np.array([0.0, 0.2, 0.0]),
-        q=Quaternion.identity(),
+        q=IDENT,
         cov=np.eye(6) * 0.01,
     )
-    q_i = Quaternion.from_axis_angle(Vec3(0, 0, 1), 0.4)
-    q_j = Quaternion.from_axis_angle(Vec3(1, 0, 0), -0.7)
-    u = ControlInput(a_i=Vec3(0.0, 0.0, 0.0), a_j=Vec3(2.0, 0.0, 0.0), q_i=q_i, q_j=q_j)
+    q_i = qfrom_axis_angle([0, 0, 1], 0.4)
+    q_j = qfrom_axis_angle([1, 0, 0], -0.7)
+    u = ControlInput(a_i=np.array([0.0, 0.0, 0.0]), a_j=np.array([2.0, 0.0, 0.0]), q_i=q_i, q_j=q_j)
     out = predict(st, u, DT, SIGMA_U)
     assert np.allclose(out.x, [1.0 + 0.5 * 2.0 * DT**2, 0.2 * DT, 0.0], atol=1e-12)
     assert np.allclose(out.v, [2.0 * DT, 0.2, 0.0], atol=1e-12)
-    assert out.q == quat_relative(q_i, q_j)
+    assert np.array_equal(out.q, qnormalize(qmul(qconj(q_i), q_j)))
 
 
 def test_predict_marks_divergence_on_nonfinite_input():
     st = random_state(derive_rng(7, "ekf", "div"))
     u = ControlInput(
-        a_i=Vec3(math.nan, 0.0, 0.0),
-        a_j=Vec3.zero(),
-        q_i=Quaternion.identity(),
-        q_j=Quaternion.identity(),
+        a_i=np.array([math.nan, 0.0, 0.0]),
+        a_j=np.zeros(3),
+        q_i=IDENT,
+        q_j=IDENT,
     )
     out = predict(st, u, DT, SIGMA_U)
     assert out.diverged
@@ -164,7 +165,7 @@ def test_update_moves_estimate_toward_range():
     st = PairState(
         x=np.array([0.8, 0.0, 0.0]),
         v=np.zeros(3),
-        q=Quaternion.identity(),
+        q=IDENT,
         cov=np.eye(6) * 0.04,
     )
     out = update(st, 1.0, (0.0, 3.0), R_DIAG)
@@ -192,45 +193,32 @@ def test_update_keeps_covariance_psd_with_tiny_r():
 
 
 def test_gate_table_covers_tpose_distances(skel, placement):
-    from uip.skeleton import sensor_pose, tpose
-
     gates = gate_table()
-    jp, jr = tpose(skel)
+    pos, _ = mount_poses(placement.mounts, *tpose(skel))
     for i in range(N_SENSORS):
         for j in range(i + 1, N_SENSORS):
-            pi, _ = sensor_pose(placement, i, jp, jr)
-            pj, _ = sensor_pose(placement, j, jp, jr)
-            assert (pj - pi).norm() < gates[i, j]
+            assert np.linalg.norm(pos[j] - pos[i]) < gates[i, j]
     assert np.array_equal(gates, gates.T)
 
 
 def test_max_reach_bounds_random_poses(skel, placement):
-    from uip.geometry import Quaternion as Q
-    from uip.skeleton import fk_pose, sensor_pose
-
     rng = derive_rng(7, "ekf", "reach")
     for _ in range(20):
-        local = [Q.from_rotvec(Vec3(*rng.normal(0.0, 0.5, 3))) for _ in range(skel.n_joints)]
-        jp, jr = fk_pose(skel, local, Vec3.zero())
+        local = np.array([qfrom_rotvec(rng.normal(0.0, 0.5, 3)) for _ in range(skel.n_joints)])
+        pos, _ = mount_poses(placement.mounts, *fk_batch(skel, local, np.zeros(3)))
         for i in range(N_SENSORS):
             for j in range(i + 1, N_SENSORS):
-                pi, _ = sensor_pose(placement, i, jp, jr)
-                pj, _ = sensor_pose(placement, j, jp, jr)
-                assert (pj - pi).norm() <= max_reach(skel, placement, i, j) + 1e-9
+                assert np.linalg.norm(pos[j] - pos[i]) <= max_reach(skel, placement, i, j) + 1e-9
 
 
 def test_bank_initial_states_match_tpose_geometry(skel, placement):
-    from uip.skeleton import sensor_pose, tpose
-
-    jp, jr = tpose(skel)
+    pos, _ = mount_poses(placement.mounts, *tpose(skel))
     bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
     assert bank.x.shape == bank.v.shape == (15, 3)
     assert bank.cov.shape == (15, 6, 6)
     assert not bank.diverged.any()
     for p, (i, j) in enumerate(zip(PAIR_I, PAIR_J)):
-        p_i, _ = sensor_pose(placement, i, jp, jr)
-        p_j, _ = sensor_pose(placement, j, jp, jr)
-        assert np.array_equal(bank.x[p], (p_j - p_i).to_array())
+        assert np.array_equal(bank.x[p], pos[j] - pos[i])
         assert np.array_equal(bank.v[p], np.zeros(3))
         assert_psd(bank.cov[p])
 
@@ -286,7 +274,7 @@ def test_bank_distance_matrix_symmetric(skel, placement):
 
 def _single_pair_states(bank) -> list[PairState]:
     return [
-        PairState(bank.x[p].copy(), bank.v[p].copy(), Quaternion.identity(), bank.cov[p].copy())
+        PairState(bank.x[p].copy(), bank.v[p].copy(), IDENT, bank.cov[p].copy())
         for p in range(PAIR_I.size)
     ]
 
@@ -300,14 +288,13 @@ def test_bank_matches_fifteen_single_pair_filters(skel, placement):
     bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
     states = _single_pair_states(bank)
     gates = gate_table()
-    ident = Quaternion.identity()
     skipped = 0
     with np.errstate(all="raise"):
         for k in range(120):
             accel = rng.normal(0.0, 2.0, (N_SENSORS, 3))
             bank.predict_all(accel)
             states = [
-                predict(st, ControlInput(Vec3(*accel[i]), Vec3(*accel[j]), ident, ident), DT, SIGMA_U)
+                predict(st, ControlInput(accel[i], accel[j], IDENT, IDENT), DT, SIGMA_U)
                 for st, i, j in zip(states, PAIR_I, PAIR_J)
             ]
             if k % 3 == 0:
@@ -342,7 +329,7 @@ def test_bank_skips_singular_updates_bitwise(skel, placement):
     bank.predict_all(np.arange(N_SENSORS * 3, dtype=float).reshape(N_SENSORS, 3))
     bank.x[3] = bank.v[3] = 0.0
     before = bank.x.copy(), bank.v.copy(), bank.cov.copy()
-    st = PairState(bank.x[3].copy(), bank.v[3].copy(), Quaternion.identity(), bank.cov[3].copy())
+    st = PairState(bank.x[3].copy(), bank.v[3].copy(), IDENT, bank.cov[3].copy())
     assert update(st, 0.5, (0.0, 3.0), (0.0, 0.0)) is st
     d = np.full((N_SENSORS, N_SENSORS), 0.5)
     with np.errstate(all="raise"):

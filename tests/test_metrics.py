@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uip.errors import ContractViolationError, DataError
-from uip.geometry import Quaternion, quat_rotate, Vec3
+from uip.geometry import qfrom_rotvec, qmul, qnormalize, qrotate
 from uip.metrics import (
     ClipMetrics,
     MetricReport,
@@ -18,11 +18,11 @@ from uip.metrics import (
 )
 from uip.rng import derive_rng
 
-IDENTITY = Quaternion(1.0, 0.0, 0.0, 0.0)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_about(axis: Vec3, deg: float) -> Quaternion:
-    return Quaternion.from_rotvec(axis.scaled(math.radians(deg)))
+def quat_about(axis, deg: float) -> np.ndarray:
+    return qfrom_rotvec(np.asarray(axis, dtype=float) * math.radians(deg))
 
 
 def test_sip_error_uniform_perturbation_is_exact():
@@ -31,13 +31,10 @@ def test_sip_error_uniform_perturbation_is_exact():
     pred = {}
     rng = derive_rng(41, "metrics", "sip")
     for name in SIP_JOINTS:
-        qs = []
-        for _ in range(frames):
-            v = rng.normal(size=3)
-            qs.append(Quaternion.from_rotvec(Vec3(*(0.3 * v))))
+        qs = qfrom_rotvec(0.3 * rng.normal(size=(frames, 3)))
         truth[name] = qs
-        axis = Vec3(*rng.normal(size=3)).normalized()
-        pred[name] = [q * quat_about(axis, 10.0) for q in qs]
+        axis = rng.normal(size=3)
+        pred[name] = qmul(qs, quat_about(axis / np.linalg.norm(axis), 10.0))
     assert sip_error(pred, truth) == pytest.approx(10.0, abs=1e-9)
 
 
@@ -49,7 +46,7 @@ def test_sip_error_zero_on_identical_input():
 def test_sip_error_ignores_non_sip_joints_and_checks_coverage():
     qs = {name: [IDENTITY] * 2 for name in SIP_JOINTS}
     noisy = dict(qs)
-    noisy["head"] = [quat_about(Vec3(0.0, 0.0, 1.0), 90.0)] * 2
+    noisy["head"] = [quat_about((0.0, 0.0, 1.0), 90.0)] * 2
     assert sip_error(noisy, qs) == pytest.approx(0.0, abs=1e-12)
     missing = {n: qs[n] for n in SIP_JOINTS[:-1]}
     with pytest.raises(ContractViolationError):
@@ -64,18 +61,14 @@ def test_position_error_invariant_under_rigid_transform():
     rng = derive_rng(42, "metrics", "pos")
     frames, joints = 5, 15
     truth = rng.normal(0.0, 0.5, (frames, joints, 3))
-    truth_rot = [
-        Quaternion.from_rotvec(Vec3(*(0.4 * rng.normal(size=3)))) for _ in range(frames)
-    ]
+    truth_rot = np.array([qfrom_rotvec(0.4 * rng.normal(size=3)) for _ in range(frames)])
     pred = np.empty_like(truth)
-    pred_rot = []
+    pred_rot = np.empty_like(truth_rot)
     for k in range(frames):
-        move = Quaternion.from_rotvec(Vec3(*rng.normal(size=3)))
+        move = qfrom_rotvec(rng.normal(size=3))
         shift = rng.normal(0.0, 2.0, 3)
-        for j in range(joints):
-            v = quat_rotate(move, Vec3(*truth[k, j]))
-            pred[k, j] = (v.x + shift[0], v.y + shift[1], v.z + shift[2])
-        pred_rot.append((move * truth_rot[k]).normalized())
+        pred[k] = qrotate(move, truth[k]) + shift
+        pred_rot[k] = qnormalize(qmul(move, truth_rot[k]))
     assert position_error(pred, pred_rot, truth, truth_rot) < 1e-9
 
 

@@ -17,7 +17,7 @@ from uip.config import (
 )
 from uip.ekf import PairFilterBank
 from uip.errors import DataError
-from uip.geometry import quat_from_rot6d, rot6d_from_quat
+from uip.geometry import qconj, qfrom_rot6d, qmul, qnormalize, rot6d_from_quat
 from uip.pipeline import (
     evaluate_model,
     filter_dataset,
@@ -35,6 +35,7 @@ from uip.storage import (
     read_targets,
     read_truth,
     verify_manifest,
+    write_manifest,
 )
 from uip.uwb import apply_calibration
 
@@ -179,12 +180,12 @@ def test_target_rotations_recover_truth_locals(pipe):
         for j in range(skel.n_joints):
             parent = skel.joints[j].parent
             if parent < 0:
-                local = truth.joint_rot[k][j]
+                local = truth.joint_rot[k, j]
             else:
-                local = (truth.joint_rot[k][parent].conjugate() * truth.joint_rot[k][j]).normalized()
+                local = qnormalize(qmul(qconj(truth.joint_rot[k, parent]), truth.joint_rot[k, j]))
             assert np.allclose(tg["rotations"][k, j], rot6d_from_quat(local), atol=1e-9)
-            back = quat_from_rot6d(tg["rotations"][k, j])
-            dot = abs(back.w * local.w + back.x * local.x + back.y * local.y + back.z * local.z)
+            back = qfrom_rot6d(tg["rotations"][k, j])
+            dot = abs(float(back @ local))
             assert dot > 1.0 - 1e-9
 
 
@@ -232,6 +233,35 @@ def test_eval_distance_rmse_is_the_filter_stages(trained, tmp_path):
     (row,) = json.loads((tmp_path / "filt" / "rmse_report.json").read_text()).values()
     report = json.loads((tmp_path / "eval" / "report.json").read_text())
     assert report["overall"]["distance_rmse_m"] == pytest.approx(row["filtered_rmse_m"], rel=1e-15, abs=0.0)
+
+
+def test_truth_must_match_the_skeleton_and_the_model_input(pipe, trained, tmp_path):
+    name = read_clip_meta(pipe.data)[0]["name"]
+
+    def rewrite(edit):
+        data = tmp_path / "data"
+        if data.exists():
+            shutil.rmtree(data)
+        shutil.copytree(pipe.data, data)
+        path = data / name / "truth.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
+        write_manifest(data, list(read_manifest(data)))
+        return data
+
+    def drop_joint(records):
+        for r in records:
+            r["joints"].pop()
+        return records
+
+    data = rewrite(drop_joint)
+    with pytest.raises(DataError, match="14 joints per frame, the skeleton has 15"):
+        filter_dataset(data, tmp_path / "filt")
+    with pytest.raises(DataError, match="14 joints per frame"):
+        evaluate_model(trained / "checkpoint.json", pipe.filt, data, tmp_path / "eval")
+    data = rewrite(lambda records: records[:-1])
+    with pytest.raises(DataError, match=f"{FRAMES - 1} frames, the model input has {FRAMES}"):
+        evaluate_model(trained / "checkpoint.json", pipe.filt, data, tmp_path / "eval")
 
 
 def test_summarize_runs_table(pipe, trained):

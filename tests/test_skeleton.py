@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uip.errors import ContractViolationError
-from uip.geometry import Quaternion, Vec3, quat_angle_between, quat_rotate
+from uip.geometry import qangle, qconj, qfrom_axis_angle, qfrom_rotvec, qmul, qnormalize, qrotate
 from uip.motions import generate_motion_suite
 from uip.rng import derive_rng
 from uip.skeleton import (
@@ -16,16 +16,24 @@ from uip.skeleton import (
     default_placement,
     default_skeleton,
     fk_batch,
-    fk_pose,
     mount_poses,
     occlusion_ratio,
     pairwise_occlusion,
     sensor_exclusions,
-    sensor_pose,
-    sensor_truth,
     tpose,
     world_capsules,
 )
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def identities(n: int) -> np.ndarray:
+    return np.tile(IDENTITY, (n, 1))
+
+
+def angle_between(a, b) -> float:
+    return float(qangle(qmul(qconj(a), b)))
+
 
 JOINT_ORDER = (
     "pelvis",
@@ -66,8 +74,7 @@ def test_height_scaling_is_uniform():
     a, b = default_skeleton(1.60), default_skeleton(2.00)
     ratio = 2.00 / 1.60
     for ja, jb in zip(a.joints[1:], b.joints[1:]):
-        off_a, off_b = ja.offset.to_array(), jb.offset.to_array()
-        assert np.allclose(off_b, off_a * ratio, atol=1e-12)
+        assert np.allclose(jb.offset, np.multiply(ja.offset, ratio), atol=1e-12)
     for ca, cb in zip(a.capsules, b.capsules):
         assert math.isclose(cb.radius, ca.radius * ratio, rel_tol=1e-12)
 
@@ -82,113 +89,111 @@ def test_height_bounds_enforced():
 def test_fk_identity_matches_offset_sums(skel):
     # With identity local rotations, each joint sits at the sum of offsets
     # along its chain: FK reduced to pure translation.
-    idq = [Quaternion.identity()] * skel.n_joints
-    root = Vec3(0.3, -0.2, 1.0)
-    pos, rot = fk_pose(skel, idq, root)
+    root = np.array([0.3, -0.2, 1.0])
+    pos, rot = fk_batch(skel, identities(skel.n_joints), root)
     for i in range(skel.n_joints):
-        expect = root.to_array().copy()
+        expect = root.copy()
         j = i
         while skel.joints[j].parent >= 0:
-            expect += skel.joints[j].offset.to_array()
+            expect += skel.joints[j].offset
             j = skel.joints[j].parent
-        assert np.allclose(pos[i].to_array(), expect, atol=1e-12)
-        assert quat_angle_between(rot[i], Quaternion.identity()) == 0.0
+        assert np.allclose(pos[i], expect, atol=1e-12)
+        assert angle_between(rot[i], IDENTITY) == 0.0
 
 
 def test_fk_root_rotation_rotates_everything(skel):
-    q = Quaternion.from_axis_angle(Vec3(0, 0, 1), 0.9)
-    local = [Quaternion.identity()] * skel.n_joints
+    q = qfrom_axis_angle([0, 0, 1], 0.9)
+    local = identities(skel.n_joints)
     local[0] = q
-    root = Vec3(0.0, 0.0, 1.0)
-    pos, _ = fk_pose(skel, local, root)
-    base, _ = fk_pose(skel, [Quaternion.identity()] * skel.n_joints, root)
+    root = np.array([0.0, 0.0, 1.0])
+    pos, _ = fk_batch(skel, local, root)
+    base, _ = fk_batch(skel, identities(skel.n_joints), root)
     for i in range(skel.n_joints):
-        want = quat_rotate(q, base[i] - root) + root
-        assert np.allclose(pos[i].to_array(), want.to_array(), atol=1e-12)
+        want = qrotate(q, base[i] - root) + root
+        assert np.allclose(pos[i], want, atol=1e-12)
 
 
 def test_fk_elbow_bend_moves_only_descendants(skel):
-    local = [Quaternion.identity()] * skel.n_joints
-    local[skel.joint_index("l_elbow")] = Quaternion.from_axis_angle(Vec3(1, 0, 0), 0.8)
-    bent, _ = fk_pose(skel, local, Vec3.zero())
-    straight, _ = fk_pose(skel, [Quaternion.identity()] * skel.n_joints, Vec3.zero())
+    local = identities(skel.n_joints)
+    local[skel.joint_index("l_elbow")] = qfrom_axis_angle([1, 0, 0], 0.8)
+    bent, _ = fk_batch(skel, local, np.zeros(3))
+    straight, _ = fk_batch(skel, identities(skel.n_joints), np.zeros(3))
     wrist = skel.joint_index("l_wrist")
     for i in range(skel.n_joints):
-        same = np.allclose(bent[i].to_array(), straight[i].to_array(), atol=1e-12)
+        same = np.allclose(bent[i], straight[i], atol=1e-12)
         assert same == (i != wrist)
 
 
 def test_fk_wrong_arity_rejected(skel):
     with pytest.raises(ContractViolationError):
-        fk_pose(skel, [Quaternion.identity()] * 14, Vec3.zero())
+        fk_batch(skel, identities(14), np.zeros(3))
 
 
 def test_bone_lengths_survive_posing(skel):
     rng = derive_rng(4, "skel", "bones")
     for _ in range(10):
-        local = [
-            Quaternion.from_rotvec(Vec3(*rng.normal(0, 0.4, 3))) for _ in range(skel.n_joints)
-        ]
-        pos, _ = fk_pose(skel, local, Vec3(*rng.normal(0, 1, 3)))
+        local = qfrom_rotvec(rng.normal(0, 0.4, (skel.n_joints, 3)))
+        pos, _ = fk_batch(skel, local, rng.normal(0, 1, 3))
         for i in range(1, skel.n_joints):
             p = skel.joints[i].parent
-            length = (pos[i] - pos[p]).norm()
-            assert math.isclose(length, skel.joints[i].offset.norm(), abs_tol=1e-10)
+            length = np.linalg.norm(pos[i] - pos[p])
+            assert math.isclose(length, np.linalg.norm(skel.joints[i].offset), abs_tol=1e-10)
 
 
 def test_tpose_head_near_standing_height(skel):
     pos, rot = tpose(skel)
-    assert len(pos) == skel.n_joints
+    assert pos.shape == (skel.n_joints, 3)
+    assert rot.shape == (skel.n_joints, 4)
     head = pos[skel.joint_index("head")]
-    assert 0.8 * skel.body_height < head.z < 1.05 * skel.body_height
+    assert 0.8 * skel.body_height < head[2] < 1.05 * skel.body_height
     for q in rot:
-        assert quat_angle_between(q, Quaternion.identity()) == 0.0
+        assert angle_between(q, IDENTITY) == 0.0
     # Ankles nearly on the floor.
     for name in ("l_ankle", "r_ankle"):
-        assert abs(pos[skel.joint_index(name)].z) < 0.12
+        assert abs(pos[skel.joint_index(name), 2]) < 0.12
 
 
 def test_sensor_pose_applies_mount(skel, placement):
     pos, rot = tpose(skel)
+    spos, srot = mount_poses(placement.mounts, pos, rot)
+    assert spos.shape == (N_SENSORS, 3) and srot.shape == (N_SENSORS, 4)
     for s in range(N_SENSORS):
         m = placement.mounts[s]
-        p, q = sensor_pose(placement, s, pos, rot)
-        want_p = pos[m.joint] + quat_rotate(rot[m.joint], m.offset)
-        assert np.allclose(p.to_array(), want_p.to_array(), atol=1e-12)
-        assert quat_angle_between(q, (rot[m.joint] * m.rotation).normalized()) < 1e-12
+        want_p = pos[m.joint] + qrotate(rot[m.joint], m.offset)
+        assert np.allclose(spos[s], want_p, atol=1e-12)
+        assert angle_between(srot[s], qnormalize(qmul(rot[m.joint], m.rotation))) < 1e-12
 
 
 def test_sensor_truth_matches_manual_fk(skel, placement):
+    # Sensor trajectories of a clip: the mounts of a clip's FK, against FK
+    # and the mount transform written out one joint and one sensor at a time.
     frames = 3
     rng = derive_rng(4, "skel", "truth")
     clip = MotionClip(
         name="t",
         kind="idle",
         rate=100.0,
-        local_rot=[
-            [Quaternion.from_rotvec(Vec3(*rng.normal(0, 0.2, 3))) for _ in range(skel.n_joints)]
-            for _ in range(frames)
-        ],
-        root_pos=[Vec3(*rng.normal(0, 0.5, 3)) for _ in range(frames)],
+        local_rot=qfrom_rotvec(rng.normal(0, 0.2, (frames, skel.n_joints, 3))),
+        root_pos=rng.normal(0, 0.5, (frames, 3)),
     )
-    pos, quats = sensor_truth(skel, clip, placement)
+    pos, quats = mount_poses(placement.mounts, *fk_batch(skel, clip.local_rot, clip.root_pos))
     assert pos.shape == (frames, N_SENSORS, 3)
+    assert quats.shape == (frames, N_SENSORS, 4)
     for t in range(frames):
-        jp, jr = fk_pose(skel, clip.local_rot[t], clip.root_pos[t])
-        for s in range(N_SENSORS):
-            p, q = sensor_pose(placement, s, jp, jr)
-            assert np.allclose(pos[t, s], p.to_array(), atol=1e-12)
-            assert quat_angle_between(q, quats[t][s]) < 1e-12
+        jp, jr = _scalar_fk(skel, clip.local_rot[t], clip.root_pos[t])
+        for s, m in enumerate(placement.mounts):
+            assert np.allclose(pos[t, s], jp[m.joint] + qrotate(jr[m.joint], m.offset), atol=1e-12)
+            assert angle_between(quats[t, s], qnormalize(qmul(jr[m.joint], m.rotation))) < 1e-12
 
 
 def _scalar_fk(skel, local_rot, root_pos):
-    """Reference FK, one joint at a time on records."""
-    pos, rot = [root_pos], [local_rot[0]]
+    """Reference FK for one frame, one joint at a time."""
+    pos, rot = [np.asarray(root_pos, dtype=float)], [np.asarray(local_rot[0], dtype=float)]
     for i in range(1, skel.n_joints):
         p = skel.joints[i].parent
-        rot.append((rot[p] * local_rot[i]).normalized())
-        pos.append(pos[p] + quat_rotate(rot[p], skel.joints[i].offset))
-    return pos, rot
+        rot.append(qnormalize(qmul(rot[p], local_rot[i])))
+        pos.append(pos[p] + qrotate(rot[p], skel.joints[i].offset))
+    return np.array(pos), np.array(rot)
 
 
 def test_batched_fk_equals_per_frame_fk(skel, placement):
@@ -199,12 +204,12 @@ def test_batched_fk_equals_per_frame_fk(skel, placement):
     assert rot.shape == (clip.n_frames, skel.n_joints, 4)
     for t in range(0, clip.n_frames, 7):
         ref_pos, ref_rot = _scalar_fk(skel, clip.local_rot[t], clip.root_pos[t])
-        jp, jr = fk_pose(skel, clip.local_rot[t], clip.root_pos[t])
+        jp, jr = fk_batch(skel, clip.local_rot[t], clip.root_pos[t])
         assert np.array_equal(pos[t], ref_pos) and np.array_equal(rot[t], ref_rot)
         assert np.array_equal(pos[t], jp) and np.array_equal(rot[t], jr)
         for s in range(N_SENSORS):
-            p, q = sensor_pose(placement, s, jp, jr)
-            assert np.array_equal(spos[t, s], p) and np.array_equal(srot[t, s], q)
+            p, q = mount_poses(placement.mounts[s : s + 1], jp, jr)
+            assert np.array_equal(spos[t, s], p[0]) and np.array_equal(srot[t, s], q[0])
 
 
 def test_occlusion_ratio_endpoints(skel):
@@ -240,10 +245,8 @@ def _scalar_occlusion(capsules, p_i, p_j, exclude, resolution=64):
 
 def test_pairwise_occlusion_symmetric_zero_diagonal(skel, placement):
     pos, rot = tpose(skel)
-    spos = np.stack(
-        [sensor_pose(placement, s, pos, rot)[0].to_array() for s in range(N_SENSORS)]
-    )
-    frames = [(np.asarray(pos), spos)]
+    spos, _ = mount_poses(placement.mounts, pos, rot)
+    frames = [(pos, spos)]
     for c in generate_motion_suite(12, ("squat", "arm-swing"), 4.0, 25.0, skel):
         jp, jr = fk_batch(skel, c.local_rot, c.root_pos)
         sp, _ = mount_poses(placement.mounts, jp, jr)
@@ -268,15 +271,15 @@ def test_pairwise_occlusion_symmetric_zero_diagonal(skel, placement):
 
 
 def test_check_continuity_accepts_smooth_rejects_jump(skel):
-    idq = [Quaternion.identity()] * skel.n_joints
-    turned = list(idq)
-    turned[3] = Quaternion.from_axis_angle(Vec3(1, 0, 0), math.radians(45.0))
+    idq = identities(skel.n_joints)
+    turned = idq.copy()
+    turned[3] = qfrom_axis_angle([1, 0, 0], math.radians(45.0))
     smooth = MotionClip(
-        name="s", kind="idle", rate=100.0, local_rot=[idq, idq], root_pos=[Vec3.zero()] * 2
+        name="s", kind="idle", rate=100.0, local_rot=np.stack([idq, idq]), root_pos=np.zeros((2, 3))
     )
     check_continuity(smooth)
     jumpy = MotionClip(
-        name="j", kind="idle", rate=100.0, local_rot=[idq, turned], root_pos=[Vec3.zero()] * 2
+        name="j", kind="idle", rate=100.0, local_rot=np.stack([idq, turned]), root_pos=np.zeros((2, 3))
     )
     with pytest.raises(ContractViolationError):
         check_continuity(jumpy)

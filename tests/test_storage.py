@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uip.errors import DataError
-from uip.geometry import Quaternion
+from uip.geometry import qnormalize
 from uip.imu import ImuStream
 from uip.metrics import MetricReport
 from uip.rng import derive_rng
@@ -138,25 +138,16 @@ def test_truth_roundtrip(tmp_path):
     jp = rng.normal(size=(frames, joints, 3))
     sp = rng.normal(size=(frames, 6, 3))
 
-    def quats(n):
-        out = []
-        for _ in range(n):
-            q = Quaternion(*rng.normal(size=4)).normalized()
-            out.append(q)
-        return out
-
-    jr = [quats(joints) for _ in range(frames)]
-    sr = [quats(6) for _ in range(frames)]
+    jr = qnormalize(rng.normal(size=(frames, joints, 4)))
+    sr = qnormalize(rng.normal(size=(frames, 6, 4)))
     path = tmp_path / "truth.jsonl"
     write_truth(path, times, jp, jr, sp, sr)
     back = read_truth(path)
     assert back.times.tobytes() == times.tobytes()
     assert back.joint_pos.tobytes() == jp.tobytes()
     assert back.sensor_pos.tobytes() == sp.tobytes()
-    for k in range(frames):
-        for j in range(joints):
-            a, b = back.joint_rot[k][j], jr[k][j]
-            assert (a.w, a.x, a.y, a.z) == (b.w, b.x, b.y, b.z)
+    assert back.joint_rot.tobytes() == jr.tobytes()
+    assert back.sensor_rot.tobytes() == sr.tobytes()
 
 
 def test_truth_read_errors(tmp_path):
@@ -167,6 +158,33 @@ def test_truth_read_errors(tmp_path):
     write_jsonl(path, [{"t": 0.0, "joints": [{"p": [0, 0, 0]}], "sensors": []}])
     with pytest.raises(DataError, match="frame 0"):
         read_truth(path)
+
+    def frame(t, joints=3):
+        pose = {"p": [0.0, 0.1, 0.2], "q": [1.0, 0.0, 0.0, 0.0]}
+        return {"t": t, "joints": [dict(pose) for _ in range(joints)], "sensors": [dict(pose) for _ in range(6)]}
+
+    def bad(mutate, match):
+        frames = [frame(0.0), frame(0.01), frame(0.02)]
+        mutate(frames)
+        write_jsonl(path, frames)
+        with pytest.raises(DataError, match=match) as err:
+            read_truth(path)
+        assert str(path) in str(err.value)
+
+    write_jsonl(path, [frame(0.0), frame(0.01)])
+    assert read_truth(path).joint_rot.shape == (2, 3, 4)
+    bad(lambda f: f.__setitem__(1, frame(0.01, joints=2)), r"frame 1: 2 joints, expected 3")
+    bad(lambda f: f[2].pop("t"), r"frame 2: missing key 't'")
+    bad(lambda f: f[0].__setitem__("joints", 5), r"frame 0: joints is not a list")
+    bad(lambda f: f[1]["sensors"].__setitem__(4, [0.0, 0.0, 0.0]), r"frame 1: sensors\[4\] is not an object")
+    bad(lambda f: f[1]["joints"][2].__setitem__("q", [1.0, 0.0, float("nan"), 0.0]),
+        r"frame 1: joints\[2\]\.q is not 4 finite numbers")
+    bad(lambda f: f[2]["sensors"][0].__setitem__("p", [0.0, 1.0]), r"frame 2: sensors\[0\]\.p is not 3 finite numbers")
+    bad(lambda f: f[0]["joints"][1].__setitem__("p", [0.0, "1", 2.0]), r"frame 0: joints\[1\]\.p is not 3")
+    bad(lambda f: f[1]["joints"][0].pop("q"), r"frame 1: joints\[0\]\.q is not 4")
+    bad(lambda f: f[1].__setitem__("t", float("inf")), r"frame 1: t is not a finite number")
+    bad(lambda f: [r.__setitem__("sensors", []) for r in f], r"frame 0: 0 sensors, expected 6")
+    bad(lambda f: f.__setitem__(1, [0.0]), r"frame 1: record is not an object")
 
 
 def test_manifest_verifies_and_detects_tampering(tmp_path):
