@@ -65,6 +65,7 @@ from .uwb import (
     apply_calibration,
     occlusion_noise_sigma,
     ransac_affine_calibrate,
+    round_times,
     sample_clocks,
     simulate_stream,
 )
@@ -97,16 +98,10 @@ def _noise_models(cfg: RunConfig) -> list[ImuNoiseModel]:
     return out
 
 
-def _occlusion_sigma_fn(cfg: RunConfig, skel, placement, joint_pos, sensor_pos, rate):
-    """Per-round noise model: sigma by the body-occlusion ratio of each pair."""
-    last = len(joint_pos) - 1
-
-    def for_round(_k: int, t: float):
-        frame = min(int(round(t * rate)), last)
-        occ = pairwise_occlusion(skel, placement, joint_pos[frame], sensor_pos[frame])
-        return lambda i, j: occlusion_noise_sigma(occ[i, j], cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
-
-    return for_round
+def _round_sigma(cfg: RunConfig, skel, placement, joint_pos, sensor_pos) -> np.ndarray:
+    """Range noise sigmas (R, 6, 6) by the body-occlusion ratio of each pair, one frame per round."""
+    occ = np.stack([pairwise_occlusion(skel, placement, jp, sp) for jp, sp in zip(joint_pos, sensor_pos)])
+    return occlusion_noise_sigma(occ, cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
 
 
 def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
@@ -134,18 +129,13 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
         name = f"tpose_imu_s{s}.csv"
         write_imu_csv(out / name, stream)
         written.append(name)
-    occ_t = pairwise_occlusion(skel, placement, jp_t, spos_t)
-
-    def tpose_sigma(_k, _t):
-        return lambda i, j: occlusion_noise_sigma(occ_t[i, j], cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
-
     ranging_t = simulate_stream(
-        lambda _t: spos_t,
+        round_times(cfg.imu.tpose_seconds),
+        spos_t,
         clocks,
-        cfg.imu.tpose_seconds,
         derive_rng(cfg.seed, "uwb", "tpose"),
         drop_prob=cfg.uwb.drop_prob,
-        sigma_fn_for_round=tpose_sigma,
+        sigma=_round_sigma(cfg, skel, placement, jp_t[None], spos_t[None]),
     )
     write_ranging_csv(out / "tpose_ranging.csv", ranging_t)
     written.append("tpose_ranging.csv")
@@ -168,14 +158,15 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
             name = f"{clip.name}/imu_s{s}.csv"
             write_imu_csv(cdir / f"imu_s{s}.csv", stream)
             written.append(name)
-        last = clip.n_frames - 1
+        starts = round_times(clip.duration)
+        frame = np.minimum(np.rint(starts * rate).astype(int), clip.n_frames - 1)
         ranging = simulate_stream(
-            lambda t: sensor_pos[min(int(round(t * rate)), last)],
+            starts,
+            sensor_pos[frame],
             clocks,
-            clip.duration,
             derive_rng(cfg.seed, "uwb", idx),
             drop_prob=cfg.uwb.drop_prob,
-            sigma_fn_for_round=_occlusion_sigma_fn(cfg, skel, placement, joint_pos, sensor_pos, rate),
+            sigma=_round_sigma(cfg, skel, placement, joint_pos[frame], sensor_pos[frame]),
         )
         write_ranging_csv(cdir / "ranging.csv", ranging)
         written.append(f"{clip.name}/ranging.csv")

@@ -13,7 +13,6 @@ from .model import (
 )
 from .params import (
     CHECKPOINT_VERSION,
-    FULL_SCALE_BATCH,
     PoseNetConfig,
     PoseNetParams,
     init_params,
@@ -23,7 +22,6 @@ from .train import TrainConfig, TrainingWindow, batch_loss, learning_rate_at, tr
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "FULL_SCALE_BATCH",
     "ModelInput",
     "PoseNetConfig",
     "PoseNetParams",

@@ -90,28 +90,17 @@ class PoseOutput:
 
 
 def normalize_distances(d: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """Distance matrix divided by its head-pelvis entry.
+    """Distance matrices (..., 6, 6), each divided by its head-pelvis entry.
 
-    An all-invalid mask leaves the values untouched (they are about to be
-    masked out anyway, and scaling by an untrusted entry would only inject
-    noise); otherwise a head-pelvis distance at or below 1 cm is rejected.
+    A frame whose mask is all invalid keeps its values (they are about to
+    be masked out anyway, and scaling by an untrusted entry would only
+    inject noise); otherwise a head-pelvis distance at or below 1 cm is
+    rejected, naming the first such frame (flat over the leading axes).
     """
     d = np.asarray(d, dtype=float)
-    if valid is not None and not np.asarray(valid, dtype=bool).any():
-        return d.copy()
-    ref = float(d[HEAD_SENSOR, PELVIS_SENSOR])
-    if ref <= MIN_NORMALIZER_M:
-        raise DataError(
-            f"head-pelvis distance {ref:.4f} m too small to normalize by"
-        )
-    return d / ref
-
-
-def _normalize_batch(d: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """normalize_distances over (N, 6, 6) stacks, naming the first bad frame."""
-    ref = d[:, HEAD_SENSOR, PELVIS_SENSOR].copy()
-    all_invalid = ~valid.reshape(valid.shape[0], -1).any(axis=1)
-    ref[all_invalid] = 1.0
+    ref = np.array(d[..., HEAD_SENSOR, PELVIS_SENSOR], dtype=float).reshape(-1)
+    if valid is not None:
+        ref[~np.asarray(valid, dtype=bool).reshape(ref.size, -1).any(axis=1)] = 1.0
     bad = ref <= MIN_NORMALIZER_M
     if np.any(bad):
         frame = int(np.argmax(bad))
@@ -119,7 +108,7 @@ def _normalize_batch(d: np.ndarray, valid: np.ndarray) -> np.ndarray:
             f"head-pelvis distance {ref[frame]:.4f} m too small to "
             f"normalize by (frame {frame})"
         )
-    return d / ref[:, None, None]
+    return d / ref.reshape(d.shape[:-2] + (1, 1))
 
 
 def fusion_weights(
@@ -237,7 +226,7 @@ class Forward:
         t = self.tape
         n, s, width = d.shape[0], N_SENSORS, self.cfg.gcn_width
         mask = valid & ~np.eye(s, dtype=bool)
-        dn = _normalize_batch(d, valid)
+        dn = normalize_distances(d, valid)
         emb = self._linear(t.const(r.reshape(n * s, 6)), "emb")
         h = emb
         for layer in range(self.cfg.gcn_layers):
@@ -324,7 +313,7 @@ def dagcn_correlation(
         valid = ~np.eye(N_SENSORS, dtype=bool)
     mask = np.asarray(valid, dtype=bool).copy()
     np.fill_diagonal(mask, False)
-    dn = _normalize_batch(d[None], mask[None])
+    dn = normalize_distances(d[None], mask[None])
     return _values_only(params).correlation(layer, dn, mask[None]).value[0]
 
 

@@ -26,9 +26,6 @@ DECODER_INPUT = N_SENSORS * 3 + N_SENSORS * 6 + N_SENSORS * 3 + N_SENSORS * N_SE
 ROTATION_OUTPUT = 15 * 6  # 15 joints, 6D rotation each
 CONTACT_OUTPUT = 2
 
-# Batch size used at full training scale; desk-scale runs default lower.
-FULL_SCALE_BATCH = 256
-
 
 @dataclass(frozen=True)
 class PoseNetConfig:

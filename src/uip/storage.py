@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataError
 from .imu import ImuStream
 from .metrics import MetricReport
-from .skeleton import N_SENSORS
+from .skeleton import N_SENSORS, PAIR_I, PAIR_J
 from .uwb import CalibrationResult, RawDistanceStream
 
 MANIFEST_NAME = "manifest.json"
@@ -247,25 +247,19 @@ def read_imu_csv(path: str | Path) -> ImuStream:
 
 
 def write_ranging_csv(path: str | Path, stream: RawDistanceStream) -> None:
+    """One row per pair per round: the 15 pairs of round k in PAIR_I/PAIR_J order."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(RANGING_HEADER)
         for k in range(stream.times.shape[0]):
-            for i in range(N_SENSORS):
-                for j in range(i + 1, N_SENSORS):
-                    w.writerow(
-                        [
-                            k,
-                            repr(float(stream.times[k])),
-                            i,
-                            j,
-                            repr(float(stream.distances[k, i, j])),
-                            int(stream.valid[k, i, j]),
-                        ]
-                    )
+            t = repr(float(stream.times[k]))
+            for i, j in zip(PAIR_I.tolist(), PAIR_J.tolist()):
+                w.writerow([k, t, i, j, repr(float(stream.distances[k, i, j])), int(stream.valid[k, i, j])])
 
 
 def read_ranging_csv(path: str | Path) -> RawDistanceStream:
+    """The stream write_ranging_csv wrote: every round k = 0..R-1 holds
+    exactly its 15 pair rows, in the writer's order, with one time."""
     p = _require(Path(path))
     with open(p, newline="") as f:
         rows = list(csv.reader(f))
@@ -273,8 +267,15 @@ def read_ranging_csv(path: str | Path) -> RawDistanceStream:
         raise DataError(f"{p}: expected header {','.join(RANGING_HEADER)}")
     if len(rows) < 2:
         raise DataError(f"{p}: empty ranging stream")
-    parsed = []
-    for line, row in enumerate(rows[1:], 2):
+    pairs = list(zip(PAIR_I.tolist(), PAIR_J.tolist()))
+    n_pairs = len(pairs)
+    n_rows = len(rows) - 1
+    n_rounds = -(-n_rows // n_pairs)
+    times = np.zeros(n_rounds)
+    dists = np.zeros((n_rounds, N_SENSORS, N_SENSORS))
+    valid = np.zeros((n_rounds, N_SENSORS, N_SENSORS), dtype=bool)
+    for n, row in enumerate(rows[1:]):
+        line = n + 2
         try:
             k, t, i, j, d = int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4])
             ok = {"0": False, "1": True}[row[5]]
@@ -284,17 +285,17 @@ def read_ranging_csv(path: str | Path) -> RawDistanceStream:
             raise DataError(f"{p}:{line}: non-finite time or distance")
         if k < 0 or not 0 <= i < j < N_SENSORS:
             raise DataError(f"{p}:{line}: round {k} or pair ({i}, {j}) out of range")
-        parsed.append((line, k, t, i, j, d, ok))
-    n_rounds = parsed[-1][1] + 1
-    times = np.zeros(n_rounds)
-    dists = np.zeros((n_rounds, N_SENSORS, N_SENSORS))
-    valid = np.zeros((n_rounds, N_SENSORS, N_SENSORS), dtype=bool)
-    for line, k, t, i, j, d, ok in parsed:
-        if k >= n_rounds:
-            raise DataError(f"{p}:{line}: round {k} after the last round {n_rounds - 1}")
-        times[k] = t
+        want = (n // n_pairs, *pairs[n % n_pairs])
+        if (k, i, j) != want:
+            raise DataError(f"{p}:{line}: expected round {want[0]} pair {want[1:]}, got round {k} pair ({i}, {j})")
+        if n % n_pairs == 0:
+            times[k] = t
+        elif t != times[k]:
+            raise DataError(f"{p}:{line}: time {t!r} differs from round {k}'s time {float(times[k])!r}")
         dists[k, i, j] = dists[k, j, i] = d
         valid[k, i, j] = valid[k, j, i] = ok
+    if n_rows % n_pairs:
+        raise DataError(f"{p}:{n_rows + 1}: round {n_rounds - 1} ends after {n_rows % n_pairs} of {n_pairs} pairs")
     return RawDistanceStream(times=times, distances=dists, valid=valid)
 
 

@@ -1,12 +1,18 @@
 """Broadcast two-way ranging over six body-worn nodes, plus calibration.
 
-One ranging round: the initiator (node 0) broadcasts a request, then each
-responder transmits in its fixed TDMA slot. Every node timestamps every
-transmission it hears, and responders overhear each other, so a single
-round resolves all 15 pairs: for i < j, node j's reply answers node i's
-earlier transmission and
+One ranging round: node 0 broadcasts a request, then each node s
+transmits in its fixed TDMA slot, SLOT_S * s after the round start. Every
+node timestamps every transmission it hears, and responders overhear each
+other, so a single round resolves all 15 pairs: for i < j, node j's reply
+answers node i's earlier transmission and
 
     tof_ij = 0.5 * (t_i_received - t_i_sent + t_j_received - t_j_sent)
+
+A round is array code over the (6,) send stamps and the (6, 6) receive
+stamps, recv[r, s] being node r's stamp of node s's message; only the
+random draws (a drop, then noise, per message) run one message at a time,
+in a fixed order. `simulate_stream` runs one round per `round_times` entry
+on a (R, 6, 3) position stack and an optional (R, 6, 6) sigma stack.
 
 Send/receive stamps are read through each node's own clock (offset +
 multiplicative skew). Offsets cancel exactly in the formula; skew leaves
@@ -20,7 +26,7 @@ noise come out at exactly the configured sigma_m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +41,23 @@ SIGMA_LOS = 0.051  # m, line-of-sight range noise
 SIGMA_NLOS = 0.083  # m, occluded range noise
 OCCLUSION_THRESHOLD = 0.2  # occlusion ratio at or above which a pair counts as NLOS
 
+# Every message of a round in transmission order: (receiver, sender).
+_MESSAGES = [(r, s) for s in range(N_NODES) for r in range(N_NODES) if r != s]
+_UPPER = np.triu(np.ones((N_NODES, N_NODES), dtype=bool), 1)
+
 
 def occlusion_noise_sigma(
-    c: float,
+    occlusion,
     sigma_los: float = SIGMA_LOS,
     sigma_nlos: float = SIGMA_NLOS,
     threshold: float = OCCLUSION_THRESHOLD,
-) -> float:
-    """Range noise sigma for a pair whose sight line has occlusion ratio c."""
-    if not 0.0 <= c <= 1.0:
-        raise ContractViolationError(f"occlusion ratio {c} outside [0, 1]")
-    return sigma_nlos if c >= threshold else sigma_los
+) -> np.ndarray:
+    """Range noise sigma for each pair, by the occlusion ratio of its sight line."""
+    occ = np.asarray(occlusion, dtype=float)
+    bad = ~((occ >= 0.0) & (occ <= 1.0))
+    if bad.any():
+        raise ContractViolationError(f"occlusion ratio {occ[bad][0]} outside [0, 1]")
+    return np.where(occ >= threshold, sigma_nlos, sigma_los)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +73,6 @@ class NodeClock:
             raise ContractViolationError(f"clock skew {self.skew_ppm} ppm outside +-50 ppm")
         if self.antenna_delay < 0.0:
             raise ContractViolationError("antenna delay must be non-negative")
-
-    def local(self, t: float) -> float:
-        return (1.0 + self.skew_ppm * 1e-6) * t + self.offset
 
 
 def ideal_clocks() -> tuple[NodeClock, ...]:
@@ -91,22 +100,9 @@ def sample_clocks(
     return tuple(clocks)
 
 
-def resolve_tof(t_i_sent: float, t_i_received: float, t_j_received: float, t_j_sent: float) -> float:
-    """Two-way time of flight from the four local timestamps of a pair."""
+def resolve_tof(t_i_sent, t_i_received, t_j_received, t_j_sent):
+    """Two-way time of flight from the four local timestamps of a pair (scalars or arrays)."""
     return 0.5 * (t_i_received - t_i_sent + t_j_received - t_j_sent)
-
-
-@dataclass(frozen=True)
-class RangingRound:
-    """All timestamps and resolved distances of one broadcast round."""
-
-    index: int
-    t_start: float
-    initiator: int
-    send_ts: np.ndarray  # (6,) local send stamps
-    recv_ts: np.ndarray  # (6, 6) recv_ts[r, s] = r's local stamp of s's message (nan = dropped)
-    distances: np.ndarray  # (6, 6) resolved pair distances, symmetric, 0 on diagonal
-    valid: np.ndarray  # (6, 6) bool
 
 
 def run_ranging_round(
@@ -114,59 +110,56 @@ def run_ranging_round(
     clocks: tuple[NodeClock, ...],
     rng: np.random.Generator | None = None,
     *,
-    index: int = 0,
     t_start: float = 0.0,
-    initiator: int = 0,
     drop_prob: float = 0.0,
-    sigma_fn=None,
-    slot_s: float = SLOT_S,
-) -> RangingRound:
-    """Simulate one round at frozen node positions.
+    sigma: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one round at frozen node positions (6, 3).
 
-    sigma_fn(i, j) -> range noise sigma in meters for the unordered pair;
-    None means noise-free. Dropped receptions (probability drop_prob each)
-    invalidate exactly the pairs that needed them.
+    sigma: (6, 6) symmetric range noise sigmas in meters, or None for
+    noise-free. Dropped receptions (probability drop_prob each) invalidate
+    exactly the pairs that needed them. Returns the (6, 6) resolved
+    distances (symmetric, 0 on the diagonal and for invalid pairs) and
+    the (6, 6) validity mask.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (N_NODES, 3):
         raise ContractViolationError(f"expected positions ({N_NODES}, 3), got {positions.shape}")
-    order = [initiator] + [k for k in range(N_NODES) if k != initiator]
-    tx_time = {node: t_start + slot * slot_s for slot, node in enumerate(order)}
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (N_NODES, N_NODES):
+            raise ContractViolationError(f"expected sigma ({N_NODES}, {N_NODES}), got {sigma.shape}")
 
-    send_ts = np.zeros(N_NODES)
-    recv_ts = np.full((N_NODES, N_NODES), np.nan)
-    for s in range(N_NODES):
-        send_ts[s] = clocks[s].local(tx_time[s])
-    for s in range(N_NODES):
-        emit = tx_time[s] + clocks[s].antenna_delay
-        for r in range(N_NODES):
-            if r == s:
-                continue
-            if rng is not None and drop_prob > 0.0 and rng.random() < drop_prob:
-                continue
-            dist = float(np.linalg.norm(positions[r] - positions[s]))
-            arrival = emit + dist / SPEED_OF_LIGHT + clocks[r].antenna_delay
-            stamp = clocks[r].local(arrival)
-            if sigma_fn is not None:
-                sigma_m = sigma_fn(min(r, s), max(r, s))
-                if sigma_m > 0.0:
-                    if rng is None:
-                        raise ContractViolationError("noise requested without an rng")
-                    stamp += rng.normal(0.0, sigma_m * math.sqrt(2.0) / SPEED_OF_LIGHT)
-            recv_ts[r, s] = stamp
+    # The random draws, message by message: a drop, then (if kept) noise.
+    received = ~np.eye(N_NODES, dtype=bool)
+    noise = np.zeros((N_NODES, N_NODES))
+    noisy = sigma is not None and bool((sigma[received] > 0.0).any())
+    if noisy and rng is None:
+        raise ContractViolationError("noise requested without an rng")
+    if rng is not None and (noisy or drop_prob > 0.0):
+        scale = sigma * math.sqrt(2.0) / SPEED_OF_LIGHT if noisy else None
+        for r, s in _MESSAGES:
+            if drop_prob > 0.0 and rng.random() < drop_prob:
+                received[r, s] = False
+            elif noisy and sigma[r, s] > 0.0:
+                noise[r, s] = rng.normal(0.0, scale[r, s])
 
-    distances = np.zeros((N_NODES, N_NODES))
-    valid = np.zeros((N_NODES, N_NODES), dtype=bool)
-    slot_of = {node: k for k, node in enumerate(order)}
-    for i in range(N_NODES):
-        for j in range(i + 1, N_NODES):
-            a, b = (i, j) if slot_of[i] < slot_of[j] else (j, i)  # a transmitted first
-            if math.isnan(recv_ts[b, a]) or math.isnan(recv_ts[a, b]):
-                continue
-            tof = resolve_tof(send_ts[a], recv_ts[a, b], recv_ts[b, a], send_ts[b])
-            distances[i, j] = distances[j, i] = tof * SPEED_OF_LIGHT
-            valid[i, j] = valid[j, i] = True
-    return RangingRound(index, t_start, initiator, send_ts, recv_ts, distances, valid)
+    gain = 1.0 + np.array([c.skew_ppm for c in clocks]) * 1e-6
+    offset = np.array([c.offset for c in clocks])
+    delay = np.array([c.antenna_delay for c in clocks])
+    tx = t_start + np.arange(N_NODES) * SLOT_S
+    send = gain * tx + offset
+    diff = positions[:, None, :] - positions[None, :, :]
+    # This matmul form rounds like the per-vector np.linalg.norm.
+    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    arrival = (tx + delay)[None, :] + dist / SPEED_OF_LIGHT + delay[:, None]
+    recv = gain[:, None] * arrival + offset[:, None] + noise
+
+    # Pair (i, j), i < j, from i's stamp of j's reply and j's stamp of i's message.
+    tof = resolve_tof(send[:, None], recv, recv.T, send[None, :])
+    valid = received & received.T
+    distances = np.where(valid, np.where(_UPPER, tof, tof.T) * SPEED_OF_LIGHT, 0.0)
+    return distances, valid
 
 
 @dataclass
@@ -178,42 +171,41 @@ class RawDistanceStream:
     valid: np.ndarray  # (R, 6, 6) bool
 
 
+def round_times(duration_s: float) -> np.ndarray:
+    """Start times (R,) of the rounds, every ROUND_PERIOD_S, that begin inside duration_s."""
+    return np.arange(int(math.ceil(duration_s / ROUND_PERIOD_S - 1e-9))) * ROUND_PERIOD_S
+
+
 def simulate_stream(
-    positions_fn,
+    times: np.ndarray,
+    positions: np.ndarray,
     clocks: tuple[NodeClock, ...],
-    duration_s: float,
     rng: np.random.Generator | None = None,
     *,
-    period_s: float = ROUND_PERIOD_S,
     drop_prob: float = 0.0,
-    sigma_fn_for_round=None,
-    slot_s: float = SLOT_S,
+    sigma: np.ndarray | None = None,
 ) -> RawDistanceStream:
-    """Rounds every period_s for duration_s; positions_fn(t) -> (6, 3).
-
-    sigma_fn_for_round(round_index, t) may return a per-round sigma_fn or
-    None for noise-free operation.
-    """
-    n_rounds = int(math.ceil(duration_s / period_s - 1e-9))
-    times = np.zeros(n_rounds)
+    """One round per start time: positions (R, 6, 3) and sigma (R, 6, 6) or
+    None; a single (6, 3) or (6, 6) array stands for every round."""
+    times = np.asarray(times, dtype=float)
+    n_rounds = times.shape[0]
+    try:
+        positions = np.broadcast_to(positions, (n_rounds, N_NODES, 3))
+        if sigma is not None:
+            sigma = np.broadcast_to(sigma, (n_rounds, N_NODES, N_NODES))
+    except ValueError as exc:
+        raise ContractViolationError(f"positions or sigma do not fit {n_rounds} rounds: {exc}") from exc
     dists = np.zeros((n_rounds, N_NODES, N_NODES))
     valid = np.zeros((n_rounds, N_NODES, N_NODES), dtype=bool)
     for k in range(n_rounds):
-        t0 = k * period_s
-        sigma_fn = sigma_fn_for_round(k, t0) if sigma_fn_for_round is not None else None
-        rnd = run_ranging_round(
-            positions_fn(t0),
+        dists[k], valid[k] = run_ranging_round(
+            positions[k],
             clocks,
             rng,
-            index=k,
-            t_start=t0,
+            t_start=times[k],
             drop_prob=drop_prob,
-            sigma_fn=sigma_fn,
-            slot_s=slot_s,
+            sigma=None if sigma is None else sigma[k],
         )
-        times[k] = t0
-        dists[k] = rnd.distances
-        valid[k] = rnd.valid
     return RawDistanceStream(times, dists, valid)
 
 

@@ -62,6 +62,7 @@ from uip.uwb import (
     ideal_clocks,
     occlusion_noise_sigma,
     ransac_affine_calibrate,
+    round_times,
     simulate_stream,
 )
 
@@ -83,7 +84,7 @@ def clean_stream():
     """Noise-free ranging on ideal clocks over a static body, timed."""
     _, _, pos = _tpose_sensor_positions()
     start = time.perf_counter()
-    stream = simulate_stream(lambda _t: pos, ideal_clocks(), 10.0)
+    stream = simulate_stream(round_times(10.0), pos, ideal_clocks())
     elapsed = time.perf_counter() - start
     return SimpleNamespace(stream=stream, positions=pos, elapsed=elapsed)
 
@@ -234,21 +235,15 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
         for s in range(N_SENSORS)
     ]
 
-    def sigma_for_round(_k, t):
-        frame = min(int(round(t * rate)), frames - 1)
-        occ = pairwise_occlusion(skel, placement, joint_vecs[frame], sensor_pos[frame])
-
-        def sigma(i, j):
-            return occlusion_noise_sigma(occ[i, j], 0.051, 0.083)
-
-        return sigma
-
+    starts = round_times(frames / rate)
+    round_frame = np.minimum(np.rint(starts * rate).astype(int), frames - 1)
+    occ = np.stack([pairwise_occlusion(skel, placement, joint_vecs[f], sensor_pos[f]) for f in round_frame])
     ranging = simulate_stream(
-        lambda t: sensor_pos[min(int(round(t * rate)), frames - 1)],
+        starts,
+        sensor_pos[round_frame],
         ideal_clocks(),
-        frames / rate,
         derive_rng(5, "acceptance", "uwb"),
-        sigma_fn_for_round=sigma_for_round,
+        sigma=occlusion_noise_sigma(occ, 0.051, 0.083),
     )
 
     start = time.perf_counter()

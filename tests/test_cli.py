@@ -180,6 +180,21 @@ def test_nan_range_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "out" / "rmse_report.json").exists()
 
 
+def test_truncated_ranging_is_a_data_error(env, tmp_path, capsys):
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    ranging = data / "clip_000_walk" / "ranging.csv"
+    lines = ranging.read_text().splitlines()[:-3]  # the last round loses three pairs
+    ranging.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"ranging.csv:{len(lines)}: round" in err
+    assert "ends after 12 of 15 pairs" in err
+    assert not (tmp_path / "out" / "rmse_report.json").exists()
+
+
 def test_malformed_truth_is_a_data_error(env, tmp_path, capsys):
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)

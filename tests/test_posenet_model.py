@@ -93,6 +93,22 @@ def test_normalize_all_invalid_passthrough():
     assert np.array_equal(dn, d)
 
 
+def test_normalize_stack_is_per_frame_and_names_the_bad_frame():
+    rng = derive_rng(8, "pn", "stack")
+    d = np.stack([distance_matrix(rng) for _ in range(4)])
+    valid = np.ones((4, 6, 6), dtype=bool)
+    valid[2] = False
+    d[2, HEAD, PELVIS] = d[2, PELVIS, HEAD] = 0.004  # all-invalid: passes through
+    dn = normalize_distances(d, valid)
+    for f in range(4):
+        want = d[f] if f == 2 else normalize_distances(d[f])
+        assert dn[f].tobytes() == want.tobytes()
+    assert normalize_distances(d[None], valid[None]).tobytes() == dn[None].tobytes()
+    d[3, HEAD, PELVIS] = d[3, PELVIS, HEAD] = 0.01
+    with pytest.raises(DataError, match=r"0\.0100 m too small to normalize by \(frame 3\)"):
+        normalize_distances(d, valid)
+
+
 def test_fusion_weights_clip_and_interpolate():
     w = fusion_weights(np.array([0.0, 2.0, 5.0, 8.0, 30.0]))
     assert np.array_equal(w, np.array([0.0, 0.0, 0.5, 1.0, 1.0]))

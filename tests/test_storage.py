@@ -10,6 +10,7 @@ from uip.geometry import qnormalize
 from uip.imu import ImuStream
 from uip.metrics import MetricReport
 from uip.rng import derive_rng
+from uip.skeleton import PAIR_I, PAIR_J
 from uip.storage import (
     read_calibration,
     read_imu_csv,
@@ -104,11 +105,16 @@ def test_ranging_csv_roundtrip(tmp_path):
     assert np.array_equal(back.valid, stream.valid)
 
 
+def _ranging_rows(rounds: int) -> list[str]:
+    """Data rows of a well-formed ranging file, in the writer's pair order."""
+    return [f"{k},{k * 0.04!r},{i},{j},1.25,1" for k in range(rounds) for i, j in zip(PAIR_I, PAIR_J)]
+
+
 def test_ranging_csv_rejects_garbage(tmp_path):
     path = tmp_path / "ranging.csv"
     header = "round,t,i,j,d_raw,valid\n"
     good = "0,0.0,0,1,1.25,1\n"
-    path.write_text(header + good + "1,0.04,0,1,1.5,1\n")
+    path.write_text(header + "\n".join(_ranging_rows(2)) + "\n")
     assert read_ranging_csv(path).times.shape == (2,)
     for row, why in (
         ("1,0.04,0,1,nan,1", "non-finite"),
@@ -127,8 +133,42 @@ def test_ranging_csv_rejects_garbage(tmp_path):
         with pytest.raises(DataError, match=rf"ranging\.csv:3: .*{why}"):
             read_ranging_csv(path)
     path.write_text(header + "5,0.2,0,1,1.5,1\n" + good)
-    with pytest.raises(DataError, match=r"ranging\.csv:2: round 5 after the last round 0"):
+    with pytest.raises(DataError, match=r"ranging\.csv:2: expected round 0 pair \(0, 1\), got round 5"):
         read_ranging_csv(path)
+
+
+def test_ranging_csv_rejects_broken_rounds(tmp_path):
+    """Each round k = 0..R-1 holds exactly its 15 rows, in the writer's
+    pair order, sharing one time; anything else names the file and line."""
+    path = tmp_path / "ranging.csv"
+    header = ["round,t,i,j,d_raw,valid"]
+    rows = _ranging_rows(3)
+    cut = rows[:20]  # the file ends five pairs into round 1
+    skipped = rows[:15] + rows[30:]  # round 1 has no rows
+    duplicated = rows[:4] + rows[3:]  # (0, 4) of round 0 twice
+    swapped = rows[:1] + [rows[2], rows[1]] + rows[3:]
+    retimed = rows[:17] + [rows[17].replace("0.04,", "0.05,", 1)] + rows[18:]
+    for data, where in (
+        (cut, r":21: round 1 ends after 5 of 15 pairs"),
+        (skipped, r":17: expected round 1 pair \(0, 1\), got round 2 pair \(0, 1\)"),
+        (duplicated, r":6: expected round 0 pair \(0, 5\), got round 0 pair \(0, 4\)"),
+        (swapped, r":3: expected round 0 pair \(0, 2\), got round 0 pair \(0, 3\)"),
+        (retimed, r":19: time 0.05 differs from round 1's time 0.04"),
+    ):
+        path.write_text("\n".join(header + data) + "\n")
+        with pytest.raises(DataError, match=r"ranging\.csv" + where):
+            read_ranging_csv(path)
+    path.write_text("\n".join(header + rows) + "\n")
+    assert read_ranging_csv(path).valid.sum() == 3 * 30
+
+
+def test_ranging_csv_writes_the_pair_order_it_reads(tmp_path):
+    d = np.arange(36.0).reshape(1, 6, 6)
+    stream = RawDistanceStream(times=np.array([0.5]), distances=d + d.transpose(0, 2, 1), valid=np.ones((1, 6, 6), bool))
+    path = tmp_path / "ranging.csv"
+    write_ranging_csv(path, stream)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [f"0,0.5,{i},{j},{float(d[0, i, j] + d[0, j, i])!r},1" for i in range(6) for j in range(i + 1, 6)]
 
 
 def test_truth_roundtrip(tmp_path):

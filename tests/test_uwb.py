@@ -8,6 +8,7 @@ from uip.errors import CalibrationError, ContractViolationError
 from uip.rng import derive_rng
 from uip.uwb import (
     N_NODES,
+    SLOT_S,
     SPEED_OF_LIGHT,
     CalibrationResult,
     NodeClock,
@@ -16,6 +17,7 @@ from uip.uwb import (
     occlusion_noise_sigma,
     ransac_affine_calibrate,
     resolve_tof,
+    round_times,
     run_ranging_round,
     sample_clocks,
     simulate_stream,
@@ -44,14 +46,108 @@ def truth_matrix(pos: np.ndarray) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
 
 
-def test_occlusion_sigma_threshold():
-    assert occlusion_noise_sigma(0.0) == 0.051
-    assert occlusion_noise_sigma(0.19) == 0.051
-    assert occlusion_noise_sigma(0.2) == 0.083
-    assert occlusion_noise_sigma(1.0) == 0.083
-    assert occlusion_noise_sigma(0.5, 0.01, 0.07) == 0.07
+def scalar_round(positions, clocks, rng=None, *, t_start=0.0, drop_prob=0.0, sigma=None):
+    """Reference round, one message at a time: node s sends at t_start +
+    s * SLOT_S, receiver r stamps it through its own clock, and a pair i < j
+    resolves from the four stamps of its two messages."""
+
+    def local(c, t):
+        return (1.0 + c.skew_ppm * 1e-6) * t + c.offset
+
+    tx_time = [t_start + s * SLOT_S for s in range(N_NODES)]
+    send_ts = [local(clocks[s], tx_time[s]) for s in range(N_NODES)]
+    recv_ts = np.full((N_NODES, N_NODES), np.nan)
+    for s in range(N_NODES):
+        emit = tx_time[s] + clocks[s].antenna_delay
+        for r in range(N_NODES):
+            if r == s:
+                continue
+            if rng is not None and drop_prob > 0.0 and rng.random() < drop_prob:
+                continue
+            dist = float(np.linalg.norm(positions[r] - positions[s]))
+            stamp = local(clocks[r], emit + dist / SPEED_OF_LIGHT + clocks[r].antenna_delay)
+            if sigma is not None:
+                sigma_m = sigma[min(r, s), max(r, s)]
+                if sigma_m > 0.0:
+                    if rng is None:
+                        raise ContractViolationError("noise requested without an rng")
+                    stamp += rng.normal(0.0, sigma_m * math.sqrt(2.0) / SPEED_OF_LIGHT)
+            recv_ts[r, s] = stamp
+    distances = np.zeros((N_NODES, N_NODES))
+    valid = np.zeros((N_NODES, N_NODES), dtype=bool)
+    for i, j in PAIRS:
+        if math.isnan(recv_ts[j, i]) or math.isnan(recv_ts[i, j]):
+            continue
+        tof = resolve_tof(send_ts[i], recv_ts[i, j], recv_ts[j, i], send_ts[j])
+        distances[i, j] = distances[j, i] = tof * SPEED_OF_LIGHT
+        valid[i, j] = valid[j, i] = True
+    return distances, valid
+
+
+def random_sigma(rng) -> np.ndarray:
+    """Symmetric mixed LOS/NLOS sigmas, with some noise-free pairs."""
+    occ = rng.uniform(0.0, 0.4, (N_NODES, N_NODES))
+    sigma = occlusion_noise_sigma(np.triu(occ, 1) + np.triu(occ, 1).T)
+    sigma[rng.uniform(size=sigma.shape) < 0.1] = 0.0
+    return np.triu(sigma, 1) + np.triu(sigma, 1).T
+
+
+def test_array_round_equals_scalar_round_bitwise():
+    setup = derive_rng(6, "uwb", "bitwise")
+    mismatched = 0
+    for trial in range(1000):
+        clocks = sample_clocks(setup, skew_ppm_sigma=5.0, offset_sigma=10.0, antenna_delay_ns=0.5)
+        pos = body_positions(setup)
+        t_start = float(setup.uniform(0.0, 60.0))
+        drop_prob = (0.0, 0.2, 0.6)[trial % 3]
+        sigma = random_sigma(setup) if trial % 4 else None
+        seed = int(setup.integers(1 << 30))
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = scalar_round(pos, clocks, ref_rng, t_start=t_start, drop_prob=drop_prob, sigma=sigma)
+        got = run_ranging_round(pos, clocks, rng, t_start=t_start, drop_prob=drop_prob, sigma=sigma)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        # same draws in the same order
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        mismatched += not want[1][~np.eye(N_NODES, dtype=bool)].all()
+    assert mismatched > 300  # drops were exercised
+
+
+def test_array_round_without_rng_equals_scalar_round():
+    setup = derive_rng(6, "uwb", "norng")
+    for _ in range(50):
+        clocks = sample_clocks(setup, skew_ppm_sigma=5.0, offset_sigma=10.0)
+        pos = body_positions(setup)
+        t_start = float(setup.uniform(0.0, 60.0))
+        zero = np.zeros((N_NODES, N_NODES))
+        for sigma in (None, zero):
+            want = scalar_round(pos, clocks, t_start=t_start, drop_prob=0.5, sigma=sigma)
+            got = run_ranging_round(pos, clocks, t_start=t_start, drop_prob=0.5, sigma=sigma)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[1], ~np.eye(N_NODES, dtype=bool))
+    with pytest.raises(ContractViolationError, match="without an rng"):
+        run_ranging_round(body_positions(), ideal_clocks(), sigma=np.full((N_NODES, N_NODES), 0.05))
+
+
+def test_round_rejects_bad_shapes():
     with pytest.raises(ContractViolationError):
-        occlusion_noise_sigma(1.2)
+        run_ranging_round(body_positions()[:5], ideal_clocks())
+    with pytest.raises(ContractViolationError):
+        run_ranging_round(body_positions(), ideal_clocks(), sigma=np.zeros((5, 5)))
+    with pytest.raises(ContractViolationError):
+        simulate_stream(round_times(0.2), np.zeros((4, N_NODES, 3)), ideal_clocks())
+    with pytest.raises(ContractViolationError):
+        simulate_stream(round_times(0.2), body_positions(), ideal_clocks(), sigma=np.zeros((5, 5)))
+
+
+def test_occlusion_sigma_threshold():
+    sigma = occlusion_noise_sigma(np.array([0.0, 0.19, 0.2, 1.0]))
+    assert np.array_equal(sigma, [0.051, 0.051, 0.083, 0.083])
+    assert occlusion_noise_sigma(np.full((2, 2), 0.5), 0.01, 0.07).tolist() == [[0.07, 0.07], [0.07, 0.07]]
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ContractViolationError):
+            occlusion_noise_sigma(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_resolve_tof_oracle():
@@ -62,11 +158,11 @@ def test_resolve_tof_oracle():
 
 def test_clean_round_resolves_geometry():
     pos = body_positions()
-    rnd = run_ranging_round(pos, ideal_clocks())
+    distances, valid = run_ranging_round(pos, ideal_clocks())
     truth = truth_matrix(pos)
-    assert rnd.valid[~np.eye(N_NODES, dtype=bool)].all()
-    assert np.allclose(rnd.distances, truth, atol=1e-9)
-    assert np.array_equal(rnd.distances, rnd.distances.T)
+    assert valid[~np.eye(N_NODES, dtype=bool)].all()
+    assert np.allclose(distances, truth, atol=1e-9)
+    assert np.array_equal(distances, distances.T)
 
 
 def test_clock_offsets_cancel_exactly():
@@ -75,27 +171,27 @@ def test_clock_offsets_cancel_exactly():
         NodeClock(offset=float(o), skew_ppm=0.0, antenna_delay=0.0)
         for o in (3.0, -12.5, 0.001, 7.7, -0.4, 123.0)
     )
-    rnd = run_ranging_round(pos, clocks)
-    assert np.allclose(rnd.distances, truth_matrix(pos), atol=1e-6)
+    distances, _ = run_ranging_round(pos, clocks)
+    assert np.allclose(distances, truth_matrix(pos), atol=1e-6)
 
 
 def test_antenna_delay_bias_is_sum_of_delays():
     pos = body_positions()
     delays = (1e-9, 2e-9, 0.5e-9, 3e-9, 1.5e-9, 2.5e-9)
     clocks = tuple(NodeClock(offset=0.0, skew_ppm=0.0, antenna_delay=d) for d in delays)
-    rnd = run_ranging_round(pos, clocks)
+    distances, _ = run_ranging_round(pos, clocks)
     truth = truth_matrix(pos)
     for i, j in PAIRS:
         want_bias = SPEED_OF_LIGHT * (delays[i] + delays[j])
-        assert math.isclose(rnd.distances[i, j] - truth[i, j], want_bias, rel_tol=1e-6)
+        assert math.isclose(distances[i, j] - truth[i, j], want_bias, rel_tol=1e-6)
 
 
 def test_skew_error_stays_bounded():
     pos = body_positions()
     skew_ppm = 20.0  # far above spec hardware, still small over a slot
     clocks = tuple(NodeClock(offset=0.0, skew_ppm=skew_ppm, antenna_delay=0.0) for _ in range(6))
-    rnd = run_ranging_round(pos, clocks)
-    err = np.abs(rnd.distances - truth_matrix(pos))
+    distances, _ = run_ranging_round(pos, clocks)
+    err = np.abs(distances - truth_matrix(pos))
     # bound: skew * max reply delay (5 slots of 2 ms) * c
     assert err.max() < skew_ppm * 1e-6 * 0.01 * SPEED_OF_LIGHT + 1e-9
 
@@ -106,8 +202,8 @@ def test_noise_sigma_comes_out_as_configured():
     sigma = 0.05
     samples = []
     for _ in range(3000):
-        rnd = run_ranging_round(pos, ideal_clocks(), rng, sigma_fn=lambda i, j: sigma)
-        samples.append(rnd.distances[0, 1])
+        distances, _ = run_ranging_round(pos, ideal_clocks(), rng, sigma=np.full((N_NODES, N_NODES), sigma))
+        samples.append(distances[0, 1])
     err = np.array(samples) - truth_matrix(pos)[0, 1]
     assert abs(err.std() - sigma) < 0.004
     assert abs(err.mean()) < 0.004
@@ -118,44 +214,54 @@ def test_drops_invalidate_only_affected_pairs():
     rng = derive_rng(6, "uwb", "drop")
     seen_partial = False
     for _ in range(40):
-        rnd = run_ranging_round(pos, ideal_clocks(), rng, drop_prob=0.3)
+        distances, valid = run_ranging_round(pos, ideal_clocks(), rng, drop_prob=0.3)
         off_diag = ~np.eye(N_NODES, dtype=bool)
-        n_valid = rnd.valid[off_diag].sum()
+        n_valid = valid[off_diag].sum()
         if 0 < n_valid < 30:
             seen_partial = True
         truth = truth_matrix(pos)
         for i, j in PAIRS:
-            if rnd.valid[i, j]:
-                assert abs(rnd.distances[i, j] - truth[i, j]) < 1e-9
+            if valid[i, j]:
+                assert abs(distances[i, j] - truth[i, j]) < 1e-9
             else:
-                assert rnd.distances[i, j] == 0.0
+                assert distances[i, j] == 0.0
     assert seen_partial
 
 
 def test_drop_prob_one_kills_everything():
-    rnd = run_ranging_round(
+    _, valid = run_ranging_round(
         body_positions(), ideal_clocks(), derive_rng(6, "uwb", "all"), drop_prob=1.0
     )
-    assert not rnd.valid.any()
+    assert not valid.any()
 
 
 def test_stream_round_count_and_times():
-    stream = simulate_stream(lambda t: body_positions(), ideal_clocks(), 10.0)
+    stream = simulate_stream(round_times(10.0), body_positions(), ideal_clocks())
     assert stream.times.shape[0] == 250
     assert np.allclose(np.diff(stream.times), 0.04, atol=1e-12)
-    stream = simulate_stream(lambda t: body_positions(), ideal_clocks(), 1.0)
+    stream = simulate_stream(round_times(1.0), body_positions(), ideal_clocks())
     assert stream.times.shape[0] == 25
 
 
-def test_stream_positions_fn_sees_round_times():
-    seen = []
+def test_round_times():
+    assert round_times(0.2).tolist() == [0.0, 0.04, 0.08, 0.12, 0.16]
+    assert round_times(0.0).shape == (0,)
 
-    def feed(t):
-        seen.append(t)
-        return body_positions()
 
-    simulate_stream(feed, ideal_clocks(), 0.2)
-    assert seen == [0.0, 0.04, 0.08, 0.12, 0.16]
+def test_stream_runs_round_k_on_positions_k_at_times_k():
+    """Each round sees its own positions and sigmas and starts at its own time,
+    and the stream equals per-round scalar rounds drawing from one rng."""
+    setup = derive_rng(6, "uwb", "stream")
+    clocks = sample_clocks(setup, skew_ppm_sigma=5.0)
+    times = round_times(0.4)
+    pos = np.stack([body_positions(setup) for _ in times])
+    sigma = np.stack([random_sigma(setup) for _ in times])
+    stream = simulate_stream(times, pos, clocks, derive_rng(6, "uwb", "s"), drop_prob=0.1, sigma=sigma)
+    ref_rng = derive_rng(6, "uwb", "s")
+    for k in range(times.shape[0]):
+        want = scalar_round(pos[k], clocks, ref_rng, t_start=k * 0.04, drop_prob=0.1, sigma=sigma[k])
+        assert stream.distances[k].tobytes() == want[0].tobytes()
+        assert np.array_equal(stream.valid[k], want[1])
 
 
 def test_sample_clocks_deterministic_and_plausible():
