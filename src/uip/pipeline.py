@@ -42,6 +42,7 @@ from .skeleton import (
     tpose,
 )
 from .storage import (
+    MANIFEST_NAME,
     TruthData,
     read_imu_csv,
     read_model_input,
@@ -61,7 +62,9 @@ from .storage import (
     write_truth,
 )
 from .uwb import (
+    ROUND_PERIOD_S,
     CalibrationResult,
+    RawDistanceStream,
     apply_calibration,
     occlusion_noise_sigma,
     ransac_affine_calibrate,
@@ -222,8 +225,20 @@ def _read_clip_truth(path: Path, skel: Skeleton, frames: int | None = None) -> T
     return truth
 
 
+def _read_rounds(path: Path, duration_s: float, what: str) -> RawDistanceStream:
+    """A ranging file, which must hold exactly the rounds `round_times` gives for duration_s."""
+    ranging = read_ranging_csv(path)
+    expected = round_times(duration_s)
+    if not np.array_equal(ranging.times, expected):
+        raise DataError(
+            f"{path}: {ranging.times.size} rounds, {what} needs {expected.size}, one every {ROUND_PERIOD_S:g} s from 0"
+        )
+    return ranging
+
+
 def _calibrate_uwb(cfg: RunConfig, dataset: Path, spos_t) -> CalibrationResult:
-    ranging = read_ranging_csv(dataset / "tpose_ranging.csv")
+    seconds = cfg.imu.tpose_seconds
+    ranging = _read_rounds(dataset / "tpose_ranging.csv", seconds, f"the {seconds:g} s T-pose")
     # Every valid T-pose range against its static truth, pair-major.
     picked = ranging.valid[:, PAIR_I, PAIR_J].T
     raw = ranging.distances[:, PAIR_I, PAIR_J].T[picked]
@@ -257,8 +272,10 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
 
     Writes per-clip model inputs (which carry the filtered distances) and
     training targets, plus the range calibration and a raw-vs-filtered
-    RMSE diagnostic. Every ranging round inside the clip updates the bank
-    on its nearest frame; rounds sharing a frame apply in round order.
+    RMSE diagnostic. Each ranging file (T-pose and clips) must hold
+    exactly the rounds `round_times` gives for its duration. Every round
+    updates the bank on its nearest frame; rounds sharing a frame apply in
+    round order.
     """
     dataset = Path(dataset_dir)
     verify_manifest(dataset)
@@ -283,7 +300,7 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig 
         cdir = dataset / name
         truth = _read_clip_truth(cdir / "truth.jsonl", skel)
         frames = truth.times.shape[0]
-        ranging = read_ranging_csv(cdir / "ranging.csv")
+        ranging = _read_rounds(cdir / "ranging.csv", frames / rate, f"clip {name} ({frames} frames at {rate:g} Hz)")
 
         # One orientation filter over all six sensors, seeded at the calibration pose.
         streams = [read_imu_csv(cdir / f"imu_s{s}.csv") for s in range(N_SENSORS)]
@@ -461,7 +478,14 @@ def evaluate_model(
     out_dir: str | Path,
     no_distances: bool = False,
 ) -> dict:
-    """Run inference over each clip and score it against ground truth."""
+    """Run inference over each clip and score it against ground truth.
+
+    The checkpoint must be listed in, and match, the manifest of its
+    directory, which `train_model` writes next to it.
+    """
+    checkpoint = Path(checkpoint)
+    if checkpoint.name not in verify_manifest(checkpoint.parent):
+        raise DataError(f"{checkpoint} is not listed in {checkpoint.parent / MANIFEST_NAME}")
     params = PoseNetParams.load(checkpoint)
     fdir = Path(filtered_dir)
     tdir = Path(truth_dir)

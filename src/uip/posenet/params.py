@@ -3,10 +3,13 @@
 All learnable tensors live in one name -> float64 ndarray mapping so the
 training loop, the checkpoint format, and gradient bookkeeping agree on a
 single flat namespace. Checkpoints are JSON: a format version, the
-architecture description, and each tensor with an explicit shape header.
+architecture description, and each tensor as its shape plus one base64
+string of its little-endian float64 bytes in C order, so a load restores
+every value bitwise without parsing one number at a time.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -18,7 +21,7 @@ from ..errors import CheckpointVersionError, ConfigError, DataError
 from ..rng import derive_rng
 from ..skeleton import N_SENSORS
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Input feature widths, fixed by the sensor layout.
 LSTM_INPUT = N_SENSORS * (6 + 3)  # 6D orientation + world accel per sensor
@@ -119,7 +122,10 @@ class PoseNetParams:
             "kind": "posenet-params",
             "config": asdict(self.config),
             "tensors": {
-                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                name: {
+                    "shape": list(arr.shape),
+                    "data": base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii"),
+                }
                 for name, arr in self.tensors.items()
             },
         }
@@ -129,24 +135,46 @@ class PoseNetParams:
     def load(path: str | Path) -> "PoseNetParams":
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("kind") != "posenet-params":
             raise DataError(f"{path} is not a parameter checkpoint")
         version = doc.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
-                f"checkpoint format {version!r}, this build reads {CHECKPOINT_VERSION}"
+                f"{path}: checkpoint format {version!r}, this build reads {CHECKPOINT_VERSION}"
             )
+        for key in ("config", "tensors"):
+            if not isinstance(doc.get(key), dict):
+                raise DataError(f"{path}: {key!r} must be an object")
         try:
             config = PoseNetConfig(**doc["config"])
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise DataError(f"bad config block in {path}: {exc}") from exc
-        tensors = {}
-        for name, block in doc["tensors"].items():
-            arr = np.asarray(block["data"], dtype=float).reshape(block["shape"])
-            tensors[name] = arr
-        return PoseNetParams(config, tensors)
+        tensors = {name: _decode_tensor(path, name, block) for name, block in doc["tensors"].items()}
+        try:
+            return PoseNetParams(config, tensors)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+def _decode_tensor(path, name: str, block) -> np.ndarray:
+    """One checkpoint tensor: a shape list and the base64 of its <f8 bytes."""
+    shape = block.get("shape") if isinstance(block, dict) else None
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"{path}: tensor {name}: bad shape {shape!r}")
+    data = block.get("data")
+    if not isinstance(data, str):
+        raise DataError(f"{path}: tensor {name}: data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise DataError(f"{path}: tensor {name}: invalid base64: {exc}") from exc
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise DataError(f"{path}: tensor {name}: {len(raw)} bytes, shape {shape} needs {8 * size}")
+    # A copy, so a loaded tensor is writable like any other.
+    return np.frombuffer(raw, "<f8").reshape(shape).copy()
 
 
 def init_params(config: PoseNetConfig, seed: int) -> PoseNetParams:

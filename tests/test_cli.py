@@ -195,6 +195,73 @@ def test_truncated_ranging_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "out" / "rmse_report.json").exists()
 
 
+def test_ranging_with_fewer_rounds_than_its_clip_is_a_data_error(env, tmp_path, capsys):
+    for name, why in (
+        ("clip_001_idle/ranging.csv", "10 rounds, clip clip_001_idle (40 frames at 20 Hz) needs 50"),
+        ("tpose_ranging.csv", "10 rounds, the 1.5 s T-pose needs 38"),
+    ):
+        data = tmp_path / name.replace("/", "_")
+        shutil.copytree(env.data, data)
+        ranging = data / name
+        lines = ranging.read_text().splitlines()[: 1 + 10 * 15]  # the header and 10 whole rounds
+        ranging.write_text("\n".join(lines) + "\n")
+        write_manifest(data, list(read_manifest(data)))
+        code = main(["filter", "--data", str(data), "--out", str(data / "out")])
+        assert code == EXIT_DATA
+        assert f"{name}: {why}, one every 0.04 s from 0" in capsys.readouterr().err
+        assert not (data / "out" / "rmse_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(env):
+    tdir = env.root / "trained"
+    assert main(["train", "--data", str(env.filt), "--out", str(tdir), "--config", str(env.config)]) == 0
+    return tdir
+
+
+def _eval(env, ckpt, out):
+    return main(
+        [
+            "eval",
+            "--checkpoint", str(ckpt),
+            "--data", str(env.filt),
+            "--truth", str(env.data),
+            "--out", str(out),
+        ]
+    )
+
+
+def test_stale_checkpoint_is_a_data_error(env, trained, tmp_path, capsys):
+    tdir = tmp_path / "trained"
+    shutil.copytree(trained, tdir)
+    ckpt = tdir / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    doc["config"]["accel_low"] = 1.0  # still a loadable checkpoint, but not the trained one
+    ckpt.write_text(json.dumps(doc))
+    assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
+    assert "hash mismatch for " + str(ckpt) in capsys.readouterr().err
+    # A checkpoint its directory's manifest does not list is not trusted either.
+    unlisted = tmp_path / "unlisted" / "checkpoint.json"
+    unlisted.parent.mkdir()
+    shutil.copy(trained / "checkpoint.json", unlisted)
+    write_manifest(unlisted.parent, [])
+    assert _eval(env, unlisted, tmp_path / "eval") == EXIT_DATA
+    assert f"{unlisted} is not listed in {unlisted.parent / 'manifest.json'}" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_malformed_checkpoint_is_a_data_error(env, trained, tmp_path, capsys):
+    tdir = tmp_path / "trained"
+    shutil.copytree(trained, tdir)
+    ckpt = tdir / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    del doc["tensors"]
+    ckpt.write_text(json.dumps(doc))
+    write_manifest(tdir, list(read_manifest(tdir)))
+    assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
+    assert f"data error: {ckpt}: 'tensors' must be an object" in capsys.readouterr().err
+
+
 def test_malformed_truth_is_a_data_error(env, tmp_path, capsys):
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)

@@ -6,7 +6,7 @@ bounds do not depend on host load the way wall time and RSS do.
 import tracemalloc
 
 from conftest import random_windows
-from uip.posenet import PoseNetConfig, batch_loss, infer, init_params
+from uip.posenet import PoseNetConfig, PoseNetParams, batch_loss, infer, init_params
 
 MB = 1 << 20
 
@@ -32,3 +32,11 @@ def test_default_net_inference_peak_memory():
     params = init_params(PoseNetConfig(), 2)
     w = random_windows(32, 1, frames=1000)[0]
     assert _peak_mb(lambda: infer(params, w.r, w.a, w.d, w.valid)) < 64.0
+
+
+def test_default_net_checkpoint_peak_memory(tmp_path):
+    # 250k float64 values are 2 MB; neither direction may build them as text numbers.
+    params = init_params(PoseNetConfig(), 3)
+    path = tmp_path / "checkpoint.json"
+    assert _peak_mb(lambda: params.save(path)) < 10.0
+    assert _peak_mb(lambda: PoseNetParams.load(path)) < 10.0

@@ -1,4 +1,5 @@
 """Optimizer, schedule, splits, divergence reporting, checkpoints."""
+import base64
 import json
 
 import numpy as np
@@ -147,12 +148,20 @@ def test_divergence_reports_worst_parameter_norms():
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     params = init_params(TINY_NET, 37)
+    params.tensors["rot_w"].flat[:7] = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1]
     path = tmp_path / "checkpoint.json"
     params.save(path)
     loaded = PoseNetParams.load(path)
     assert loaded.config == params.config
+    assert list(loaded.tensors) == list(params.tensors)
     for name, tensor in params.tensors.items():
-        assert np.array_equal(tensor, loaded.tensors[name])
+        assert loaded.tensors[name].shape == tensor.shape
+        assert loaded.tensors[name].tobytes() == tensor.tobytes()
+    # Saving is deterministic: a second save, and a save of the loaded copy, give the same bytes.
+    params.save(tmp_path / "again.json")
+    loaded.save(tmp_path / "reloaded.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    assert (tmp_path / "reloaded.json").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -160,7 +169,59 @@ def test_checkpoint_version_gate(tmp_path):
     path = tmp_path / "checkpoint.json"
     params.save(path)
     blob = json.loads(path.read_text())
-    blob["format_version"] = 999
-    path.write_text(json.dumps(blob))
-    with pytest.raises(CheckpointVersionError):
+    # Version 1 stored each tensor as a JSON list of numbers; it is refused, not read.
+    v1 = dict(blob, format_version=1, tensors={
+        name: {"shape": list(t.shape), "data": t.ravel().tolist()} for name, t in params.tensors.items()
+    })
+    for doc, version in ((v1, "1"), (dict(blob, format_version=999), "999")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointVersionError, match=f"checkpoint.json: checkpoint format {version},"):
+            PoseNetParams.load(path)
+
+
+def test_malformed_checkpoint_is_a_data_error(tmp_path):
+    params = init_params(TINY_NET, 39)
+    path = tmp_path / "checkpoint.json"
+    params.save(path)
+    good = json.loads(path.read_text())
+
+    def edited(**changes):
+        doc = json.loads(json.dumps(good))
+        for name, block in changes.pop("tensor", {}).items():
+            doc["tensors"][name] = block
+        doc.update(changes)
+        return doc
+
+    def b64(values):
+        return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+    pt_b = good["tensors"]["pt_b"]  # shape (18,)
+    for doc, why in (
+        ([good], "is not a parameter checkpoint"),
+        ({k: v for k, v in good.items() if k != "tensors"}, "'tensors' must be an object"),
+        (edited(tensors=[pt_b]), "'tensors' must be an object"),
+        ({k: v for k, v in good.items() if k != "config"}, "'config' must be an object"),
+        (edited(config=[4, 1]), "'config' must be an object"),
+        (edited(config=dict(good["config"], lstm_hidden=0)), "bad config block"),
+        (edited(tensor={"pt_b": [0.0] * 18}), "tensor pt_b: bad shape None"),
+        (edited(tensor={"pt_b": dict(pt_b, shape="18")}), "tensor pt_b: bad shape '18'"),
+        (edited(tensor={"pt_b": dict(pt_b, shape=[-18])}), r"tensor pt_b: bad shape \[-18\]"),
+        (edited(tensor={"pt_b": dict(pt_b, shape=[18.0])}), r"tensor pt_b: bad shape \[18.0\]"),
+        (edited(tensor={"pt_b": dict(pt_b, data=[0.0] * 18)}), "tensor pt_b: data must be a base64 string"),
+        (edited(tensor={"pt_b": dict(pt_b, data="not base64!")}), "tensor pt_b: invalid base64"),
+        (edited(tensor={"pt_b": dict(pt_b, data=pt_b["data"][:-1])}), "tensor pt_b: invalid base64"),
+        (edited(tensor={"pt_b": dict(pt_b, data=pt_b["data"][:-4])}), r"tensor pt_b: 141 bytes, shape \[18\] needs 144"),
+        (edited(tensor={"pt_b": dict(pt_b, data="\u00e9" * 4)}), "tensor pt_b: invalid base64"),
+        (edited(tensor={"pt_b": dict(pt_b, data=b64(np.zeros(17)))}), r"tensor pt_b: 136 bytes, shape \[18\] needs 144"),
+        (edited(tensor={"pt_b": dict(pt_b, data=b64(np.zeros(19)))}), r"tensor pt_b: 152 bytes, shape \[18\] needs 144"),
+        (edited(tensor={"pt_b": dict(pt_b, shape=[2, 9])}), r"tensor pt_b: shape \(2, 9\), expected \(18,\)"),
+        (edited(tensor={"pt_b": dict(pt_b, data=b64([np.nan] + [0.0] * 17))}), "tensor pt_b contains non-finite"),
+        (edited(tensor={"extra": pt_b}), r"extra \['extra'\]"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=why) as err:
+            PoseNetParams.load(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(DataError, match="cannot read checkpoint"):
         PoseNetParams.load(path)
