@@ -40,8 +40,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    cfg = load_config(args.config) if args.config else None
-    result = filter_dataset(args.data, args.out, cfg)
+    result = filter_dataset(args.data, args.out)
     cal = result["calibration"]
     print(f"range calibration: scale {cal.scale:.5f}, bias {cal.bias:.5f} m, {cal.inliers} inliers")
     for name, row in result["rmse"].items():
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="run calibration, orientation filter, and distance filter")
     p.add_argument("--data", required=True, help="synthesized dataset directory")
     p.add_argument("--out", required=True, help="output directory for filtered streams")
-    p.add_argument("--config", help="JSON run configuration (defaults to the dataset's)")
     p.set_defaults(fn=_cmd_filter)
 
     p = sub.add_parser("train", help="train the pose network on filtered streams")

@@ -1,8 +1,10 @@
 """Run configuration: one JSON document drives the whole pipeline.
 
 Every command reads the same RunConfig shape and uses the sections it
-needs. Parsing is strict: an unknown key anywhere raises ConfigError
-naming the offending key, so typos never silently fall back to defaults.
+needs. The `model` and `train` sections are the records `uip.posenet`
+trains with. Parsing is strict: an unknown key anywhere, a number of the
+wrong type or a non-finite one raises ConfigError naming the offending
+key, so typos never silently fall back to defaults.
 The recorded config never contains machine-specific paths, which keeps
 output directories byte-reproducible across runs.
 """
@@ -10,11 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .motions import MOTION_KINDS
+from .posenet import PoseNetConfig, TrainSettings
 
 
 @dataclass(frozen=True)
@@ -100,33 +105,21 @@ class EkfSettings:
 
 
 @dataclass(frozen=True)
-class ModelSettings:
+class ModelSettings(PoseNetConfig):
     """Network architecture plus how streams become training windows."""
 
-    lstm_hidden: int = 128
-    lstm_layers: int = 2
-    gcn_width: int = 64
-    gcn_layers: int = 2
-    decoder_hidden: int = 64
-    accel_low: float = 2.0
-    accel_high: float = 8.0
-    lambda_distance: float = 0.01
     window_frames: int = 48
     window_stride: int = 24
 
     def __post_init__(self):
+        super().__post_init__()
         if self.window_frames < 1 or self.window_stride < 1:
             raise ConfigError("window_frames and window_stride must be >= 1")
 
-
-@dataclass(frozen=True)
-class TrainSettings:
-    epochs: int = 50
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    lr_decay: float = 0.33
-    lr_decay_every: int = 20
-    val_fraction: float = 0.2
+    def network(self) -> PoseNetConfig:
+        """The architecture alone, as the checkpoint records it."""
+        names = [f.name for f in dataclasses.fields(PoseNetConfig)]
+        return PoseNetConfig(**{name: getattr(self, name) for name in names})
 
 
 @dataclass(frozen=True)
@@ -149,46 +142,44 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-_SECTIONS = {
-    "motions": MotionSettings,
-    "skeleton": SkeletonSettings,
-    "imu": ImuSettings,
-    "uwb": UwbSettings,
-    "ekf": EkfSettings,
-    "model": ModelSettings,
-    "train": TrainSettings,
-}
+def _check_number(where: str, kind: type, value) -> None:
+    """An int field takes an int; a float field a finite int or float.
+
+    bool is an int subclass but no number here. Values are not coerced,
+    so the recorded config keeps the bytes it was given.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past float range
+        raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def _build(cls, data: dict, path: str):
+    """Strict parse of one record: known keys, typed numbers, nested sections."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section {path or 'root'} must be an object")
+    kinds = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in known:
-            where = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown config key {where!r}")
+        kind = kinds[key]
+        if dataclasses.is_dataclass(kind):
+            value = _build(kind, value, where)
+        elif kind in (int, float):
+            _check_number(where, kind, value)
+        kwargs[key] = value
     try:
-        return cls(**data)
+        return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad config section {path or 'root'}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Strict parse of a full RunConfig document."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        elif key == "seed":
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if "seed" in kwargs and not isinstance(kwargs["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {kwargs['seed']!r}")
-    return RunConfig(**kwargs)
+    return _build(RunConfig, data, "")
 
 
 def load_config(path: str | Path) -> RunConfig:

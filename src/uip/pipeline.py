@@ -19,14 +19,7 @@ from .geometry import qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
-from .posenet import (
-    PoseNetConfig,
-    PoseNetParams,
-    TrainConfig,
-    TrainingWindow,
-    infer,
-    train,
-)
+from .posenet import PoseNetParams, TrainingWindow, infer, train
 from .rng import derive_rng
 from .skeleton import (
     MotionClip,
@@ -267,20 +260,21 @@ def _pelvis_frame_targets(sensor_pos: np.ndarray, sensor_rot: np.ndarray) -> np.
     return qrotate(qconj(sensor_rot[:, :1]), sensor_pos - sensor_pos[:, :1])
 
 
-def filter_dataset(dataset_dir: str | Path, out_dir: str | Path, cfg: RunConfig | None = None) -> dict:
+def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     """Orientation filter + EKF bank over a synthesized dataset.
 
-    Writes per-clip model inputs (which carry the filtered distances) and
-    training targets, plus the range calibration and a raw-vs-filtered
-    RMSE diagnostic. Each ranging file (T-pose and clips) must hold
-    exactly the rounds `round_times` gives for its duration. Every round
-    updates the bank on its nearest frame; rounds sharing a frame apply in
-    round order.
+    Every setting (skeleton, rate, filter gains, calibration seed) comes
+    from the config the dataset was synthesized with, which is copied to
+    the output. Writes per-clip model inputs (which carry the filtered
+    distances) and training targets, plus the range calibration and a
+    raw-vs-filtered RMSE diagnostic. Each ranging file (T-pose and clips)
+    must hold exactly the rounds `round_times` gives for its duration.
+    Every round updates the bank on its nearest frame; rounds sharing a
+    frame apply in round order.
     """
     dataset = Path(dataset_dir)
     verify_manifest(dataset)
-    if cfg is None:
-        cfg = load_config(dataset / CONFIG_FILE)
+    cfg = load_config(dataset / CONFIG_FILE)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     skel, placement = _setup(cfg)
@@ -424,20 +418,6 @@ def load_windows(
     return windows
 
 
-def _net_config(cfg: RunConfig) -> PoseNetConfig:
-    m = cfg.model
-    return PoseNetConfig(
-        lstm_hidden=m.lstm_hidden,
-        lstm_layers=m.lstm_layers,
-        gcn_width=m.gcn_width,
-        gcn_layers=m.gcn_layers,
-        decoder_hidden=m.decoder_hidden,
-        accel_low=m.accel_low,
-        accel_high=m.accel_high,
-        lambda_distance=m.lambda_distance,
-    )
-
-
 def train_model(
     filtered_dirs: list[str | Path],
     out_dir: str | Path,
@@ -448,17 +428,7 @@ def train_model(
     windows = load_windows(
         filtered_dirs, cfg.model.window_frames, cfg.model.window_stride, no_distances
     )
-    t = cfg.train
-    train_cfg = TrainConfig(
-        epochs=t.epochs,
-        batch_size=t.batch_size,
-        learning_rate=t.learning_rate,
-        lr_decay=t.lr_decay,
-        lr_decay_every=t.lr_decay_every,
-        val_fraction=t.val_fraction,
-        seed=cfg.seed,
-    )
-    params, log = train(windows, _net_config(cfg), train_cfg)
+    params, log = train(windows, cfg.model.network(), cfg.train, seed=cfg.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params.save(out / "checkpoint.json")

@@ -18,7 +18,7 @@ from .params import (
     init_params,
     zero_params,
 )
-from .train import TrainConfig, TrainingWindow, batch_loss, learning_rate_at, train
+from .train import TrainSettings, TrainingWindow, batch_loss, learning_rate_at, train
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -26,7 +26,7 @@ __all__ = [
     "PoseNetConfig",
     "PoseNetParams",
     "PoseOutput",
-    "TrainConfig",
+    "TrainSettings",
     "TrainingWindow",
     "batch_loss",
     "contact_term",

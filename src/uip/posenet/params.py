@@ -109,9 +109,6 @@ class PoseNetParams:
     def copy(self) -> "PoseNetParams":
         return PoseNetParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def n_values(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
     def norms(self) -> dict[str, float]:
         """Per-tensor L2 norms, mainly for divergence diagnostics."""
         return {k: float(np.linalg.norm(v)) for k, v in self.tensors.items()}

@@ -76,8 +76,9 @@ class TrainingWindow:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Optimization settings; architecture lives in PoseNetConfig."""
+class TrainSettings:
+    """Optimization settings, the run config's `train` section; the
+    architecture lives in PoseNetConfig."""
 
     epochs: int = 50
     batch_size: int = 16
@@ -85,7 +86,6 @@ class TrainConfig:
     lr_decay: float = 0.33
     lr_decay_every: int = 20
     val_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.lr_decay_every < 1:
@@ -98,7 +98,7 @@ class TrainConfig:
             raise ConfigError(f"bad validation fraction {self.val_fraction}")
 
 
-def learning_rate_at(config: TrainConfig, epoch: int) -> float:
+def learning_rate_at(config: TrainSettings, epoch: int) -> float:
     """Step-decayed rate for a 1-indexed epoch."""
     steps = (epoch - 1) // config.lr_decay_every
     return config.learning_rate * config.lr_decay**steps
@@ -182,8 +182,8 @@ def batch_loss(
     return value, breakdown, grads
 
 
-def _split(n_windows: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    perm = derive_rng(config.seed, "train", "split").permutation(n_windows)
+def _split(n_windows: int, config: TrainSettings, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    perm = derive_rng(seed, "train", "split").permutation(n_windows)
     n_val = int(round(config.val_fraction * n_windows))
     n_val = min(n_val, n_windows - 1)
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
@@ -201,32 +201,35 @@ def _diverged(epoch: int, batch: np.ndarray, value: float, params: PoseNetParams
 def train(
     dataset: list[TrainingWindow],
     config: PoseNetConfig,
-    train_config: TrainConfig | None = None,
+    train_config: TrainSettings | None = None,
     params: PoseNetParams | None = None,
+    *,
+    seed: int = 0,
 ) -> tuple[PoseNetParams, list[dict]]:
     """Fit the network; returns the trained parameters and an epoch log.
 
-    Starts from `params` when given (copied, never mutated), else from a
-    seeded initialization. The log holds one record per epoch with the
-    learning rate, mean training loss, loss breakdown, and validation
+    Starts from `params` when given (copied, never mutated), else from an
+    initialization drawn from `seed`, which also draws the validation
+    split and the epoch shuffles. The log holds one record per epoch with
+    the learning rate, mean training loss, loss breakdown, and validation
     loss (None when the split leaves no validation windows).
     """
-    tc = train_config or TrainConfig()
+    tc = train_config or TrainSettings()
     if not dataset:
         raise DataError("empty training dataset")
     frames = dataset[0].frames
     if any(w.frames != frames for w in dataset):
         raise DataError("all training windows must share one length")
-    fitted = params.copy() if params is not None else init_params(config, tc.seed)
+    fitted = params.copy() if params is not None else init_params(config, seed)
     if params is not None and params.config != config:
         raise ConfigError("starting parameters built for a different architecture")
 
-    train_idx, val_idx = _split(len(dataset), tc)
+    train_idx, val_idx = _split(len(dataset), tc, seed)
     adam = _Adam(fitted.tensors)
     log: list[dict] = []
     for epoch in range(1, tc.epochs + 1):
         lr = learning_rate_at(tc, epoch)
-        order = derive_rng(tc.seed, "train", "epoch", epoch).permutation(train_idx)
+        order = derive_rng(seed, "train", "epoch", epoch).permutation(train_idx)
         seen = 0
         running = {"total": 0.0, "position": 0.0, "rotation": 0.0, "contact": 0.0}
         for start in range(0, len(order), tc.batch_size):

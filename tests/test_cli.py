@@ -137,6 +137,42 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "d2"), "--config", str(typo)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "accel_low", 9.0),
+        ("train", "epochs", 0),
+        ("model", "window_frames", 24.5),
+        ("train", "batch_size", 2.5),
+        ("model", "lstm_hidden", "4"),
+        ("imu", "accel_sigma", float("nan")),
+        ("motions", "duration_s", float("nan")),
+    ],
+)
+def test_settings_are_refused_at_parse_time(env, tmp_path, capsys, section, key, value):
+    # Every stage parses the whole config, so a setting only `train`
+    # uses is refused by `synth` too, and neither writes anything.
+    doc = CLI_CONFIG.to_dict()
+    doc[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for argv in (
+        ["synth", "--out", str(tmp_path / "out")],
+        ["train", "--data", str(env.filt), "--out", str(tmp_path / "out")],
+    ):
+        assert main(argv + ["--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_filter_takes_no_config(env, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--data", str(env.data), "--out", str(tmp_path / "out"), "--config", str(env.config)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

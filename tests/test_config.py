@@ -1,5 +1,6 @@
 """Run configuration: strict parsing, defaults, roundtrips."""
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from uip.config import (
     load_config,
 )
 from uip.errors import ConfigError
+from uip.posenet import PoseNetConfig, TrainSettings
 
 
 def test_defaults_are_complete_and_sane():
@@ -43,6 +45,43 @@ def test_to_dict_is_json_ready():
     doc = RunConfig().to_dict()
     json.dumps(doc)
     assert isinstance(doc["motions"]["catalog"], list)
+
+
+def test_model_and_train_sections_keep_their_key_order():
+    # config.json bytes follow this order; the network record's fields
+    # come first, then the windowing ones.
+    doc = RunConfig().to_dict()
+    assert list(doc) == ["seed", "motions", "skeleton", "imu", "uwb", "ekf", "model", "train"]
+    assert list(doc["model"].items()) == [
+        ("lstm_hidden", 128),
+        ("lstm_layers", 2),
+        ("gcn_width", 64),
+        ("gcn_layers", 2),
+        ("decoder_hidden", 64),
+        ("accel_low", 2.0),
+        ("accel_high", 8.0),
+        ("lambda_distance", 0.01),
+        ("window_frames", 48),
+        ("window_stride", 24),
+    ]
+    assert list(doc["train"].items()) == [
+        ("epochs", 50),
+        ("batch_size", 16),
+        ("learning_rate", 1e-3),
+        ("lr_decay", 0.33),
+        ("lr_decay_every", 20),
+        ("val_fraction", 0.2),
+    ]
+
+
+def test_model_and_train_sections_are_the_posenet_records():
+    cfg = RunConfig()
+    assert isinstance(cfg.model, PoseNetConfig)
+    assert type(cfg.train) is TrainSettings
+    model = ModelSettings(lstm_hidden=8, accel_high=6.0, window_frames=12)
+    net = model.network()
+    assert type(net) is PoseNetConfig
+    assert net == PoseNetConfig(lstm_hidden=8, accel_high=6.0)
 
 
 def test_unknown_keys_are_named_with_their_path():
@@ -80,6 +119,37 @@ def test_seed_must_be_integer():
     assert config_from_dict({"seed": 3}).seed == 3
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"seed": True}, "seed"),
+        ({"seed": 7.0}, "seed"),
+        ({"motions": {"duration_s": float("nan")}}, "motions.duration_s"),
+        ({"motions": {"rate_hz": 10**400}}, "motions.rate_hz"),
+        ({"skeleton": {"height_m": "1.7"}}, "skeleton.height_m"),
+        ({"imu": {"accel_sigma": float("nan")}}, "imu.accel_sigma"),
+        ({"uwb": {"drop_prob": float("inf")}}, "uwb.drop_prob"),
+        ({"ekf": {"range_sigma": True}}, "ekf.range_sigma"),
+        ({"model": {"lstm_hidden": "16"}}, "model.lstm_hidden"),
+        ({"model": {"window_frames": 24.5}}, "model.window_frames"),
+        ({"model": {"accel_low": None}}, "model.accel_low"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"train": {"epochs": False}}, "train.epochs"),
+        ({"train": {"learning_rate": float("-inf")}}, "train.learning_rate"),
+    ],
+)
+def test_numbers_are_typed_and_finite_at_parse_time(doc, where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        config_from_dict(doc)
+
+
+def test_numbers_are_not_coerced():
+    # An int in a float field stays an int, so config.json keeps its bytes.
+    cfg = config_from_dict({"motions": {"duration_s": 2, "rate_hz": 50}})
+    assert type(cfg.motions.duration_s) is int
+    assert json.dumps(cfg.to_dict()["motions"]["rate_hz"]) == "50"
+
+
 def test_motion_catalog_validation():
     with pytest.raises(ConfigError, match="moonwalk"):
         MotionSettings(catalog=("moonwalk",))
@@ -106,3 +176,9 @@ def test_section_bounds():
         EkfSettings(range_sigma=0.0)
     with pytest.raises(ConfigError):
         ModelSettings(window_stride=0)
+    with pytest.raises(ConfigError, match="accel_low"):
+        ModelSettings(accel_low=9.0)
+    with pytest.raises(ConfigError, match="widths"):
+        config_from_dict({"model": {"gcn_width": 0}})
+    with pytest.raises(ConfigError, match="epochs"):
+        config_from_dict({"train": {"epochs": 0}})

@@ -27,7 +27,7 @@ from uip.pipeline import (
     synthesize_dataset,
     train_model,
 )
-from uip.posenet import PoseNetParams
+from uip.posenet import PoseNetConfig, PoseNetParams
 from uip.storage import (
     read_calibration,
     read_manifest,
@@ -206,6 +206,14 @@ def test_train_artifacts(pipe, trained):
     assert params.config.lstm_hidden == 4
     log = json.loads((trained / "train_log.json").read_text())
     assert len(log) == 1
+
+
+def test_checkpoint_records_the_architecture_only(trained):
+    # The checkpoint's config block is PoseNetConfig, field for field:
+    # the windowing settings of the `model` section stay out of it.
+    block = json.loads((trained / "checkpoint.json").read_text())["config"]
+    assert list(block) == [f.name for f in dataclasses.fields(PoseNetConfig)]
+    assert block == dataclasses.asdict(SMALL.model.network())
 
 
 def test_eval_outputs_and_determinism(pipe, trained):

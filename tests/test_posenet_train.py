@@ -10,7 +10,7 @@ from uip.errors import CheckpointVersionError, ConfigError, DataError, Divergenc
 from uip.posenet import (
     PoseNetConfig,
     PoseNetParams,
-    TrainConfig,
+    TrainSettings,
     TrainingWindow,
     init_params,
     learning_rate_at,
@@ -21,7 +21,7 @@ from uip.rng import derive_rng
 
 
 def test_learning_rate_steps_down_every_20_epochs():
-    tc = TrainConfig(learning_rate=1e-3, lr_decay=0.33, lr_decay_every=20)
+    tc = TrainSettings(learning_rate=1e-3, lr_decay=0.33, lr_decay_every=20)
     assert learning_rate_at(tc, 1) == 1e-3
     assert learning_rate_at(tc, 20) == 1e-3
     assert learning_rate_at(tc, 21) == 1e-3 * 0.33
@@ -31,13 +31,13 @@ def test_learning_rate_steps_down_every_20_epochs():
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=0)
+        TrainSettings(epochs=0)
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
+        TrainSettings(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(lr_decay=1.5)
+        TrainSettings(lr_decay=1.5)
     with pytest.raises(ConfigError):
-        TrainConfig(val_fraction=1.0)
+        TrainSettings(val_fraction=1.0)
 
 
 def test_adam_first_step_hand_oracle():
@@ -75,8 +75,8 @@ def test_window_validation():
 
 def test_training_reduces_loss_and_logs_every_epoch():
     windows = random_windows(31, 8, frames=4)
-    tc = TrainConfig(epochs=6, batch_size=4, val_fraction=0.25, seed=31)
-    fitted, log = train(windows, TINY_NET, tc)
+    tc = TrainSettings(epochs=6, batch_size=4, val_fraction=0.25)
+    fitted, log = train(windows, TINY_NET, tc, seed=31)
     assert len(log) == 6
     assert log[-1]["train_loss"] < log[0]["train_loss"]
     for rec in log:
@@ -90,9 +90,9 @@ def test_training_reduces_loss_and_logs_every_epoch():
 
 def test_training_is_deterministic():
     windows = random_windows(32, 6, frames=4)
-    tc = TrainConfig(epochs=3, batch_size=4, seed=32)
-    a_params, a_log = train(windows, TINY_NET, tc)
-    b_params, b_log = train(windows, TINY_NET, tc)
+    tc = TrainSettings(epochs=3, batch_size=4)
+    a_params, a_log = train(windows, TINY_NET, tc, seed=32)
+    b_params, b_log = train(windows, TINY_NET, tc, seed=32)
     assert a_log == b_log
     for name, tensor in a_params.tensors.items():
         assert np.array_equal(tensor, b_params.tensors[name])
@@ -102,8 +102,8 @@ def test_validation_split_capped_below_dataset_size():
     # One window with a large validation fraction must still leave a
     # training set; validation then has nothing and logs None.
     windows = random_windows(33, 1, frames=4)
-    tc = TrainConfig(epochs=1, batch_size=1, val_fraction=0.9, seed=33)
-    _, log = train(windows, TINY_NET, tc)
+    tc = TrainSettings(epochs=1, batch_size=1, val_fraction=0.9)
+    _, log = train(windows, TINY_NET, tc, seed=33)
     assert log[0]["val_loss"] is None
 
 
@@ -111,8 +111,8 @@ def test_resuming_from_params_leaves_source_untouched():
     windows = random_windows(34, 4, frames=4)
     start = init_params(TINY_NET, 34)
     frozen = {k: v.copy() for k, v in start.tensors.items()}
-    tc = TrainConfig(epochs=2, batch_size=2, seed=34)
-    fitted, _ = train(windows, TINY_NET, tc, params=start)
+    tc = TrainSettings(epochs=2, batch_size=2)
+    fitted, _ = train(windows, TINY_NET, tc, params=start, seed=34)
     for name, tensor in start.tensors.items():
         assert np.array_equal(tensor, frozen[name])
     assert any(
@@ -126,12 +126,12 @@ def test_architecture_mismatch_rejected():
         lstm_hidden=4, lstm_layers=1, gcn_width=8, gcn_layers=1, decoder_hidden=4
     )
     with pytest.raises(ConfigError):
-        train(windows, TINY_NET, TrainConfig(epochs=1), params=init_params(other, 0))
+        train(windows, TINY_NET, TrainSettings(epochs=1), params=init_params(other, 0))
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(DataError):
-        train([], TINY_NET, TrainConfig(epochs=1))
+        train([], TINY_NET, TrainSettings(epochs=1))
 
 
 def test_divergence_reports_worst_parameter_norms():
@@ -139,7 +139,7 @@ def test_divergence_reports_worst_parameter_norms():
     params = init_params(TINY_NET, 36)
     params.tensors["rot_w"][:] = 1e200
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        train(windows, TINY_NET, TrainConfig(epochs=1, batch_size=2, seed=36), params=params)
+        train(windows, TINY_NET, TrainSettings(epochs=1, batch_size=2), params=params, seed=36)
     message = str(err.value)
     assert "epoch 1" in message
     assert "largest parameter norms" in message
