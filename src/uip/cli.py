@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

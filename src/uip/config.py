@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .motions import MOTION_KINDS
 from .posenet import PoseNetConfig, TrainSettings
+from .rng import SEED_MAX
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,10 @@ class RunConfig:
     ekf: EkfSettings = field(default_factory=EkfSettings)
     model: ModelSettings = field(default_factory=ModelSettings)
     train: TrainSettings = field(default_factory=TrainSettings)
+
+    def __post_init__(self):
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(f"seed {self.seed} outside 0..{SEED_MAX}")
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

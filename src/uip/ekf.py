@@ -3,9 +3,12 @@
 Fifteen independent filters, one per unordered sensor pair (i, j), held
 as one bank of arrays over a leading pair axis in `PAIR_I`/`PAIR_J`
 order: relative position x_ij (15, 3), relative velocity v_ij (15, 3) and
-their 6x6 covariances (15, 6, 6). One set of kernels carries the math for
-the whole bank and for the single-pair API, which runs it over a leading
-axis of one.
+their 6x6 covariances (15, 6, 6). A bank built for C clips of equal
+length adds a leading clip axis and steps all C * 15 pairs in one call
+per frame, so a whole dataset is filtered in one pass; each row comes out
+bitwise as it would in a bank of its own. One set of kernels carries the
+math for the bank and for the single-pair API, which runs it over a
+leading axis of one.
 
 Prediction integrates the difference of the gravity-free world-frame
 acceleration estimates on the IMU grid; the update consumes the
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DivergenceError
 from .geometry import qconj, qmul, qnormalize
 from .skeleton import N_SENSORS, PAIR_I, PAIR_J, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
 
@@ -223,12 +226,17 @@ def assert_psd(cov: np.ndarray, tol: float = -1e-9) -> None:
 
 
 class PairFilterBank:
-    """The 15 pair filters as arrays, plus distance-matrix assembly.
+    """The 15 pair filters of one clip, or of C clips stepped together.
 
-    x (15, 3), v (15, 3), cov (15, 6, 6) and diverged (15,) follow the
-    `PAIR_I`/`PAIR_J` pair order. A pair that diverges keeps its last
-    finite state and leaves the distance mask; the next predict_all (or an
-    update that measures it) raises ContractViolationError.
+    Built without `clips`, the bank holds x (15, 3), v (15, 3), cov
+    (15, 6, 6) and diverged (15,) in `PAIR_I`/`PAIR_J` pair order and
+    steps on (6, 3) accelerations and (6, 6) ranges. Built with `clips=C`,
+    each of those gains a leading clip axis (x is (C, 15, 3)) and so does
+    every argument and result; the kernels see one pair axis of C * 15
+    rows, and every row steps exactly as in a bank of its own clip. A pair
+    that diverges keeps its last finite state and leaves the distance
+    mask; the next predict_all (or an update that measures it) raises
+    ContractViolationError, and `run` raises DivergenceError first.
     """
 
     def __init__(
@@ -238,77 +246,118 @@ class PairFilterBank:
         sigma_u: np.ndarray,
         r_diag: tuple[float, float],
         dt: float = 0.01,
+        clips: int | None = None,
     ):
+        if clips is not None and clips < 1:
+            raise ContractViolationError(f"a bank needs at least one clip, got {clips}")
+        self._lead = () if clips is None else (clips,)
+        n_clips = clips or 1
         # Every pair starts from the calibration T-pose geometry.
         pos, _ = mount_poses(placement.mounts, *tpose(skel))
         n = PAIR_I.size
-        self.x = pos[PAIR_J] - pos[PAIR_I]
-        self.v = np.zeros((n, 3))
-        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), (n, 1, 1))
-        self.diverged = np.zeros(n, dtype=bool)
+        self.x = np.tile(pos[PAIR_J] - pos[PAIR_I], (n_clips, 1)).reshape(self._lead + (n, 3))
+        self.v = np.zeros(self._lead + (n, 3))
+        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), self._lead + (n, 1, 1))
+        self.diverged = np.zeros(self._lead + (n,), dtype=bool)
         self.r_diag = r_diag
         self.dt = dt
-        self.gates = gate_table()[PAIR_I, PAIR_J]
+        self.gates = np.tile(gate_table()[PAIR_I, PAIR_J], n_clips)
         self._q_process = process_noise(dt, sigma_u)
+        # Row indices of each pair's two sensors in the flattened (C * 6, 3)
+        # accelerations, and of its two entries in the flattened (C, 6, 6) ranges.
+        clip = np.repeat(np.arange(n_clips), n)
+        self._end_i = clip * N_SENSORS + np.tile(PAIR_I, n_clips)
+        self._end_j = clip * N_SENSORS + np.tile(PAIR_J, n_clips)
+        self._entry_ij = self._end_i * N_SENSORS + np.tile(PAIR_J, n_clips)
+        self._entry_ji = self._end_j * N_SENSORS + np.tile(PAIR_I, n_clips)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """x, v, cov and diverged as views over one pair axis of C * 15 rows."""
+        return self.x.reshape(-1, 3), self.v.reshape(-1, 3), self.cov.reshape(-1, 6, 6), self.diverged.reshape(-1)
 
     def _commit(self, rows: np.ndarray, x, v, cov, finite: np.ndarray) -> None:
         """Store stepped pairs; a pair whose step went non-finite diverges, state kept."""
-        self.diverged[rows[~finite]] = True
+        x_all, v_all, cov_all, diverged = self._rows()
+        diverged[rows[~finite]] = True
         rows = rows[finite]
-        self.x[rows], self.v[rows], self.cov[rows] = x[finite], v[finite], cov[finite]
+        x_all[rows], v_all[rows], cov_all[rows] = x[finite], v[finite], cov[finite]
 
     def predict_all(self, accel: np.ndarray) -> None:
-        """One IMU-rate step; accel (6, 3) gravity-free world acceleration per sensor."""
+        """One IMU-rate step; accel (..., 6, 3) gravity-free world acceleration per sensor."""
         if self.diverged.any():
             raise ContractViolationError("filter diverged; re-init before predicting")
+        accel = accel.reshape(-1, 3)
+        x, v, cov, diverged = self._rows()
         finite = np.isfinite(accel).all(axis=1)
-        ok = finite[PAIR_I] & finite[PAIR_J]
-        self.diverged |= ~ok
+        ok = finite[self._end_i] & finite[self._end_j]
+        diverged |= ~ok
         rows = np.flatnonzero(ok)
-        da = accel[PAIR_J[rows]] - accel[PAIR_I[rows]]
-        x, v, cov, fin = _predict(self.x[rows], self.v[rows], self.cov[rows], da, self.dt, self._q_process)
+        da = accel[self._end_j[rows]] - accel[self._end_i[rows]]
+        x, v, cov, fin = _predict(x[rows], v[rows], cov[rows], da, self.dt, self._q_process)
         self._commit(rows, x, v, cov, fin)
 
     def update_all(self, distances: np.ndarray, valid: np.ndarray) -> None:
-        """One measurement tick: calibrated ranges (6, 6) and their validity (6, 6)."""
-        d = distances[PAIR_I, PAIR_J]
-        measured = valid[PAIR_I, PAIR_J]
-        if (measured & self.diverged).any():
+        """One measurement tick: calibrated ranges (..., 6, 6) and their validity (..., 6, 6)."""
+        d = distances.reshape(-1)[self._entry_ij]
+        measured = valid.reshape(-1)[self._entry_ij]
+        x, v, cov, diverged = self._rows()
+        if (measured & diverged).any():
             raise ContractViolationError("filter diverged; re-init before updating")
         go = np.flatnonzero(measured & (0.0 <= d) & (d <= self.gates))
-        applied, x, v, cov, fin = _update(self.x[go], self.v[go], self.cov[go], d[go], self.r_diag)
+        applied, x, v, cov, fin = _update(x[go], v[go], cov[go], d[go], self.r_diag)
         self._commit(go[applied], x[applied], v[applied], cov[applied], fin[applied])
 
     def distance_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (6, 6) distance estimates and validity mask."""
-        held = ~self.diverged
-        d = np.zeros((N_SENSORS, N_SENSORS))
-        mask = np.zeros((N_SENSORS, N_SENSORS), dtype=bool)
-        d[PAIR_I, PAIR_J] = d[PAIR_J, PAIR_I] = np.where(held, np.linalg.norm(self.x, axis=1), 0.0)
-        mask[PAIR_I, PAIR_J] = mask[PAIR_J, PAIR_I] = held
+        """Current (..., 6, 6) distance estimates and validity mask."""
+        x, _, _, diverged = self._rows()
+        held = ~diverged
+        d = np.zeros(self._lead + (N_SENSORS, N_SENSORS))
+        mask = np.zeros(self._lead + (N_SENSORS, N_SENSORS), dtype=bool)
+        flat_d, flat_mask = d.reshape(-1), mask.reshape(-1)
+        flat_d[self._entry_ij] = flat_d[self._entry_ji] = np.where(held, np.linalg.norm(x, axis=1), 0.0)
+        flat_mask[self._entry_ij] = flat_mask[self._entry_ji] = held
         return d, mask
 
     def run(
-        self, accel: np.ndarray, round_frames: np.ndarray, distances: np.ndarray, valid: np.ndarray
+        self,
+        accel: np.ndarray,
+        round_frames: np.ndarray,
+        distances: np.ndarray,
+        valid: np.ndarray,
+        names: list[str] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Filter one clip -> (d_stream, mask_stream), each (T, 6, 6).
+        """Filter the bank's clips -> (d_stream, mask_stream), each (T, ..., 6, 6).
 
-        accel (T, 6, 3) is on the frame grid. Round r (distances[r] and
-        valid[r], each (6, 6)) updates the bank right after the predict of
-        frame round_frames[r]; rounds sharing a frame apply in round order,
-        and rounds past the last frame never apply.
+        accel (T, ..., 6, 3) is on the frame grid, with the bank's clip
+        axis (if any) after the frame axis. Round r (distances[r] and
+        valid[r], each (..., 6, 6)) updates the bank right after the
+        predict of frame round_frames[r]; rounds sharing a frame apply in
+        round order, and rounds past the last frame never apply. A step
+        that diverges a pair raises DivergenceError naming the pair, the
+        frame and its clip (by `names`, one per clip, where given).
         """
-        pair_shape = (len(round_frames), N_SENSORS, N_SENSORS)
-        if accel.shape[1:] != (N_SENSORS, 3) or distances.shape != pair_shape or valid.shape != pair_shape:
-            raise ContractViolationError(f"need accel (T, 6, 3) and ranges {pair_shape}, got {accel.shape}")
+        accel_shape = self._lead + (N_SENSORS, 3)
+        pair_shape = (len(round_frames),) + self._lead + (N_SENSORS, N_SENSORS)
+        if accel.shape[1:] != accel_shape or distances.shape != pair_shape or valid.shape != pair_shape:
+            raise ContractViolationError(f"need accel {('T',) + accel_shape} and ranges {pair_shape}, got {accel.shape}")
         frames = accel.shape[0]
-        d_stream = np.zeros((frames, N_SENSORS, N_SENSORS))
-        mask_stream = np.zeros((frames, N_SENSORS, N_SENSORS), dtype=bool)
+        d_stream = np.zeros((frames,) + self._lead + (N_SENSORS, N_SENSORS))
+        mask_stream = np.zeros((frames,) + self._lead + (N_SENSORS, N_SENSORS), dtype=bool)
         rnd = 0
         for k in range(frames):
             self.predict_all(accel[k])
+            self._halt_if_diverged(k, names)
             while rnd < len(round_frames) and round_frames[rnd] <= k:
                 self.update_all(distances[rnd], valid[rnd])
+                self._halt_if_diverged(k, names)
                 rnd += 1
             d_stream[k], mask_stream[k] = self.distance_matrix()
         return d_stream, mask_stream
+
+    def _halt_if_diverged(self, frame: int, names: list[str] | None) -> None:
+        if not self.diverged.any():
+            return
+        row = int(np.flatnonzero(self.diverged)[0])
+        clip, pair = divmod(row, PAIR_I.size)
+        label = names[clip] if names else f"clip {clip}"
+        raise DivergenceError(f"{label}: pair ({PAIR_I[pair]}, {PAIR_J[pair]}) diverged at frame {frame}")

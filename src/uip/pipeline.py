@@ -260,6 +260,17 @@ def _pelvis_frame_targets(sensor_pos: np.ndarray, sensor_rot: np.ndarray) -> np.
     return qrotate(qconj(sensor_rot[:, :1]), sensor_pos - sensor_pos[:, :1])
 
 
+def _read_clip_sensors(cdir: Path, name: str, rate: float) -> tuple[np.ndarray, np.ndarray, RawDistanceStream]:
+    """A clip's raw accel and gyro samples, each (T, 6, 3), and its ranging rounds."""
+    streams = [read_imu_csv(cdir / f"imu_s{s}.csv") for s in range(N_SENSORS)]
+    frames = len(streams[0])
+    for s, stream in enumerate(streams):
+        if len(stream) != frames:
+            raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, s0 {frames}")
+    ranging = _read_rounds(cdir / "ranging.csv", frames / rate, f"clip {name} ({frames} frames at {rate:g} Hz)")
+    return np.stack([st.accel for st in streams], axis=1), np.stack([st.gyro for st in streams], axis=1), ranging
+
+
 def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     """Orientation filter + EKF bank over a synthesized dataset.
 
@@ -271,6 +282,12 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     must hold exactly the rounds `round_times` gives for its duration.
     Every round updates the bank on its nearest frame; rounds sharing a
     frame apply in round order.
+
+    The sensor files of every clip are read first. Clips of equal frame
+    count (all clips of a synthesized dataset) share one orientation
+    filter call and one stacked EKF bank, which give each clip the bytes
+    it would get alone; truth is then read, and targets and the RMSE
+    written, one clip at a time.
     """
     dataset = Path(dataset_dir)
     verify_manifest(dataset)
@@ -287,41 +304,46 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     write_calibration(out / "calibration.json", cal)
     written.append("calibration.json")
 
-    rmse_report: dict[str, dict] = {}
-    meta = read_clip_meta(dataset)
-    for entry in meta:
-        name = entry["name"]
-        cdir = dataset / name
-        truth = _read_clip_truth(cdir / "truth.jsonl", skel)
-        frames = truth.times.shape[0]
-        ranging = _read_rounds(cdir / "ranging.csv", frames / rate, f"clip {name} ({frames} frames at {rate:g} Hz)")
+    names = [entry["name"] for entry in read_clip_meta(dataset)]
+    sensors = [_read_clip_sensors(dataset / name, name, rate) for name in names]
+    groups: dict[int, list[int]] = {}
+    for c, (accel, _, _) in enumerate(sensors):
+        groups.setdefault(accel.shape[0], []).append(c)
 
-        # One orientation filter over all six sensors, seeded at the calibration pose.
-        streams = [read_imu_csv(cdir / f"imu_s{s}.csv") for s in range(N_SENSORS)]
-        for s, stream in enumerate(streams):
-            if len(stream) != frames:
-                raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, truth {frames}")
+    # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
+    # reach the covariance, so only the accel entries carry sigma.
+    sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
+    filtered: list[tuple] = [()] * len(names)
+    for members in groups.values():
+        # One orientation filter over (T, C, 6) sensors, seeded at the calibration pose.
         quats, accel_w = orientation_filter(
-            np.stack([st.accel for st in streams], axis=1),
-            np.stack([st.gyro for st in streams], axis=1),
+            np.stack([sensors[c][0] for c in members], axis=1),
+            np.stack([sensors[c][1] for c in members], axis=1),
             srot_t,
             cfg.imu.filter_gain,
             gyro_off,
             accel_off,
             dt=1.0 / rate,
         )
-
-        # Pair EKF bank on the IMU grid, measurement ticks at round times.
-        # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
-        # reach the covariance, so only the accel entries carry sigma.
-        sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
+        # One pair EKF bank over the C clips on the IMU grid; equal frame
+        # counts mean equal round times, so the measurement ticks are shared.
+        rounds = [sensors[c][2] for c in members]
         bank = PairFilterBank(
-            skel, placement, sigma_u=sigma_u, r_diag=(cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate
+            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=len(members)
         )
         d_stream, mask_stream = bank.run(
-            accel_w, np.rint(ranging.times * rate).astype(int), apply_calibration(ranging.distances, cal), ranging.valid
+            accel_w,
+            np.rint(rounds[0].times * rate).astype(int),
+            np.stack([apply_calibration(r.distances, cal) for r in rounds], axis=1),
+            np.stack([r.valid for r in rounds], axis=1),
+            names=[names[c] for c in members],
         )
+        for k, c in enumerate(members):
+            filtered[c] = (quats[:, k], accel_w[:, k], d_stream[:, k], mask_stream[:, k])
 
+    rmse_report: dict[str, dict] = {}
+    for name, (_, _, ranging), (quats, accel_w, d_stream, mask_stream) in zip(names, sensors, filtered):
+        truth = _read_clip_truth(dataset / name / "truth.jsonl", skel, quats.shape[0])
         cdir_out = out / name
         cdir_out.mkdir(exist_ok=True)
         write_model_input(

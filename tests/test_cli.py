@@ -1,5 +1,6 @@
 """CLI contract: exit codes, flags, and the full command chain."""
 import json
+import re
 import shutil
 from types import SimpleNamespace
 
@@ -216,6 +217,44 @@ def test_nan_range_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "out" / "rmse_report.json").exists()
 
 
+def test_filter_divergence_exits_4(env, tmp_path, capsys):
+    # A finite but huge accelerometer sample passes the reader, then
+    # overflows the range update of its sensor's pairs.
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    imu = data / "clip_001_idle" / "imu_s4.csv"
+    lines = imu.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[1] = "1e300"
+    lines[10] = ",".join(fields)
+    imu.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"divergence: clip_001_idle: pair \(\d, \d\) diverged at frame \d+\n", err), err
+    assert "4" in err.split("pair")[1].split(")")[0]
+    assert not (tmp_path / "out" / "rmse_report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_seed_outside_32_bits_is_a_config_error(env, tmp_path, capsys, seed):
+    # seed and seed + 2**32 would draw the same streams, so both the
+    # config and --seed refuse any seed outside 0..2**32-1 before writing.
+    doc = CLI_CONFIG.to_dict()
+    doc["seed"] = seed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for argv in (
+        ["synth", "--out", str(tmp_path / "out"), "--config", str(config)],
+        ["synth", "--out", str(tmp_path / "out"), "--config", str(env.config), "--seed", str(seed)],
+        ["train", "--data", str(env.filt), "--out", str(tmp_path / "out"), "--seed", str(seed)],
+    ):
+        assert main(argv) == EXIT_CONFIG
+        assert f"configuration error: seed {seed} outside 0..4294967295" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_truncated_ranging_is_a_data_error(env, tmp_path, capsys):
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)
@@ -322,4 +361,4 @@ def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "train_model", boom)
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED
-    assert "training diverged" in capsys.readouterr().err
+    assert "divergence: non-finite loss at epoch 1" in capsys.readouterr().err

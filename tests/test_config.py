@@ -15,8 +15,9 @@ from uip.config import (
     config_from_dict,
     load_config,
 )
-from uip.errors import ConfigError
+from uip.errors import ConfigError, ContractViolationError
 from uip.posenet import PoseNetConfig, TrainSettings
+from uip.rng import derive_rng
 
 
 def test_defaults_are_complete_and_sane():
@@ -117,6 +118,17 @@ def test_seed_must_be_integer():
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": "7"})
     assert config_from_dict({"seed": 3}).seed == 3
+
+
+def test_seed_must_fit_32_bits():
+    # derive_rng keys on one 32-bit word: a wider seed would alias another.
+    for seed in (-1, 2**32, 2**32 + 1):
+        with pytest.raises(ConfigError, match=f"seed {seed} outside 0..4294967295"):
+            config_from_dict({"seed": seed})
+        with pytest.raises(ContractViolationError, match="outside"):
+            derive_rng(seed, "x")
+    assert config_from_dict({"seed": 2**32 - 1}).seed == 2**32 - 1
+    assert config_from_dict({"seed": 0}).seed == 0
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uip.errors import ContractViolationError
+from uip.errors import ContractViolationError, DivergenceError
 from uip.ekf import (
     ControlInput,
     PairFilterBank,
@@ -379,3 +379,120 @@ def test_bank_run_checks_shapes(skel, placement):
     ):
         with pytest.raises(ContractViolationError):
             bank.run(accel, frames, r, v)
+
+
+def _stacked_clip_inputs(rng, frames: int, rounds: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Three clips' accelerations (T, 6, 3), ranges and validity (R, 6, 6).
+
+    Clip 0 has mostly valid ranges, clip 1 NaN and gated-out ones too,
+    clip 2 whole rounds without a valid range.
+    """
+    inputs = []
+    for c in range(3):
+        accel = rng.normal(0.0, 2.0, (frames, N_SENSORS, 3))
+        d = rng.uniform(0.1, 1.2, (rounds, N_SENSORS, N_SENSORS))
+        d = 0.5 * (d + d.swapaxes(1, 2))
+        valid = rng.random((rounds, N_SENSORS, N_SENSORS)) < (0.9, 0.6, 0.5)[c]
+        if c == 1:
+            d[:, 0, 3] = d[:, 3, 0] = 99.0  # past every gate
+            d[:, 1, 4] = d[:, 4, 1] = -0.2  # below the lower gate
+            d[:, 2, 5] = d[:, 5, 2] = math.nan
+            valid[:, 2, 5] = valid[:, 5, 2] = False
+        if c == 2:
+            valid[::3] = False
+        inputs.append((accel, d, valid))
+    return inputs
+
+
+def _assert_banks_bitwise(stacked, singles) -> None:
+    for c, single in enumerate(singles):
+        for name in ("x", "v", "cov", "diverged"):
+            assert np.array_equal(getattr(stacked, name)[c], getattr(single, name)), (c, name)
+
+
+def _stack(inputs):
+    """Per-clip (accel, ranges, validity) -> the stacked bank's (T, C, ...) and (R, C, ...) arguments."""
+    return [np.stack(arrays, axis=1) for arrays in zip(*inputs)]
+
+
+def test_stacked_bank_steps_each_clip_as_its_own_bank(skel, placement):
+    # Three clips in one bank against three one-clip banks: every state
+    # array and both (T, C, 6, 6) streams are bitwise the single banks'.
+    # Rounds share frames, and a few fall past the last frame.
+    rng = derive_rng(7, "ekf", "stacked")
+    frames = 60
+    round_frames = np.sort(rng.integers(0, frames + 5, 30))
+    inputs = _stacked_clip_inputs(rng, frames, round_frames.size)
+    stacked = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=3)
+    singles = [PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT) for _ in range(3)]
+    assert stacked.x.shape == (3, 15, 3) and stacked.cov.shape == (3, 15, 6, 6)
+    _assert_banks_bitwise(stacked, singles)
+    accel, d, valid = _stack(inputs)
+    with np.errstate(all="raise"):
+        d_stream, mask_stream = stacked.run(accel, round_frames, d, valid)
+        single_out = [bank.run(a, round_frames, dd, v) for bank, (a, dd, v) in zip(singles, inputs)]
+    assert d_stream.shape == mask_stream.shape == (frames, 3, N_SENSORS, N_SENSORS)
+    for c, (d_single, mask_single) in enumerate(single_out):
+        assert np.array_equal(d_stream[:, c], d_single)
+        assert np.array_equal(mask_stream[:, c], mask_single)
+    _assert_banks_bitwise(stacked, singles)
+    assert not stacked.diverged.any()
+
+
+def test_stacked_bank_divergence_stays_in_its_clip(skel, placement):
+    # A finite 1e300 acceleration of sensor 4 in clip 1 overflows the
+    # range update of its measured pairs: they diverge in the stacked bank
+    # exactly as in clip 1's own bank, clips 0 and 2 stay bitwise their
+    # banks, and the stacked bank then refuses to predict.
+    rng = derive_rng(7, "ekf", "stacked", "diverge")
+    frames = 20
+    inputs = _stacked_clip_inputs(rng, frames, frames)
+    inputs[1][0][-1, 4] = 1e300
+    inputs[1][1][-1] = 0.3  # inside every gate
+    inputs[1][2][-1] = ~np.eye(N_SENSORS, dtype=bool)
+    accel, d, valid = _stack(inputs)
+    stacked = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=3)
+    singles = [PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT) for _ in range(3)]
+    with np.errstate(all="ignore"):
+        for k in range(frames):
+            stacked.predict_all(accel[k])
+            stacked.update_all(d[k], valid[k])
+            for bank, (a, dd, v) in zip(singles, inputs):
+                bank.predict_all(a[k])
+                bank.update_all(dd[k], v[k])
+            _assert_banks_bitwise(stacked, singles)
+            d_now, mask_now = stacked.distance_matrix()
+            for c, bank in enumerate(singles):
+                d_single, mask_single = bank.distance_matrix()
+                assert np.array_equal(d_now[c], d_single) and np.array_equal(mask_now[c], mask_single)
+    hit = (PAIR_I == 4) | (PAIR_J == 4)
+    assert np.array_equal(stacked.diverged[1], hit)
+    assert not stacked.diverged[[0, 2]].any()
+    with pytest.raises(ContractViolationError):
+        stacked.predict_all(accel[0])
+
+    # run() stops with DivergenceError at the step that diverged the pair.
+    stacked = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=3)
+    names = ["walk", "squat", "idle"]
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=r"^squat: pair \(0, 4\) diverged at frame 19$"):
+        stacked.run(accel, np.arange(frames), d, valid, names=names)
+
+
+def test_bank_run_raises_divergence_before_predicting_past_it(skel, placement):
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT)
+    accel = np.zeros((5, N_SENSORS, 3))
+    accel[2, 3] = math.inf
+    ranges = np.zeros((0, N_SENSORS, N_SENSORS))
+    with pytest.raises(DivergenceError, match=r"^clip 0: pair \(0, 3\) diverged at frame 2$"):
+        bank.run(accel, np.zeros(0, dtype=int), ranges, ranges.astype(bool))
+
+
+def test_bank_clip_count_shapes(skel, placement):
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=2)
+    ranges = np.zeros((2, 2, N_SENSORS, N_SENSORS))
+    with pytest.raises(ContractViolationError):
+        bank.run(np.zeros((3, N_SENSORS, 3)), np.array([0, 2]), ranges[:, 0], ranges[:, 0].astype(bool))
+    d, mask = bank.run(np.zeros((3, 2, N_SENSORS, 3)), np.array([0, 2]), ranges, ranges.astype(bool))
+    assert d.shape == mask.shape == (3, 2, N_SENSORS, N_SENSORS)
+    with pytest.raises(ContractViolationError):
+        PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=0)

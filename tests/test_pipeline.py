@@ -15,10 +15,14 @@ from uip.config import (
     TrainSettings,
     UwbSettings,
 )
+from uip import pipeline
+from uip.config import load_config
 from uip.ekf import PairFilterBank
 from uip.errors import DataError
 from uip.geometry import qconj, qfrom_rot6d, qmul, qnormalize, rot6d_from_quat
+from uip.imu import orientation_filter, tpose_calibrate
 from uip.pipeline import (
+    _distance_rmse,
     evaluate_model,
     filter_dataset,
     load_windows,
@@ -28,14 +32,17 @@ from uip.pipeline import (
     train_model,
 )
 from uip.posenet import PoseNetConfig, PoseNetParams
+from uip.skeleton import default_placement, default_skeleton, mount_poses, tpose
 from uip.storage import (
     read_calibration,
+    read_imu_csv,
     read_manifest,
     read_ranging_csv,
     read_targets,
     read_truth,
     verify_manifest,
     write_manifest,
+    write_model_input,
 )
 from uip.uwb import apply_calibration
 
@@ -147,7 +154,85 @@ def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
     name = read_clip_meta(tmp_path / "data")[0]["name"]
     ranging = read_ranging_csv(tmp_path / "data" / name / "ranging.csv")
     cal = read_calibration(tmp_path / "filt" / "calibration.json")
-    assert np.array_equal(np.array(ranges), apply_calibration(ranging.distances, cal))
+    # The one clip is the clip axis of a one-clip bank: ranges arrive as (1, 6, 6).
+    assert np.array_equal(np.array(ranges)[:, 0], apply_calibration(ranging.distances, cal))
+
+
+def _filter_reference(data, filt, out) -> dict:
+    """Each clip's model_input.jsonl (written under out) and RMSE row, from
+    its own orientation filter call and its own one-clip bank."""
+    cfg = load_config(data / "config.json")
+    skel = default_skeleton(cfg.skeleton.height_m)
+    placement = default_placement(skel)
+    rate = cfg.motions.rate_hz
+    _, srot_t = mount_poses(placement.mounts, *tpose(skel))
+    offsets = [tpose_calibrate(read_imu_csv(data / f"tpose_imu_s{s}.csv"), srot_t[s]) for s in range(6)]
+    gyro_off, accel_off = (np.array(o) for o in zip(*offsets))
+    cal = read_calibration(filt / "calibration.json")
+    sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
+    report = {}
+    for m in read_clip_meta(data):
+        name = m["name"]
+        streams = [read_imu_csv(data / name / f"imu_s{s}.csv") for s in range(6)]
+        quats, accel_w = orientation_filter(
+            np.stack([st.accel for st in streams], axis=1),
+            np.stack([st.gyro for st in streams], axis=1),
+            srot_t, cfg.imu.filter_gain, gyro_off, accel_off, dt=1.0 / rate,
+        )
+        ranging = read_ranging_csv(data / name / "ranging.csv")
+        bank = PairFilterBank(
+            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate
+        )
+        d, mask = bank.run(
+            accel_w, np.rint(ranging.times * rate).astype(int), apply_calibration(ranging.distances, cal), ranging.valid
+        )
+        truth = read_truth(data / name / "truth.jsonl")
+        write_model_input(out / f"{name}.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d, mask)
+        report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d, mask, rate)
+    return report
+
+
+def _assert_filter_matches_reference(data, filt, out) -> None:
+    out.mkdir()
+    report = _filter_reference(data, filt, out)
+    for name in report:
+        assert (filt / name / "model_input.jsonl").read_bytes() == (out / f"{name}.jsonl").read_bytes(), name
+    assert (filt / "rmse_report.json").read_text() == json.dumps(report, indent=2) + "\n"
+
+
+def test_filter_matches_per_clip_filters(pipe, tmp_path):
+    # Both clips share one stacked orientation filter call and one bank.
+    _assert_filter_matches_reference(pipe.data, pipe.filt, tmp_path / "ref")
+
+
+def test_filter_groups_clips_by_frame_count(pipe, tmp_path, monkeypatch):
+    # Graft a 2 s squat clip (50 frames) between the two 3 s clips (75
+    # frames) of the same seed: the 3 s clips share a filter call and a
+    # bank, the squat gets its own, and every output is the per-clip one.
+    short = dataclasses.replace(SMALL, motions=dataclasses.replace(SMALL.motions, catalog=("squat",), duration_s=2.0))
+    synthesize_dataset(short, tmp_path / "short")
+    data = tmp_path / "data"
+    shutil.copytree(pipe.data, data)
+    shutil.copytree(tmp_path / "short" / "clip_000_squat", data / "clip_002_squat")
+    meta = read_clip_meta(data)
+    (squat,) = read_clip_meta(tmp_path / "short")
+    meta.insert(1, {**squat, "name": "clip_002_squat"})
+    (data / "clips.json").write_text(json.dumps(meta, indent=2) + "\n")
+    files = list(read_manifest(data))
+    files += [f"clip_002_squat/{p.name}" for p in (data / "clip_002_squat").iterdir()]
+    write_manifest(data, files)
+
+    shapes = []
+
+    def counted_filter(accel, *args, **kwargs):
+        shapes.append(accel.shape)
+        return orientation_filter(accel, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "orientation_filter", counted_filter)
+    filter_dataset(data, tmp_path / "filt")
+    assert shapes == [(FRAMES, 2, 6, 3), (50, 1, 6, 3)]
+    assert list(json.loads((tmp_path / "filt" / "rmse_report.json").read_text())) == [m["name"] for m in meta]
+    _assert_filter_matches_reference(data, tmp_path / "filt", tmp_path / "ref")
 
 
 def test_window_math_and_ablation(pipe):
