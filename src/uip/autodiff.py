@@ -20,7 +20,6 @@ so the values are bitwise equal.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -265,39 +264,3 @@ class Tape:
             for n in wrt
         ]
 
-
-def grad_check(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray | None]],
-    x0,
-    eps: float = 1e-5,
-) -> float:
-    """Compare the analytic gradient of f at x0 against central differences.
-
-    f maps a parameter vector to (value, gradient). The gradient is only
-    consulted at x0 itself, so f may return None for it at other points.
-    Returns max_i |g_i - fd_i| / max(1, |fd_i|); non-finite values anywhere
-    count as failure (inf).
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ContractViolationError(f"grad_check eps {eps} outside [1e-7, 1e-3]")
-    x0 = np.asarray(x0, dtype=float).copy()
-    value, grad = f(x0)
-    if grad is None:
-        raise ContractViolationError("f must return its gradient at the expansion point")
-    grad = np.asarray(grad, dtype=float)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        return math.inf
-    worst = 0.0
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp.flat[i] += eps
-        xm = x0.copy()
-        xm.flat[i] -= eps
-        vp, _ = f(xp)
-        vm, _ = f(xm)
-        if not (np.isfinite(vp) and np.isfinite(vm)):
-            return math.inf
-        fd = (vp - vm) / (2.0 * eps)
-        err = abs(grad.flat[i] - fd) / max(1.0, abs(fd))
-        worst = max(worst, err)
-    return worst

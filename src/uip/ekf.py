@@ -1,14 +1,12 @@
 """Per-pair EKF over relative sensor position and velocity.
 
-Fifteen independent filters, one per unordered sensor pair (i, j), held
-as one bank of arrays over a leading pair axis in `PAIR_I`/`PAIR_J`
-order: relative position x_ij (15, 3), relative velocity v_ij (15, 3) and
-their 6x6 covariances (15, 6, 6). A bank built for C clips of equal
-length adds a leading clip axis and steps all C * 15 pairs in one call
-per frame, so a whole dataset is filtered in one pass; each row comes out
-bitwise as it would in a bank of its own. One set of kernels carries the
-math for the bank and for the single-pair API, which runs it over a
-leading axis of one.
+Fifteen independent filters per clip, one per unordered sensor pair
+(i, j), held as one bank of arrays for C clips of equal length: relative
+position x_ij (C, 15, 3), relative velocity v_ij (C, 15, 3) and their 6x6
+covariances (C, 15, 6, 6), pairs in `PAIR_I`/`PAIR_J` order. The kernels
+see one pair axis of C * 15 rows, so a whole dataset is filtered in one
+pass per frame, and each row comes out bitwise as it would in a bank of
+its own clip.
 
 Prediction integrates the difference of the gravity-free world-frame
 acceleration estimates on the IMU grid; the update consumes the
@@ -20,12 +18,9 @@ covariance is singular is left untouched bitwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError
-from .geometry import qconj, qmul, qnormalize
 from .skeleton import N_SENSORS, PAIR_I, PAIR_J, Skeleton, SensorPlacement, default_placement, default_skeleton, mount_poses, tpose
 
 SIGMA_X0 = 0.05  # m, initial relative-position std per axis
@@ -35,27 +30,6 @@ GATE_BODY_HEIGHT = 2.0  # gates come from the tallest supported body, same for e
 _NORM_FLOOR = 1e-3  # below 1 mm (or 1 mm/s) the direction is undefined; Jacobian row zeroes
 _SINGULAR_DET = 1e-30  # innovation covariances with |det| below this skip the update
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(S) = signs * S with both axes reversed, transposed
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Single-pair filter state. Instances are replaced, never mutated."""
-
-    x: np.ndarray  # (3,) relative position j - i, world frame
-    v: np.ndarray  # (3,) relative velocity
-    q: np.ndarray  # (4,) relative orientation q_i^-1 q_j
-    cov: np.ndarray  # (6, 6) over (x, v)
-    diverged: bool = False
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """Per-step inputs for one pair: accelerations and orientations of both ends."""
-
-    a_i: np.ndarray  # (3,) gravity-free world acceleration estimate, sensor i
-    a_j: np.ndarray
-    q_i: np.ndarray  # (4,) orientations
-    q_j: np.ndarray
 
 
 def state_jacobian(dt: float) -> np.ndarray:
@@ -88,7 +62,7 @@ def process_noise(dt: float, sigma_u: np.ndarray) -> np.ndarray:
     return (w * sigma_u**2) @ w.T
 
 
-# Kernels over a leading pair axis (P,), shared by the bank and the single-pair API.
+# Kernels over one pair axis (P,).
 
 
 def _symmetrize(cov: np.ndarray) -> np.ndarray:
@@ -141,48 +115,6 @@ def _update(x, v, cov, d, r_diag: tuple[float, float]):
     return applied, x, v, cov, finite
 
 
-def predict(state: PairState, u: ControlInput, dt: float, sigma_u: np.ndarray) -> PairState:
-    """One prediction step. Non-finite inputs mark the filter diverged."""
-    if state.diverged:
-        raise ContractViolationError("filter diverged; re-init before predicting")
-    if not np.isfinite(np.concatenate([u.a_i, u.a_j, u.q_i, u.q_j])).all():
-        return replace(state, diverged=True)
-    da = np.subtract(u.a_j, u.a_i)[None]
-    x, v, cov, finite = _predict(state.x[None], state.v[None], state.cov[None], da, dt, process_noise(dt, sigma_u))
-    if not finite[0]:
-        return replace(state, diverged=True)
-    return PairState(x=x[0], v=v[0], q=qnormalize(qmul(qconj(u.q_i), u.q_j)), cov=cov[0])
-
-
-def measurement(state: PairState) -> np.ndarray:
-    """h(x) = [|x_ij|, |v_ij|]."""
-    return _measure(state.x[None], state.v[None])[0][0]
-
-
-def measurement_jacobian(state: PairState) -> np.ndarray:
-    """H = d h / d (x, v), rows zeroed where the norm is under 1 mm (or mm/s)."""
-    return _measure(state.x[None], state.v[None])[1][0]
-
-
-def update(state: PairState, d_measured: float, gate: tuple[float, float], r_diag: tuple[float, float]) -> PairState:
-    """Range update with the predicted-speed pseudo-measurement.
-
-    Ranges outside [gate_lo, gate_hi], and updates whose innovation
-    covariance is singular, return the input state unchanged.
-    """
-    if state.diverged:
-        raise ContractViolationError("filter diverged; re-init before updating")
-    lo, hi = gate
-    if not (lo <= d_measured <= hi):
-        return state
-    applied, x, v, cov, finite = _update(state.x[None], state.v[None], state.cov[None], np.array([d_measured]), r_diag)
-    if not applied[0]:
-        return state
-    if not finite[0]:
-        return replace(state, diverged=True)
-    return PairState(x=x[0], v=v[0], q=state.q, cov=cov[0])
-
-
 def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> float:
     """Upper bound on the i-j sensor distance: kinematic path length between mounts."""
     mi, mj = placement.mounts[i], placement.mounts[j]
@@ -226,17 +158,15 @@ def assert_psd(cov: np.ndarray, tol: float = -1e-9) -> None:
 
 
 class PairFilterBank:
-    """The 15 pair filters of one clip, or of C clips stepped together.
+    """The 15 pair filters of each of C clips, stepped together.
 
-    Built without `clips`, the bank holds x (15, 3), v (15, 3), cov
-    (15, 6, 6) and diverged (15,) in `PAIR_I`/`PAIR_J` pair order and
-    steps on (6, 3) accelerations and (6, 6) ranges. Built with `clips=C`,
-    each of those gains a leading clip axis (x is (C, 15, 3)) and so does
-    every argument and result; the kernels see one pair axis of C * 15
-    rows, and every row steps exactly as in a bank of its own clip. A pair
-    that diverges keeps its last finite state and leaves the distance
-    mask; the next predict_all (or an update that measures it) raises
-    ContractViolationError, and `run` raises DivergenceError first.
+    The bank holds x (C, 15, 3), v (C, 15, 3), cov (C, 15, 6, 6) and
+    diverged (C, 15) in `PAIR_I`/`PAIR_J` pair order and steps on (C, 6, 3)
+    accelerations and (C, 6, 6) ranges. The kernels see one pair axis of
+    C * 15 rows, and every row steps exactly as in a bank of its own clip.
+    A pair that diverges keeps its last finite state and leaves the
+    distance mask; the next predict_all (or an update that measures it)
+    raises ContractViolationError, and `run` raises DivergenceError first.
     """
 
     def __init__(
@@ -245,31 +175,30 @@ class PairFilterBank:
         placement: SensorPlacement,
         sigma_u: np.ndarray,
         r_diag: tuple[float, float],
-        dt: float = 0.01,
-        clips: int | None = None,
+        dt: float,
+        clips: int,
     ):
-        if clips is not None and clips < 1:
+        if clips < 1:
             raise ContractViolationError(f"a bank needs at least one clip, got {clips}")
-        self._lead = () if clips is None else (clips,)
-        n_clips = clips or 1
+        self.clips = clips
         # Every pair starts from the calibration T-pose geometry.
         pos, _ = mount_poses(placement.mounts, *tpose(skel))
         n = PAIR_I.size
-        self.x = np.tile(pos[PAIR_J] - pos[PAIR_I], (n_clips, 1)).reshape(self._lead + (n, 3))
-        self.v = np.zeros(self._lead + (n, 3))
-        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), self._lead + (n, 1, 1))
-        self.diverged = np.zeros(self._lead + (n,), dtype=bool)
+        self.x = np.tile(pos[PAIR_J] - pos[PAIR_I], (clips, 1, 1))
+        self.v = np.zeros((clips, n, 3))
+        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), (clips, n, 1, 1))
+        self.diverged = np.zeros((clips, n), dtype=bool)
         self.r_diag = r_diag
         self.dt = dt
-        self.gates = np.tile(gate_table()[PAIR_I, PAIR_J], n_clips)
+        self.gates = np.tile(gate_table()[PAIR_I, PAIR_J], clips)
         self._q_process = process_noise(dt, sigma_u)
         # Row indices of each pair's two sensors in the flattened (C * 6, 3)
         # accelerations, and of its two entries in the flattened (C, 6, 6) ranges.
-        clip = np.repeat(np.arange(n_clips), n)
-        self._end_i = clip * N_SENSORS + np.tile(PAIR_I, n_clips)
-        self._end_j = clip * N_SENSORS + np.tile(PAIR_J, n_clips)
-        self._entry_ij = self._end_i * N_SENSORS + np.tile(PAIR_J, n_clips)
-        self._entry_ji = self._end_j * N_SENSORS + np.tile(PAIR_I, n_clips)
+        clip = np.repeat(np.arange(clips), n)
+        self._end_i = clip * N_SENSORS + np.tile(PAIR_I, clips)
+        self._end_j = clip * N_SENSORS + np.tile(PAIR_J, clips)
+        self._entry_ij = self._end_i * N_SENSORS + np.tile(PAIR_J, clips)
+        self._entry_ji = self._end_j * N_SENSORS + np.tile(PAIR_I, clips)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """x, v, cov and diverged as views over one pair axis of C * 15 rows."""
@@ -283,7 +212,7 @@ class PairFilterBank:
         x_all[rows], v_all[rows], cov_all[rows] = x[finite], v[finite], cov[finite]
 
     def predict_all(self, accel: np.ndarray) -> None:
-        """One IMU-rate step; accel (..., 6, 3) gravity-free world acceleration per sensor."""
+        """One IMU-rate step; accel (C, 6, 3) gravity-free world acceleration per sensor."""
         if self.diverged.any():
             raise ContractViolationError("filter diverged; re-init before predicting")
         accel = accel.reshape(-1, 3)
@@ -297,7 +226,7 @@ class PairFilterBank:
         self._commit(rows, x, v, cov, fin)
 
     def update_all(self, distances: np.ndarray, valid: np.ndarray) -> None:
-        """One measurement tick: calibrated ranges (..., 6, 6) and their validity (..., 6, 6)."""
+        """One measurement tick: calibrated ranges (C, 6, 6) and their validity (C, 6, 6)."""
         d = distances.reshape(-1)[self._entry_ij]
         measured = valid.reshape(-1)[self._entry_ij]
         x, v, cov, diverged = self._rows()
@@ -308,11 +237,11 @@ class PairFilterBank:
         self._commit(go[applied], x[applied], v[applied], cov[applied], fin[applied])
 
     def distance_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (..., 6, 6) distance estimates and validity mask."""
+        """Current (C, 6, 6) distance estimates and validity mask."""
         x, _, _, diverged = self._rows()
         held = ~diverged
-        d = np.zeros(self._lead + (N_SENSORS, N_SENSORS))
-        mask = np.zeros(self._lead + (N_SENSORS, N_SENSORS), dtype=bool)
+        d = np.zeros((self.clips, N_SENSORS, N_SENSORS))
+        mask = np.zeros((self.clips, N_SENSORS, N_SENSORS), dtype=bool)
         flat_d, flat_mask = d.reshape(-1), mask.reshape(-1)
         flat_d[self._entry_ij] = flat_d[self._entry_ji] = np.where(held, np.linalg.norm(x, axis=1), 0.0)
         flat_mask[self._entry_ij] = flat_mask[self._entry_ji] = held
@@ -326,23 +255,22 @@ class PairFilterBank:
         valid: np.ndarray,
         names: list[str] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Filter the bank's clips -> (d_stream, mask_stream), each (T, ..., 6, 6).
+        """Filter the bank's clips -> (d_stream, mask_stream), each (T, C, 6, 6).
 
-        accel (T, ..., 6, 3) is on the frame grid, with the bank's clip
-        axis (if any) after the frame axis. Round r (distances[r] and
-        valid[r], each (..., 6, 6)) updates the bank right after the
-        predict of frame round_frames[r]; rounds sharing a frame apply in
-        round order, and rounds past the last frame never apply. A step
-        that diverges a pair raises DivergenceError naming the pair, the
-        frame and its clip (by `names`, one per clip, where given).
+        accel (T, C, 6, 3) is on the frame grid. Round r (distances[r] and
+        valid[r], each (C, 6, 6)) updates the bank right after the predict
+        of frame round_frames[r]; rounds sharing a frame apply in round
+        order, and rounds past the last frame never apply. A step that
+        diverges a pair raises DivergenceError naming the pair, the frame
+        and its clip (by `names`, one per clip, where given).
         """
-        accel_shape = self._lead + (N_SENSORS, 3)
-        pair_shape = (len(round_frames),) + self._lead + (N_SENSORS, N_SENSORS)
+        accel_shape = (self.clips, N_SENSORS, 3)
+        pair_shape = (len(round_frames), self.clips, N_SENSORS, N_SENSORS)
         if accel.shape[1:] != accel_shape or distances.shape != pair_shape or valid.shape != pair_shape:
             raise ContractViolationError(f"need accel {('T',) + accel_shape} and ranges {pair_shape}, got {accel.shape}")
         frames = accel.shape[0]
-        d_stream = np.zeros((frames,) + self._lead + (N_SENSORS, N_SENSORS))
-        mask_stream = np.zeros((frames,) + self._lead + (N_SENSORS, N_SENSORS), dtype=bool)
+        d_stream = np.zeros((frames, self.clips, N_SENSORS, N_SENSORS))
+        mask_stream = np.zeros((frames, self.clips, N_SENSORS, N_SENSORS), dtype=bool)
         rnd = 0
         for k in range(frames):
             self.predict_all(accel[k])

@@ -314,32 +314,35 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     # reach the covariance, so only the accel entries carry sigma.
     sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
     filtered: list[tuple] = [()] * len(names)
-    for members in groups.values():
-        # One orientation filter over (T, C, 6) sensors, seeded at the calibration pose.
-        quats, accel_w = orientation_filter(
-            np.stack([sensors[c][0] for c in members], axis=1),
-            np.stack([sensors[c][1] for c in members], axis=1),
-            srot_t,
-            cfg.imu.filter_gain,
-            gyro_off,
-            accel_off,
-            dt=1.0 / rate,
-        )
-        # One pair EKF bank over the C clips on the IMU grid; equal frame
-        # counts mean equal round times, so the measurement ticks are shared.
-        rounds = [sensors[c][2] for c in members]
-        bank = PairFilterBank(
-            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=len(members)
-        )
-        d_stream, mask_stream = bank.run(
-            accel_w,
-            np.rint(rounds[0].times * rate).astype(int),
-            np.stack([apply_calibration(r.distances, cal) for r in rounds], axis=1),
-            np.stack([r.valid for r in rounds], axis=1),
-            names=[names[c] for c in members],
-        )
-        for k, c in enumerate(members):
-            filtered[c] = (quats[:, k], accel_w[:, k], d_stream[:, k], mask_stream[:, k])
+    # A diverging pair overflows on its way to non-finite; the bank's
+    # DivergenceError reports it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in groups.values():
+            # One orientation filter over (T, C, 6) sensors, seeded at the calibration pose.
+            quats, accel_w = orientation_filter(
+                np.stack([sensors[c][0] for c in members], axis=1),
+                np.stack([sensors[c][1] for c in members], axis=1),
+                srot_t,
+                cfg.imu.filter_gain,
+                gyro_off,
+                accel_off,
+                dt=1.0 / rate,
+            )
+            # One pair EKF bank over the C clips on the IMU grid; equal frame
+            # counts mean equal round times, so the measurement ticks are shared.
+            rounds = [sensors[c][2] for c in members]
+            bank = PairFilterBank(
+                skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=len(members)
+            )
+            d_stream, mask_stream = bank.run(
+                accel_w,
+                np.rint(rounds[0].times * rate).astype(int),
+                np.stack([apply_calibration(r.distances, cal) for r in rounds], axis=1),
+                np.stack([r.valid for r in rounds], axis=1),
+                names=[names[c] for c in members],
+            )
+            for k, c in enumerate(members):
+                filtered[c] = (quats[:, k], accel_w[:, k], d_stream[:, k], mask_stream[:, k])
 
     rmse_report: dict[str, dict] = {}
     for name, (_, _, ranging), (quats, accel_w, d_stream, mask_stream) in zip(names, sensors, filtered):

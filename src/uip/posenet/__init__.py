@@ -1,23 +1,7 @@
 """Pose estimation network: temporal and distance-attention branches."""
-from .loss import contact_term, distance_aware_loss, position_terms, rotation_term, total_loss
-from .model import (
-    ModelInput,
-    PoseOutput,
-    dagcn_branch,
-    dagcn_correlation,
-    fuse_positions,
-    fusion_weights,
-    infer,
-    lstm_branch,
-    normalize_distances,
-)
-from .params import (
-    CHECKPOINT_VERSION,
-    PoseNetConfig,
-    PoseNetParams,
-    init_params,
-    zero_params,
-)
+from .loss import contact_term, position_terms, rotation_term, total_loss
+from .model import ModelInput, PoseOutput, fusion_weights, infer, normalize_distances
+from .params import CHECKPOINT_VERSION, PoseNetConfig, PoseNetParams, init_params
 from .train import TrainSettings, TrainingWindow, batch_loss, learning_rate_at, train
 
 __all__ = [
@@ -30,19 +14,13 @@ __all__ = [
     "TrainingWindow",
     "batch_loss",
     "contact_term",
-    "dagcn_branch",
-    "dagcn_correlation",
-    "distance_aware_loss",
-    "fuse_positions",
     "fusion_weights",
     "infer",
     "init_params",
     "learning_rate_at",
-    "lstm_branch",
     "normalize_distances",
     "position_terms",
     "rotation_term",
     "total_loss",
     "train",
-    "zero_params",
 ]

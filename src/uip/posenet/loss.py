@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Node, Tape
-from ..errors import ContractViolationError
 from ..skeleton import N_SENSORS, PAIR_I, PAIR_J
 
 # A sensor position shorter than this has no usable direction; its cosine
@@ -96,33 +95,3 @@ def total_loss(tape: Tape, terms: list[Node]) -> Node:
         return terms[0]
     return tape.sum(tape.stack(terms))
 
-
-def distance_aware_loss(
-    p_hat: np.ndarray,
-    p_tilde: np.ndarray,
-    d: np.ndarray,
-    valid: np.ndarray | None = None,
-    lam: float = 0.01,
-) -> float:
-    """Position loss for one frame, as a plain number.
-
-    p_hat, p_tilde: (6, 3) predicted and target positions; d: (6, 6)
-    measured distances with `valid` marking trustworthy entries (default:
-    everything off the diagonal).
-    """
-    p_hat = np.asarray(p_hat, dtype=float)
-    p_tilde = np.asarray(p_tilde, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if p_hat.shape != (N_SENSORS, 3) or p_tilde.shape != p_hat.shape:
-        raise ContractViolationError(
-            f"bad position shapes {p_hat.shape}, {p_tilde.shape}"
-        )
-    if d.shape != (N_SENSORS, N_SENSORS):
-        raise ContractViolationError(f"bad distance shape {d.shape}")
-    if valid is None:
-        valid = ~np.eye(N_SENSORS, dtype=bool)
-    v = np.asarray(valid, dtype=bool)
-    tape = Tape(grads=False)
-    p = tape.const(p_hat.reshape(1, N_SENSORS * 3))
-    terms = position_terms(tape, p, p_tilde[None], d[None], v[None], lam)
-    return float(total_loss(tape, terms).value)

@@ -8,13 +8,13 @@ the fused positions plus the raw features to joint rotations and foot
 contacts.
 
 `Forward` is the one implementation. Training runs it on a recording tape;
-inference, validation losses and the single-branch helpers run it on a
-values-only tape (`Tape(grads=False)`), which keeps no op records, so only
-the live activations stay in memory and the values are bitwise the
-training ones. Layout: a batch is W windows of T frames, flattened to
-N = W*T frames in window-major order, one row per frame. Position rows
-are sensor-major: column 3*s + k is coordinate k of sensor s. The graph
-layers hold one row per sensor node, row 6*f + s.
+inference (`infer`) and validation losses run it on a values-only tape
+(`Tape(grads=False)`), which keeps no op records, so only the live
+activations stay in memory and the values are bitwise the training ones.
+Layout: a batch is W windows of T frames, flattened to N = W*T frames in
+window-major order, one row per frame. Position rows are sensor-major:
+column 3*s + k is coordinate k of sensor s. The graph layers hold one row
+per sensor node, row 6*f + s.
 """
 from __future__ import annotations
 
@@ -111,32 +111,12 @@ def normalize_distances(d: np.ndarray, valid: np.ndarray | None = None) -> np.nd
     return d / ref.reshape(d.shape[:-2] + (1, 1))
 
 
-def fusion_weights(
-    accel_norm: np.ndarray, low: float = 2.0, high: float = 8.0
-) -> np.ndarray:
+def fusion_weights(accel_norm: np.ndarray, low: float, high: float) -> np.ndarray:
     """Temporal-branch weight per sensor: 0 at/below `low`, 1 at/above `high`."""
     if not 0.0 <= low < high:
         raise ConfigError(f"need 0 <= low < high, got ({low}, {high})")
     a = np.asarray(accel_norm, dtype=float)
     return np.clip((a - low) / (high - low), 0.0, 1.0)
-
-
-def fuse_positions(
-    p_t: np.ndarray,
-    p_s: np.ndarray,
-    accel_norm: np.ndarray,
-    low: float = 2.0,
-    high: float = 8.0,
-) -> np.ndarray:
-    """Blend the branch outputs per sensor by acceleration magnitude.
-
-    w = 0 and w = 1 reproduce p_s and p_t bitwise; in between the result is
-    w*p_t + (1-w)*p_s.
-    """
-    p_t = np.asarray(p_t, dtype=float)
-    p_s = np.asarray(p_s, dtype=float)
-    w = fusion_weights(accel_norm, low, high)[:, None]
-    return w * p_t + (1.0 - w) * p_s
 
 
 class Forward:
@@ -261,62 +241,6 @@ class Forward:
         return self._linear(hidden, "rot"), self._linear(hidden, "con")
 
 
-def _values_only(params: PoseNetParams) -> Forward:
-    return Forward(Tape(grads=False), params)
-
-
-def lstm_branch(params: PoseNetParams, r_seq: np.ndarray, a_seq: np.ndarray) -> np.ndarray:
-    """Temporal branch over one sequence -> (T, 6, 3) positions."""
-    r = np.asarray(r_seq, dtype=float)
-    a = np.asarray(a_seq, dtype=float)
-    if r.shape[1:] != (N_SENSORS, 6) or a.shape[1:] != (N_SENSORS, 3):
-        raise ContractViolationError(f"bad sequence shapes r{r.shape} a{a.shape}")
-    if r.shape[0] != a.shape[0]:
-        raise ContractViolationError("orientation and acceleration lengths differ")
-    if r.shape[0] < 1:
-        raise ContractViolationError("sequence must have at least one frame")
-    x = np.concatenate([r, a], axis=2).reshape(1, r.shape[0], N_SENSORS * 9)
-    return _values_only(params).lstm(x).value.reshape(r.shape[0], N_SENSORS, 3)
-
-
-def dagcn_branch(
-    params: PoseNetParams,
-    r: np.ndarray,
-    d: np.ndarray,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Spatial branch for one frame -> (6, 3) positions.
-
-    Distances come in raw; the branch normalizes by the head-pelvis entry,
-    so any uniform rescaling of d cancels exactly.
-    """
-    r = np.asarray(r, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if r.shape != (N_SENSORS, 6):
-        raise ContractViolationError(f"bad orientation shape {r.shape}")
-    if valid is None:
-        valid = ~np.eye(N_SENSORS, dtype=bool)
-    v = np.asarray(valid, dtype=bool)
-    p, _ = _values_only(params).dagcn(r[None], d[None], v[None])
-    return p.value.reshape(N_SENSORS, 3)
-
-
-def dagcn_correlation(
-    params: PoseNetParams,
-    layer: int,
-    d: np.ndarray,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Post-mask correlation matrix of one layer for one frame (6, 6)."""
-    d = np.asarray(d, dtype=float)
-    if valid is None:
-        valid = ~np.eye(N_SENSORS, dtype=bool)
-    mask = np.asarray(valid, dtype=bool).copy()
-    np.fill_diagonal(mask, False)
-    dn = normalize_distances(d[None], mask[None])
-    return _values_only(params).correlation(layer, dn, mask[None]).value[0]
-
-
 def infer(
     params: PoseNetParams, r: np.ndarray, a: np.ndarray, d: np.ndarray, valid: np.ndarray
 ) -> PoseOutput:
@@ -326,7 +250,7 @@ def infer(
     checks them.
     """
     x = ModelInput(r, a, d, valid)
-    fwd = _values_only(params)
+    fwd = Forward(Tape(grads=False), params)
     out = fwd.run(x.r[None], x.a[None], x.d, x.valid)
     n = x.r.shape[0]
     return PoseOutput(

@@ -203,8 +203,3 @@ def init_params(config: PoseNetConfig, seed: int) -> PoseNetParams:
         tensors[name] = arr
     return PoseNetParams(config, tensors)
 
-
-def zero_params(config: PoseNetConfig) -> PoseNetParams:
-    """Every tensor zero; handy for fixed-point and masking tests."""
-    shapes = _tensor_shapes(config)
-    return PoseNetParams(config, {k: np.zeros(s) for k, s in shapes.items()})

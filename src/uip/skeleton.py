@@ -3,7 +3,7 @@
 The body is a 15-joint tree (pelvis root, spine, head, and per side
 shoulder/elbow/wrist plus hip/knee/ankle) posed by per-joint local
 rotations and a root translation. Six sensors are rigidly mounted:
-pelvis (index 0), left/right wrist, left/right knee, head (index 5).
+pelvis (index 0), left/right wrist (1, 2), left/right knee (3, 4), head (5).
 Body volume for line-of-sight tests is a set of capsules stretched
 between joint pairs.
 """
@@ -14,21 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .geometry import qangle, qconj, qfrom_axis_angle, qmul, qnormalize, qrotate
+from .geometry import qfrom_axis_angle, qmul, qnormalize, qrotate
 
 PELVIS_SENSOR = 0
-L_WRIST_SENSOR = 1
-R_WRIST_SENSOR = 2
-L_KNEE_SENSOR = 3
-R_KNEE_SENSOR = 4
 HEAD_SENSOR = 5
 N_SENSORS = 6
 # The 15 unordered sensor pairs i < j in lexicographic order: pair p joins
 # sensors PAIR_I[p] and PAIR_J[p]. Every per-pair array uses this order.
 PAIR_I, PAIR_J = np.triu_indices(N_SENSORS, 1)
 PAIR_I.flags.writeable = PAIR_J.flags.writeable = False
-
-SENSOR_NAMES = ("pelvis", "l_wrist", "r_wrist", "l_knee", "r_knee", "head")
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,25 +235,6 @@ def _occluded_share(capsules, p_i, p_j, skip, resolution: int) -> np.ndarray:
     return np.where(too_short, 0.0, share)
 
 
-def occlusion_ratio(
-    capsules: list[tuple[np.ndarray, np.ndarray, float]],
-    p_i: np.ndarray,
-    p_j: np.ndarray,
-    resolution: int = 64,
-    exclude: tuple[int, ...] = (),
-) -> float:
-    """Fraction of the sight line between two points that runs inside the body.
-
-    Samples `resolution` midpoints along the segment and counts those inside
-    any capsule not listed in `exclude` (the two mounting segments). Segments
-    shorter than 1 mm return 0. The sample weights are built symmetrically,
-    so swapping the endpoints gives the bitwise-identical answer.
-    """
-    p_i, p_j = (np.asarray(p, dtype=float)[None] for p in (p_i, p_j))
-    skip = np.isin(np.arange(len(capsules)), exclude)[None]
-    return float(_occluded_share(capsules, p_i, p_j, skip, resolution)[0])
-
-
 def pairwise_occlusion(
     skel: Skeleton,
     placement: SensorPlacement,
@@ -275,18 +250,6 @@ def pairwise_occlusion(
         world_capsules(skel, joint_pos), sp[PAIR_I], sp[PAIR_J], mounted[PAIR_I] | mounted[PAIR_J], resolution
     )
     return out
-
-
-def check_continuity(clip: MotionClip, max_step_deg: float = 20.0) -> None:
-    """Raise if any joint rotates more than max_step_deg between frames."""
-    q = np.asarray(clip.local_rot, dtype=float)
-    step = qangle(qnormalize(qmul(qconj(q[:-1]), q[1:])))
-    jumps = np.argwhere(step > np.deg2rad(max_step_deg))
-    if jumps.size:
-        t, j = jumps[0]
-        raise ContractViolationError(
-            f"clip {clip.name}: joint {j} jumps {np.rad2deg(step[t, j]):.1f} deg at frame {t + 1}"
-        )
 
 
 def validate_kind(kind: str, known: tuple[str, ...]) -> None:

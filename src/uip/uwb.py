@@ -37,8 +37,6 @@ N_NODES = 6
 ROUND_PERIOD_S = 0.04  # 25 Hz round rate
 SLOT_S = 0.002  # TDMA reply slot spacing inside a round
 
-SIGMA_LOS = 0.051  # m, line-of-sight range noise
-SIGMA_NLOS = 0.083  # m, occluded range noise
 OCCLUSION_THRESHOLD = 0.2  # occlusion ratio at or above which a pair counts as NLOS
 
 # Every message of a round in transmission order: (receiver, sender).
@@ -47,10 +45,7 @@ _UPPER = np.triu(np.ones((N_NODES, N_NODES), dtype=bool), 1)
 
 
 def occlusion_noise_sigma(
-    occlusion,
-    sigma_los: float = SIGMA_LOS,
-    sigma_nlos: float = SIGMA_NLOS,
-    threshold: float = OCCLUSION_THRESHOLD,
+    occlusion, sigma_los: float, sigma_nlos: float, threshold: float = OCCLUSION_THRESHOLD
 ) -> np.ndarray:
     """Range noise sigma for each pair, by the occlusion ratio of its sight line."""
     occ = np.asarray(occlusion, dtype=float)
@@ -73,10 +68,6 @@ class NodeClock:
             raise ContractViolationError(f"clock skew {self.skew_ppm} ppm outside +-50 ppm")
         if self.antenna_delay < 0.0:
             raise ContractViolationError("antenna delay must be non-negative")
-
-
-def ideal_clocks() -> tuple[NodeClock, ...]:
-    return tuple(NodeClock() for _ in range(N_NODES))
 
 
 def sample_clocks(

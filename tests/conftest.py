@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from uip.geometry import qangle, qconj, qmul, qnormalize
 from uip.posenet import PoseNetConfig, TrainingWindow
 from uip.rng import derive_rng
-from uip.skeleton import default_placement, default_skeleton
+from uip.skeleton import MotionClip, default_placement, default_skeleton
+from uip.uwb import N_NODES, NodeClock
 
 TINY_NET = PoseNetConfig(
     lstm_hidden=4, lstm_layers=1, gcn_width=4, gcn_layers=1, decoder_hidden=4
@@ -18,6 +20,35 @@ def skel():
 @pytest.fixture(scope="session")
 def placement(skel):
     return default_placement(skel)
+
+
+def ideal_clocks() -> tuple[NodeClock, ...]:
+    """Six perfect clocks: no skew, offset or antenna delay."""
+    return tuple(NodeClock() for _ in range(N_NODES))
+
+
+def check_continuity(clip: MotionClip, max_step_deg: float = 20.0) -> None:
+    """Fail if any joint of the clip rotates more than max_step_deg between frames."""
+    q = np.asarray(clip.local_rot, dtype=float)
+    step = qangle(qnormalize(qmul(qconj(q[:-1]), q[1:])))
+    jumps = np.argwhere(step > np.deg2rad(max_step_deg))
+    if jumps.size:
+        t, j = jumps[0]
+        raise AssertionError(f"clip {clip.name}: joint {j} jumps {np.rad2deg(step[t, j]):.1f} deg at frame {t + 1}")
+
+
+def pair_transition(bank, x6: np.ndarray, a6: np.ndarray) -> np.ndarray:
+    """A one-clip bank's mean propagation for pair (0, 1) as a plain function.
+
+    Sets the pair's (x, v) to x6, predicts one step with sensors 0 and 1
+    accelerating by a6[:3] and a6[3:] and the others at rest, and returns
+    the pair's new (x, v).
+    """
+    bank.x[0, 0], bank.v[0, 0] = x6[:3], x6[3:]
+    accel = np.zeros((1, 6, 3))
+    accel[0, 0], accel[0, 1] = a6[:3], a6[3:]
+    bank.predict_all(accel)
+    return np.concatenate([bank.x[0, 0], bank.v[0, 0]])
 
 
 def random_window(rng: np.random.Generator, frames: int = 6) -> TrainingWindow:

@@ -19,16 +19,7 @@ from uip.config import (
     TrainSettings,
     UwbSettings,
 )
-from uip.ekf import (
-    ControlInput,
-    PairFilterBank,
-    PairState,
-    assert_psd,
-    input_jacobian,
-    predict,
-    state_jacobian,
-    update,
-)
+from uip.ekf import PairFilterBank, assert_psd, input_jacobian, state_jacobian
 from uip.geometry import qfrom_rotvec, qmul, qnormalize, qrotate
 from uip.imu import ImuNoiseModel, orientation_filter, synthesize_imu
 from uip.metrics import SIP_JOINTS, jitter, position_error, sip_error
@@ -39,13 +30,7 @@ from uip.pipeline import (
     synthesize_dataset,
     train_model,
 )
-from uip.posenet import (
-    PoseNetConfig,
-    batch_loss,
-    fuse_positions,
-    infer,
-    init_params,
-)
+from uip.posenet import PoseNetConfig, batch_loss, infer, init_params
 from uip.rng import derive_rng
 from uip.skeleton import (
     MotionClip,
@@ -59,16 +44,14 @@ from uip.skeleton import (
 )
 from uip.storage import read_manifest, read_report_json
 from uip.uwb import (
-    ideal_clocks,
     occlusion_noise_sigma,
     ransac_affine_calibrate,
     round_times,
     simulate_stream,
 )
 
-from conftest import random_windows
+from conftest import ideal_clocks, pair_transition, random_windows
 
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 PAIRS = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
 
 
@@ -130,62 +113,55 @@ SIGMA_U = np.concatenate([np.full(6, 0.3), np.zeros(6)])
 R_DIAG = (0.06, 0.5)
 
 
-def _transition(x6: np.ndarray, u12: np.ndarray) -> np.ndarray:
-    """Mean propagation as a plain function of the state and input vectors."""
-    st = PairState(x=x6[:3].copy(), v=x6[3:].copy(), q=IDENTITY, cov=np.eye(6))
-
-    def quat(vec):
-        return qnormalize(np.concatenate([[1.0], vec]))
-
-    u = ControlInput(a_i=u12[0:3], a_j=u12[3:6], q_i=quat(u12[6:9]), q_j=quat(u12[9:12]))
-    out = predict(st, u, DT, SIGMA_U)
-    return np.concatenate([out.x, out.v])
-
-
 def test_criterion_04_jacobians_and_covariance_health():
     """F and W match central differences to 1e-6 over 1000 states; the
     covariance stays positive semidefinite across 100k filter steps."""
+    skel, placement, _ = _tpose_sensor_positions()
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=1)
     rng = derive_rng(4, "acceptance", "jacobians")
     f_an = state_jacobian(DT)
     w_an = input_jacobian(DT)
+    # The bank takes no orientation input: W's orientation columns are zero.
+    assert not w_an[:, 6:].any()
     eps = 1e-6
     worst = 0.0
     for _ in range(1000):
         x0 = rng.normal(0.0, 0.5, 6)
-        u0 = rng.normal(0.0, 2.0, 12)
+        u0 = rng.normal(0.0, 2.0, 6)
         for c in range(6):
             xp, xm = x0.copy(), x0.copy()
             xp[c] += eps
             xm[c] -= eps
-            fd = (_transition(xp, u0) - _transition(xm, u0)) / (2 * eps)
+            fd = (pair_transition(bank, xp, u0) - pair_transition(bank, xm, u0)) / (2 * eps)
             denom = np.maximum(np.abs(f_an[:, c]), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - f_an[:, c]) / denom)))
-        for c in range(12):
+        for c in range(6):
             up, um = u0.copy(), u0.copy()
             up[c] += eps
             um[c] -= eps
-            fd = (_transition(x0, up) - _transition(x0, um)) / (2 * eps)
+            fd = (pair_transition(bank, x0, up) - pair_transition(bank, x0, um)) / (2 * eps)
             denom = np.maximum(np.abs(w_an[:, c]), 1.0)
             worst = max(worst, float(np.max(np.abs(fd - w_an[:, c]) / denom)))
     assert worst < 1e-6
 
-    state = PairState(
-        x=np.array([0.4, 0.1, -0.2]), v=np.zeros(3), q=IDENTITY, cov=0.01 * np.eye(6)
-    )
+    # Pair (0, 1) of a one-clip bank, driven by sensors 0 and 1 and given
+    # a range every 5 steps.
+    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=1)
+    bank.x[0, 0], bank.v[0, 0], bank.cov[0, 0] = (0.4, 0.1, -0.2), 0.0, 0.01 * np.eye(6)
+    accel = np.zeros((1, N_SENSORS, 3))
+    d = np.zeros((1, N_SENSORS, N_SENSORS))
+    valid = np.zeros((1, N_SENSORS, N_SENSORS), dtype=bool)
+    valid[0, 0, 1] = valid[0, 1, 0] = True
     rng = derive_rng(4, "acceptance", "psd")
     for step in range(100_000):
-        u = ControlInput(
-            a_i=rng.normal(0.0, 2.0, 3),
-            a_j=rng.normal(0.0, 2.0, 3),
-            q_i=IDENTITY,
-            q_j=IDENTITY,
-        )
-        state = predict(state, u, DT, SIGMA_U)
+        accel[0, 0] = rng.normal(0.0, 2.0, 3)
+        accel[0, 1] = rng.normal(0.0, 2.0, 3)
+        bank.predict_all(accel)
         if step % 5 == 0:
-            d = float(np.linalg.norm(state.x)) + rng.normal(0.0, 0.06)
-            state = update(state, d, (0.0, 2.0), R_DIAG)
-        assert_psd(state.cov)
-    assert not state.diverged
+            d[0, 0, 1] = d[0, 1, 0] = float(np.linalg.norm(bank.x[0, 0])) + rng.normal(0.0, 0.06)
+            bank.update_all(d, valid)
+        assert_psd(bank.cov[0, 0])
+    assert not bank.diverged.any()
 
 
 def _nlerp(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -253,9 +229,10 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
         sensor_rot[0],
         dt=1.0 / rate,
     )
-    bank = PairFilterBank(skel, placement, sigma_u=SIGMA_U, r_diag=R_DIAG, dt=1.0 / rate)
+    bank = PairFilterBank(skel, placement, sigma_u=SIGMA_U, r_diag=R_DIAG, dt=1.0 / rate, clips=1)
     round_frames = np.rint(ranging.times * rate).astype(int)
-    d_stream, mask_stream = bank.run(r_world, round_frames, ranging.distances, ranging.valid)
+    d_stream, mask_stream = bank.run(r_world[:, None], round_frames, ranging.distances[:, None], ranging.valid[:, None])
+    d_stream, mask_stream = d_stream[:, 0], mask_stream[:, 0]
     filter_elapsed = time.perf_counter() - start
 
     filtered_means = []
@@ -339,14 +316,24 @@ def test_criterion_08_fusion_rule_exact_blends():
     """Acceleration 1, 5, 8 m/s^2 against bounds (2, 8): spatial branch,
     exact half-half blend, temporal branch."""
     rng = derive_rng(8, "acceptance", "fusion")
-    p_t = rng.normal(size=(6, 3))
-    p_s = rng.normal(size=(6, 3))
-    slow = fuse_positions(p_t, p_s, np.full(6, 1.0), low=2.0, high=8.0)
-    mid = fuse_positions(p_t, p_s, np.full(6, 5.0), low=2.0, high=8.0)
-    fast = fuse_positions(p_t, p_s, np.full(6, 8.0), low=2.0, high=8.0)
-    assert np.array_equal(slow, p_s)
-    assert np.array_equal(mid, 0.5 * p_t + 0.5 * p_s)
-    assert np.array_equal(fast, p_t)
+    config = PoseNetConfig(
+        lstm_hidden=4, lstm_layers=1, gcn_width=4, gcn_layers=1, decoder_hidden=4,
+        accel_low=2.0, accel_high=8.0,
+    )
+    params = init_params(config, 8)
+    # Frame f: every sensor accelerates along a random axis at norm f.
+    a = np.zeros((3, N_SENSORS, 3))
+    for f, norm in enumerate((1.0, 5.0, 8.0)):
+        a[f, np.arange(N_SENSORS), rng.integers(0, 3, N_SENSORS)] = norm * rng.choice((-1.0, 1.0), N_SENSORS)
+    d0 = rng.uniform(0.3, 1.6, (3, N_SENSORS, N_SENSORS))
+    d = (d0 + d0.transpose(0, 2, 1)) / 2.0
+    d[:, np.arange(N_SENSORS), np.arange(N_SENSORS)] = 0.0
+    valid = np.broadcast_to(~np.eye(N_SENSORS, dtype=bool), d.shape)
+    out = infer(params, rng.normal(0.0, 0.4, (3, N_SENSORS, 6)), a, d, valid)
+    assert not np.array_equal(out.p_t, out.p_s)
+    assert np.array_equal(out.p[0], out.p_s[0])
+    assert np.array_equal(out.p[1], 0.5 * out.p_t[1] + 0.5 * out.p_s[1])
+    assert np.array_equal(out.p[2], out.p_t[2])
 
 
 SUITE_MODEL = ModelSettings(

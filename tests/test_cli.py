@@ -217,9 +217,10 @@ def test_nan_range_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "out" / "rmse_report.json").exists()
 
 
-def test_filter_divergence_exits_4(env, tmp_path, capsys):
+def test_filter_divergence_exits_4(env, tmp_path, capsys, recwarn):
     # A finite but huge accelerometer sample passes the reader, then
-    # overflows the range update of its sensor's pairs.
+    # overflows the range update of its sensor's pairs. The one-line
+    # message is the whole report: numpy warns of no overflow on the way.
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)
     imu = data / "clip_001_idle" / "imu_s4.csv"
@@ -235,6 +236,7 @@ def test_filter_divergence_exits_4(env, tmp_path, capsys):
     assert re.fullmatch(r"divergence: clip_001_idle: pair \(\d, \d\) diverged at frame \d+\n", err), err
     assert "4" in err.split("pair")[1].split(")")[0]
     assert not (tmp_path / "out" / "rmse_report.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32])

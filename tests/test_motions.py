@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
+from conftest import check_continuity
 from uip.errors import ConfigError
 from uip.geometry import qangle, qconj, qmul
 from uip.motions import LEAD_IN_S, MOTION_KINDS, generate_motion_suite
-from uip.skeleton import check_continuity
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 RATE = 50.0

@@ -181,11 +181,15 @@ def _filter_reference(data, filt, out) -> dict:
         )
         ranging = read_ranging_csv(data / name / "ranging.csv")
         bank = PairFilterBank(
-            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate
+            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=1
         )
         d, mask = bank.run(
-            accel_w, np.rint(ranging.times * rate).astype(int), apply_calibration(ranging.distances, cal), ranging.valid
+            accel_w[:, None],
+            np.rint(ranging.times * rate).astype(int),
+            apply_calibration(ranging.distances, cal)[:, None],
+            ranging.valid[:, None],
         )
+        d, mask = d[:, 0], mask[:, 0]
         truth = read_truth(data / name / "truth.jsonl")
         write_model_input(out / f"{name}.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d, mask)
         report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d, mask, rate)

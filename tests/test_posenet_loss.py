@@ -8,8 +8,8 @@ from uip.errors import ContractViolationError
 from uip.posenet import (
     batch_loss,
     contact_term,
-    distance_aware_loss,
     init_params,
+    position_terms,
     rotation_term,
     total_loss,
 )
@@ -35,6 +35,13 @@ def reference_position_loss(p_hat, p_tilde, d, valid, lam):
             dist = np.sqrt(gap @ gap + DIST_EPS)
             total += lam * abs(dist - d[i, j])
     return total
+
+
+def distance_aware_loss(p_hat, p_tilde, d, valid, lam=0.01):
+    """The position loss of one frame as a plain number, on a values-only tape."""
+    tape = Tape(grads=False)
+    p = tape.const(p_hat.reshape(1, 18))
+    return float(total_loss(tape, position_terms(tape, p, p_tilde[None], d[None], valid[None], lam)).value)
 
 
 def frame_case(seed: int):
@@ -112,13 +119,6 @@ def test_masking_a_pair_removes_exactly_its_gap():
     contribution = 0.01 * abs(np.sqrt(gap @ gap + DIST_EPS) - d[1, 5])
     got = distance_aware_loss(p_hat, p_tilde, d, cut)
     assert full - got == pytest.approx(contribution, rel=1e-9)
-
-
-def test_distance_loss_validates_shapes():
-    with pytest.raises(ContractViolationError):
-        distance_aware_loss(np.zeros((5, 3)), np.zeros((6, 3)), np.zeros((6, 6)))
-    with pytest.raises(ContractViolationError):
-        distance_aware_loss(np.zeros((6, 3)), np.zeros((6, 3)), np.zeros((6, 5)))
 
 
 def test_rotation_term_is_componentwise_mse():

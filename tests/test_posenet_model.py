@@ -1,21 +1,14 @@
 """Pose network forward pass: shapes, masking, invariances, fusion."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import TINY_NET
+from uip.autodiff import Tape
 from uip.errors import ConfigError, ContractViolationError, DataError
-from uip.posenet import (
-    ModelInput,
-    dagcn_branch,
-    dagcn_correlation,
-    fuse_positions,
-    fusion_weights,
-    infer,
-    init_params,
-    lstm_branch,
-    normalize_distances,
-    zero_params,
-)
+from uip.posenet import ModelInput, PoseNetParams, fusion_weights, infer, init_params, normalize_distances
+from uip.posenet.model import Forward
 from uip.rng import derive_rng
 
 HEAD, PELVIS = 5, 0
@@ -52,6 +45,23 @@ def model_input(rng, frames: int, invalid_pairs=()) -> ModelInput:
 
 def run(params, mi: ModelInput):
     return infer(params, mi.r, mi.a, mi.d, mi.valid)
+
+
+def values_only(params) -> Forward:
+    return Forward(Tape(grads=False), params)
+
+
+def correlation(params, layer: int, d: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """One frame's post-mask correlation matrix of one graph layer, (6, 6)."""
+    mask = valid & ~np.eye(6, dtype=bool)
+    dn = normalize_distances(d[None], mask[None])
+    return values_only(params).correlation(layer, dn, mask[None]).value[0]
+
+
+def spatial_branch(params, r: np.ndarray, d: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """One frame's spatial-branch positions, (6, 3)."""
+    p, _ = values_only(params).dagcn(r[None], d[None], valid[None])
+    return p.value.reshape(6, 3)
 
 
 def test_model_input_validates_shapes_and_symmetry():
@@ -110,29 +120,32 @@ def test_normalize_stack_is_per_frame_and_names_the_bad_frame():
 
 
 def test_fusion_weights_clip_and_interpolate():
-    w = fusion_weights(np.array([0.0, 2.0, 5.0, 8.0, 30.0]))
+    w = fusion_weights(np.array([0.0, 2.0, 5.0, 8.0, 30.0]), low=2.0, high=8.0)
     assert np.array_equal(w, np.array([0.0, 0.0, 0.5, 1.0, 1.0]))
     with pytest.raises(ConfigError):
         fusion_weights(np.array([1.0]), low=5.0, high=2.0)
 
 
 def test_fuse_positions_endpoints_bitwise():
+    # Forward.fuse on branch outputs of three frames, every sensor at
+    # acceleration norm 1, 9.5 and 5 against the default bounds (2, 8).
     rng = derive_rng(8, "pn", "fuse")
-    p_t = rng.normal(size=(6, 3))
-    p_s = rng.normal(size=(6, 3))
-    slow = fuse_positions(p_t, p_s, np.full(6, 1.0))
-    fast = fuse_positions(p_t, p_s, np.full(6, 9.5))
-    assert np.array_equal(slow, p_s)
-    assert np.array_equal(fast, p_t)
-    half = fuse_positions(p_t, p_s, np.full(6, 5.0))
-    assert np.allclose(half, 0.5 * p_t + 0.5 * p_s, atol=1e-15)
+    fwd = values_only(init_params(TINY_NET, 1))
+    p_t = rng.normal(size=(3, 18))
+    p_s = rng.normal(size=(3, 18))
+    accel = np.zeros((3, 6, 3))
+    accel[:, :, 1] = np.array([1.0, 9.5, 5.0])[:, None]
+    slow, fast, half = fwd.fuse(fwd.tape.const(p_t), fwd.tape.const(p_s), accel).value
+    assert np.array_equal(slow, p_s[0])
+    assert np.array_equal(fast, p_t[1])
+    assert np.allclose(half, 0.5 * p_t[2] + 0.5 * p_s[2], atol=1e-15)
 
 
 def test_correlation_rows_sum_to_one():
     rng = derive_rng(8, "pn", "corr")
     params = init_params(TINY_NET, 1)
     d = distance_matrix(rng)
-    c = dagcn_correlation(params, 0, d, valid_mask())
+    c = correlation(params, 0, d, valid_mask())
     assert c.shape == (6, 6)
     assert np.array_equal(np.diag(c), np.zeros(6))
     assert np.allclose(c.sum(axis=1), 1.0, atol=1e-12)
@@ -142,8 +155,8 @@ def test_correlation_masked_rows_and_columns_are_zero():
     rng = derive_rng(8, "pn", "corrmask")
     params = init_params(TINY_NET, 1)
     d = distance_matrix(rng)
-    c_full = dagcn_correlation(params, 0, d, valid_mask())
-    c = dagcn_correlation(params, 0, d, valid_mask([(1, 4)]))
+    c_full = correlation(params, 0, d, valid_mask())
+    c = correlation(params, 0, d, valid_mask([(1, 4)]))
     assert c[1, 4] == 0.0
     assert c[4, 1] == 0.0
     # untouched entries shift only through renormalization
@@ -169,16 +182,16 @@ def test_dagcn_scale_invariance_bitwise():
         ]
     )
     mask = valid_mask([(2, 3)])
-    base = dagcn_branch(params, r, d, mask)
+    base = spatial_branch(params, r, d, mask)
     for k in (0.5, 1.3, 2.0):
-        scaled = dagcn_branch(params, r, k * d, mask)
+        scaled = spatial_branch(params, r, k * d, mask)
         assert np.array_equal(scaled, base)
 
 
 def test_dagcn_output_shape_and_finiteness():
     rng = derive_rng(8, "pn", "shape")
     params = init_params(TINY_NET, 3)
-    out = dagcn_branch(params, rng.normal(size=(6, 6)), distance_matrix(rng))
+    out = spatial_branch(params, rng.normal(size=(6, 6)), distance_matrix(rng), valid_mask())
     assert out.shape == (6, 3)
     assert np.isfinite(out).all()
 
@@ -188,12 +201,17 @@ def test_lstm_branch_shapes_and_state_carry():
     params = init_params(TINY_NET, 4)
     r_seq = rng.normal(0.0, 0.4, (5, 6, 6))
     a_seq = rng.normal(0.0, 2.0, (5, 6, 3))
-    out = lstm_branch(params, r_seq, a_seq)
+
+    def temporal_branch(r):
+        x = np.concatenate([r, a_seq], axis=2).reshape(1, 5, 6 * 9)
+        return values_only(params).lstm(x).value.reshape(5, 6, 3)
+
+    out = temporal_branch(r_seq)
     assert out.shape == (5, 6, 3)
     # A different first frame changes later outputs: state actually carries.
     r2 = r_seq.copy()
     r2[0] += 0.5
-    out2 = lstm_branch(params, r2, a_seq)
+    out2 = temporal_branch(r2)
     assert not np.allclose(out[4], out2[4])
 
 
@@ -222,7 +240,7 @@ def test_infer_rejects_empty_sequence():
 
 def test_zero_params_fixed_point():
     rng = derive_rng(8, "pn", "zero")
-    params = zero_params(TINY_NET)
+    params = PoseNetParams(TINY_NET, {k: np.zeros_like(v) for k, v in init_params(TINY_NET, 0).tensors.items()})
     out = run(params, model_input(rng, 2))
     for k in range(2):
         assert np.array_equal(out.p[k], np.zeros((6, 3)))
@@ -239,3 +257,18 @@ def test_fusion_blends_branches_per_sensor():
     out = infer(params, rng.normal(0.0, 0.4, (1, 6, 6)), a[None], distance_matrix(rng)[None], valid_mask()[None])
     assert np.array_equal(out.p[0, 0], out.p_s[0, 0])
     assert np.array_equal(out.p[0, 2], out.p_t[0, 2])
+
+
+def test_fusion_follows_the_config_bounds():
+    # Bounds (1, 3) instead of the defaults (2, 8): a sensor at norm 0.5
+    # takes the spatial row, at 2 the exact half blend, at 3 the temporal row.
+    rng = derive_rng(8, "pn", "bounds")
+    config = dataclasses.replace(TINY_NET, accel_low=1.0, accel_high=3.0)
+    a = np.zeros((1, 6, 3))
+    a[0, :3, 2] = (0.5, 2.0, 3.0)
+    out = infer(init_params(config, 8), rng.normal(0.0, 0.4, (1, 6, 6)), a, distance_matrix(rng)[None], valid_mask()[None])
+    p, p_t, p_s = out.p[0], out.p_t[0], out.p_s[0]
+    assert np.array_equal(p[0], p_s[0])
+    assert np.array_equal(p[1], 0.5 * p_t[1] + 0.5 * p_s[1])
+    assert np.array_equal(p[2], p_t[2])
+    assert not np.array_equal(p_t, p_s)

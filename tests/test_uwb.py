@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ideal_clocks
 from uip.errors import CalibrationError, ContractViolationError
 from uip.rng import derive_rng
 from uip.uwb import (
@@ -13,7 +14,6 @@ from uip.uwb import (
     CalibrationResult,
     NodeClock,
     apply_calibration,
-    ideal_clocks,
     occlusion_noise_sigma,
     ransac_affine_calibrate,
     resolve_tof,
@@ -87,7 +87,7 @@ def scalar_round(positions, clocks, rng=None, *, t_start=0.0, drop_prob=0.0, sig
 def random_sigma(rng) -> np.ndarray:
     """Symmetric mixed LOS/NLOS sigmas, with some noise-free pairs."""
     occ = rng.uniform(0.0, 0.4, (N_NODES, N_NODES))
-    sigma = occlusion_noise_sigma(np.triu(occ, 1) + np.triu(occ, 1).T)
+    sigma = occlusion_noise_sigma(np.triu(occ, 1) + np.triu(occ, 1).T, 0.051, 0.083)
     sigma[rng.uniform(size=sigma.shape) < 0.1] = 0.0
     return np.triu(sigma, 1) + np.triu(sigma, 1).T
 
@@ -142,12 +142,12 @@ def test_round_rejects_bad_shapes():
 
 
 def test_occlusion_sigma_threshold():
-    sigma = occlusion_noise_sigma(np.array([0.0, 0.19, 0.2, 1.0]))
+    sigma = occlusion_noise_sigma(np.array([0.0, 0.19, 0.2, 1.0]), 0.051, 0.083)
     assert np.array_equal(sigma, [0.051, 0.051, 0.083, 0.083])
     assert occlusion_noise_sigma(np.full((2, 2), 0.5), 0.01, 0.07).tolist() == [[0.07, 0.07], [0.07, 0.07]]
     for bad in (1.2, -0.1, np.nan):
         with pytest.raises(ContractViolationError):
-            occlusion_noise_sigma(np.array([[0.0, bad], [bad, 0.0]]))
+            occlusion_noise_sigma(np.array([[0.0, bad], [bad, 0.0]]), 0.051, 0.083)
 
 
 def test_resolve_tof_oracle():
