@@ -9,14 +9,21 @@ topological order because parents always precede children, and keeps one
 gradient array per node that later contributions are added into. Matmul
 keeps only its two inputs; its backward is two matrix products.
 
+`lstm_layer` records a whole recurrent layer, every time step, as one op.
+Its forward runs the per-step arithmetic in the order separate ops would,
+and its VJP is backprop through time: one reverse loop over the steps
+fills the pre-activation gradients of all steps, and the weight, bias and
+input gradients are then one product or sum each.
+
 Inputs enter as leaves, which take gradients (parameters), or constants,
 which do not (data). Binary ops broadcast like numpy, and their VJPs sum
 the gradient back over the broadcast axes.
 
 A tape built with `grads=False` records values and no ops: its nodes
 die with their last Python reference, so a forward pass on it holds only
-the live activations, and it runs the same arithmetic as a recording tape,
-so the values are bitwise equal.
+the live activations (an LSTM layer keeps no gates or cells for a
+backward), and it runs the same arithmetic as a recording tape, so the
+values are bitwise equal.
 """
 from __future__ import annotations
 
@@ -193,6 +200,60 @@ class Tape:
             va @ vb, (a, b),
             lambda g: (g @ vb.mT if a.tracked else None, va.mT @ g if b.tracked else None),
         )
+
+    def lstm_layer(self, x: Node, wx: Node, wh: Node, b: Node) -> Node:
+        """One LSTM layer: inputs (T, W, in) -> hidden states (T, W, h), one record.
+
+        wx (4h, in), wh (4h, h) and b (4h,) hold the gates in i, f, g, o
+        order. From zero h and c, step k computes z = (x_k @ wx.T + h @ wh.T)
+        + b, then c = f*c + i*g and h = o*tanh(c). The VJP is one backprop
+        through time that fills dz (T, W, 4h); the gradients of x, wx, wh
+        and b are then one product or sum each over all steps.
+        """
+        vx, vwx, vwh, vb = x.value, wx.value, wh.value, b.value
+        h = vwh.shape[-1] if vwh.ndim == 2 else 0
+        h4 = 4 * h
+        if not (vx.ndim == 3 and h and vwh.shape == (h4, h) and vwx.shape == (h4, vx.shape[2]) and vb.shape == (h4,)):
+            raise ContractViolationError(f"lstm_layer shape mismatch x{vx.shape} wx{vwx.shape} wh{vwh.shape} b{vb.shape}")
+        steps, width = vx.shape[:2]
+        record = self.grads and any(p.tracked for p in (x, wx, wh, b))
+        hs = np.empty((steps, width, h))
+        acts, cells = [], [np.zeros((width, h))]  # gates and cell states, kept only to record
+        h_k = c = cells[0]
+        for k in range(steps):
+            z = (vx[k] @ vwx.T + h_k @ vwh.T) + vb
+            a = _stable_sigmoid(z)
+            a[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
+            c = a[:, h : 2 * h] * c + a[:, :h] * a[:, 2 * h : 3 * h]
+            h_k = hs[k] = a[:, 3 * h :] * np.tanh(c)
+            if record:
+                acts.append(a)
+                cells.append(c)
+
+        def vjp(g):
+            dz = np.empty((steps, width, h4))
+            dh = dc = np.zeros((width, h))
+            for k in reversed(range(steps)):
+                i, f, gg, o = (acts[k][:, j * h : (j + 1) * h] for j in range(4))
+                tc = np.tanh(cells[k + 1])
+                dh = dh + g[k]
+                dc = dc + dh * o * (1.0 - tc * tc)
+                dz[k, :, :h] = dc * gg * i * (1.0 - i)
+                dz[k, :, h : 2 * h] = dc * cells[k] * f * (1.0 - f)
+                dz[k, :, 2 * h : 3 * h] = dc * i * (1.0 - gg * gg)
+                dz[k, :, 3 * h :] = dh * tc * o * (1.0 - o)
+                dc = dc * f
+                dh = dz[k] @ vwh
+            flat = dz.reshape(-1, h4)
+            h_prev = np.concatenate([cells[0][None], hs[:-1]]).reshape(-1, h)
+            return (
+                (flat @ vwx).reshape(vx.shape) if x.tracked else None,
+                flat.T @ vx.reshape(-1, vx.shape[2]) if wx.tracked else None,
+                flat.T @ h_prev if wh.tracked else None,
+                flat.sum(axis=0) if b.tracked else None,
+            )
+
+        return self._op(hs, (x, wx, wh, b), vjp)
 
     # -- structure ----------------------------------------------------------
 

@@ -155,26 +155,10 @@ class Forward:
         """x: (W, T, 54) features -> (W*T, 18) positions, window-major rows."""
         t = self.tape
         w_count, t_count, _ = x.shape
-        h_size = self.cfg.lstm_hidden
-        layer_in = [t.const(x[:, step]) for step in range(t_count)]
+        hs = t.const(x.transpose(1, 0, 2))  # step-major (T, W, 54)
         for layer in range(self.cfg.lstm_layers):
-            wx = self.params[f"lstm{layer}_wx"].T
-            wh = self.params[f"lstm{layer}_wh"].T
-            b = self.params[f"lstm{layer}_b"]
-            h = c = t.const(np.zeros((w_count, h_size)))
-            outs: list[Node] = []
-            for inp in layer_in:
-                z = t.add(t.add(t.matmul(inp, wx), t.matmul(h, wh)), b)
-                gi = t.sigmoid(z[:, :h_size])
-                gf = t.sigmoid(z[:, h_size : 2 * h_size])
-                gg = t.tanh(z[:, 2 * h_size : 3 * h_size])
-                go = t.sigmoid(z[:, 3 * h_size :])
-                c = t.add(t.mul(gf, c), t.mul(gi, gg))
-                h = t.mul(go, t.tanh(c))
-                outs.append(h)
-            layer_in = outs
-        hs = t.stack(layer_in).transpose(1, 0, 2).reshape(w_count * t_count, h_size)
-        return self._linear(hs, "pt")
+            hs = t.lstm_layer(hs, *(self.params[f"lstm{layer}_{k}"] for k in ("wx", "wh", "b")))
+        return self._linear(hs.transpose(1, 0, 2).reshape(w_count * t_count, self.cfg.lstm_hidden), "pt")
 
     # -- spatial branch ------------------------------------------------------
 

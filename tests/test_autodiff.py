@@ -307,3 +307,103 @@ def test_softplus_is_stable_at_extremes():
 def test_grad_check_rejects_silly_eps():
     with pytest.raises(ValueError):
         grad_check(lambda x: (0.0, np.zeros_like(x)), np.ones(2), eps=0.5)
+
+
+def reference_lstm_layer(t, steps, wx, wh, b):
+    """One LSTM layer as a per-step graph of tape primitives.
+
+    steps: T nodes of (W, in); wx, wh, b as `Tape.lstm_layer` takes them.
+    Returns the T hidden-state nodes (W, h).
+    """
+    h_size = wh.shape[1]
+    wx_t, wh_t = wx.T, wh.T
+    h = c = t.const(np.zeros((steps[0].shape[0], h_size)))
+    outs = []
+    for inp in steps:
+        z = t.add(t.add(t.matmul(inp, wx_t), t.matmul(h, wh_t)), b)
+        gi = t.sigmoid(z[:, :h_size])
+        gf = t.sigmoid(z[:, h_size : 2 * h_size])
+        gg = t.tanh(z[:, 2 * h_size : 3 * h_size])
+        go = t.sigmoid(z[:, 3 * h_size :])
+        c = t.add(t.mul(gf, c), t.mul(gi, gg))
+        h = t.mul(go, t.tanh(c))
+        outs.append(h)
+    return outs
+
+
+def _lstm_stack(t, x, layers, fused: bool):
+    """Hidden states (T, W, h) of stacked layers, fused or per step."""
+    if fused:
+        for wx, wh, b in layers:
+            x = t.lstm_layer(x, wx, wh, b)
+        return x
+    steps = [x[k] for k in range(x.shape[0])]
+    for wx, wh, b in layers:
+        steps = reference_lstm_layer(t, steps, wx, wh, b)
+    return t.stack(steps)
+
+
+def test_lstm_layer_matches_the_per_step_graph():
+    # Two layers, 3 windows of 7 steps: forward bitwise on both tapes,
+    # every gradient (x, and wx, wh, b of each layer) within 1e-12.
+    rng = derive_rng(5, "autodiff", "lstm")
+    h = 4
+    x0 = rng.normal(0.0, 1.0, (7, 3, 5))
+    layers0 = [
+        (rng.normal(0.0, 0.5, (4 * h, n_in)), rng.normal(0.0, 0.5, (4 * h, h)), rng.normal(0.0, 0.5, 4 * h))
+        for n_in in (5, h)
+    ]
+    out_w = rng.normal(size=(7, 3, h))
+    values, grads = {}, {}
+    for fused in (True, False):
+        for recording in (True, False):
+            t = Tape(grads=recording)
+            x = t.leaf(x0)
+            layers = [tuple(t.leaf(a) for a in layer) for layer in layers0]
+            hs = _lstm_stack(t, x, layers, fused)
+            values[fused, recording] = hs.value
+            if fused:
+                assert len(t._ops) == (2 if recording else 0)  # one record per layer
+            if recording:
+                root = t.sum(t.mul(hs, t.const(out_w)))
+                grads[fused] = t.gradient(root, [x] + [n for layer in layers for n in layer])
+    for value in values.values():
+        assert np.array_equal(value, values[False, True])
+    for got, want in zip(grads[True], grads[False]):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grad_lstm_layer_stack():
+    # Finite differences through two layers reach layer 2's input gradient
+    # (dX), the path from layer 2 back into layer 1.
+    t_count, w_count, n_in, h = 4, 2, 3, 2
+    shapes = [(t_count, w_count, n_in)]
+    for layer_in in (n_in, h):
+        shapes += [(4 * h, layer_in), (4 * h, h), (4 * h,)]
+    sizes = [math.prod(s) for s in shapes]
+    cuts = np.cumsum([0] + sizes)
+    out_w = derive_rng(6, "autodiff", "lstm", "out").normal(size=(t_count, w_count, h))
+
+    def build(t, v):
+        x, *flat = (v[a:b].reshape(*s) for a, b, s in zip(cuts[:-1], cuts[1:], shapes))
+        hs = _lstm_stack(t, x, [flat[0:3], flat[3:6]], fused=True)
+        return t.sum(t.mul(t.tanh(hs), t.const(out_w)))
+
+    _run_check(build, sum(sizes))
+
+
+def test_lstm_layer_rejects_mismatched_shapes():
+    t = Tape()
+    x, wx, wh, b = t.leaf(np.zeros((5, 2, 3))), t.leaf(np.zeros((8, 3))), t.leaf(np.zeros((8, 2))), t.leaf(np.zeros(8))
+    assert t.lstm_layer(x, wx, wh, b).shape == (5, 2, 2)
+    bad = [
+        (t.leaf(np.zeros((5, 3))), wx, wh, b),  # x not (T, W, in)
+        (x, t.leaf(np.zeros((8, 4))), wh, b),  # wx width is not in
+        (x, t.leaf(np.zeros((12, 3))), wh, b),  # wx rows are not 4h
+        (x, wx, t.leaf(np.zeros((8, 3))), b),  # wh not (4h, h)
+        (x, wx, t.leaf(np.zeros(8)), b),  # wh not a matrix
+        (x, wx, wh, t.leaf(np.zeros(6))),  # b not 4h
+    ]
+    for args in bad:
+        with pytest.raises(ContractViolationError):
+            t.lstm_layer(*args)

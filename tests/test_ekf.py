@@ -157,6 +157,22 @@ def test_update_outside_gate_leaves_state_bitwise(skel, placement):
             assert np.array_equal(held, old)
 
 
+def test_update_gates_each_pair_at_its_gate_table_entry(skel, placement):
+    # Every pair measured at 0.99x its gate updates; at 1.01x it stays bitwise.
+    rng = derive_rng(7, "ekf", "gate-edge")
+    gates = gate_table()
+    every_pair = ~np.eye(N_SENSORS, dtype=bool)[None]
+    for scale in (0.99, 1.01):
+        bank = make_bank(skel, placement)
+        bank.x[0], bank.v[0] = rng.normal(0.0, 0.5, (2, PAIR_I.size, 3))
+        bank.cov[0] = random_covariances(rng, PAIR_I.size)
+        before = bank.x.copy(), bank.v.copy(), bank.cov.copy()
+        bank.update_all((scale * gates)[None], every_pair)
+        for held, old in zip((bank.x, bank.v, bank.cov), before):
+            moved = (held != old).reshape(PAIR_I.size, -1).any(axis=1)
+            assert moved.all() if scale < 1.0 else not moved.any()
+
+
 def test_update_keeps_covariance_psd_with_tiny_r(skel, placement):
     # 210 random pair states (14 clips of 15 pairs) take one range update
     # each with 0.1 mm noise; pairs whose range falls past their gate keep

@@ -1,17 +1,20 @@
 """Optimizer, schedule, splits, divergence reporting, checkpoints."""
 import base64
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from conftest import TINY_NET, random_window, random_windows
+from uip.autodiff import Tape
 from uip.errors import CheckpointVersionError, ConfigError, DataError, DivergenceError
 from uip.posenet import (
     PoseNetConfig,
     PoseNetParams,
     TrainSettings,
     TrainingWindow,
+    batch_loss,
     init_params,
     learning_rate_at,
     train,
@@ -71,6 +74,23 @@ def test_window_validation():
             r=w.r, a=holed, d=w.d, valid=w.valid,
             positions=w.positions, rotations=w.rotations, contacts=w.contacts,
         )
+
+
+def test_batch_loss_records_as_many_tape_ops_for_any_window_length(monkeypatch):
+    # The recurrent branch is one record per layer, so a batch of 48-frame
+    # windows records no more ops than one of 24-frame windows.
+    recorded = []
+    gradient = Tape.gradient
+
+    def counting(tape, root, wrt):
+        recorded.append(len(tape._ops))
+        return gradient(tape, root, wrt)
+
+    monkeypatch.setattr(Tape, "gradient", counting)
+    params = init_params(dataclasses.replace(TINY_NET, lstm_layers=2), 1)
+    for frames in (24, 48):
+        batch_loss(params, random_windows(9, 2, frames=frames))
+    assert recorded[0] == recorded[1] > 0
 
 
 def test_training_reduces_loss_and_logs_every_epoch():
