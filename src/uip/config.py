@@ -94,14 +94,13 @@ class UwbSettings:
 
 @dataclass(frozen=True)
 class EkfSettings:
-    """Pair-filter tuning shared by all 15 filters."""
+    """Body-shape filter tuning: accelerometer noise per axis, range noise."""
 
     accel_noise: float = 0.3
     range_sigma: float = 0.06
-    speed_sigma: float = 0.5
 
     def __post_init__(self):
-        if self.accel_noise <= 0.0 or self.range_sigma <= 0.0 or self.speed_sigma <= 0.0:
+        if self.accel_noise <= 0.0 or self.range_sigma <= 0.0:
             raise ConfigError("ekf noise parameters must be positive")
 
 

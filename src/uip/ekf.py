@@ -1,28 +1,30 @@
-"""Per-pair EKF over relative sensor position and velocity.
+"""Body-shape EKF over the pelvis-relative sensor positions and velocities.
 
-Fifteen independent filters per clip, one per unordered sensor pair
-(i, j), held as one bank of arrays for C clips of equal length: relative
-position x_ij (C, 15, 3), relative velocity v_ij (C, 15, 3) and their 6x6
-covariances (C, 15, 6, 6), pairs in `PAIR_I`/`PAIR_J` order. The kernels
-see one pair axis of C * 15 rows, so a whole dataset is filtered in one
-pass per frame, and each row comes out bitwise as it would in a bank of
-its own clip.
+One filter per clip. Its state is the body's shape as the sensors see
+it: the positions of sensors 1-5 relative to the pelvis sensor 0, then
+their velocities, 30 numbers in sensor order. C clips of equal length
+are held as one batch, means (C, 30) and covariances (C, 30, 30), and
+each clip steps bitwise as it would alone.
 
-Prediction integrates the difference of the gravity-free world-frame
-acceleration estimates on the IMU grid; the update consumes the
-calibrated UWB range through h(x) = [|x|, |v|] with the analytic
-Jacobian, where the speed row is a pseudo-measurement of the predicted
-speed (zero innovation, covariance only). A pair that has no valid range,
-whose range falls outside the anthropometric gate, or whose innovation
-covariance is singular is left untouched bitwise.
+Prediction integrates the gravity-free world-frame accelerations of the
+six sensors on the IMU grid, m <- F m + W a: the pelvis acceleration
+enters every relative block with a minus sign, so its noise
+(Q = accel_noise^2 W W^T) is shared by all five sensors. One update per
+ranging round takes every range inside its anthropometric gate through
+h = |p_j - p_i| (p_0 = 0), with the analytic Jacobian and the Joseph
+form. A pair that is not measured, is gated out or is under the 1 mm
+norm floor gets a zero Jacobian row and a zero innovation, so it changes
+nothing. All 15 ranges constrain one shape, so the direction that a
+single range leaves open comes from the other ranges and from the
+motion: localisation from pairwise ranges.
 
-`run` is the causal filter. It also keeps each frame's predicted and
-filtered means, and the filtered covariances of the frames that ran a
-range update, so that `smooth` can then run the fixed-interval
+`run` is the causal filter. It keeps each frame's predicted and
+filtered means, and the covariances of frame 0 and of the frames that
+ran a round, so that `smooth` can then run the fixed-interval
 Rauch-Tung-Striebel backward pass over the whole clip (Rauch, Tung and
 Striebel, 1965; Sarkka, Bayesian Filtering and Smoothing, 2013, ch. 8):
-an offline stage sees every range of a clip, so each frame's distance can
-use the rounds after it too.
+an offline stage sees every range of a clip, so each frame's distances
+can use the rounds after it too.
 """
 from __future__ import annotations
 
@@ -35,96 +37,98 @@ SIGMA_X0 = 0.05  # m, initial relative-position std per axis
 SIGMA_V0 = 0.01  # m/s, initial relative-velocity std per axis
 GATE_MARGIN = 1.05
 GATE_BODY_HEIGHT = 2.0  # gates come from the tallest supported body, same for everyone
-_NORM_FLOOR = 1e-3  # below 1 mm (or 1 mm/s) the direction is undefined; Jacobian row zeroes
-_SINGULAR_DET = 1e-30  # innovation covariances with |det| below this skip the update
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(S) = signs * S with both axes reversed, transposed
+_NORM_FLOOR = 1e-3  # below 1 mm a range's direction is undefined; its Jacobian row zeroes
+_POS = 3 * (N_SENSORS - 1)  # the position half of the state; velocities follow it
+STATE = 2 * _POS
+# Pair p's range moves with +u on sensor PAIR_J[p]'s position block and -u
+# on PAIR_I[p]'s, u its unit direction; the pelvis has no block.
+_PAIR_SIGNS = np.zeros((PAIR_I.size, N_SENSORS))
+_PAIR_SIGNS[np.arange(PAIR_I.size), PAIR_J] = 1.0
+_PAIR_SIGNS[np.arange(PAIR_I.size), PAIR_I] = -1.0
+_PAIR_SIGNS = _PAIR_SIGNS[:, 1:]
 
 
 def state_jacobian(dt: float) -> np.ndarray:
-    """F = d f / d (x, v): constant-velocity-plus-acceleration transition."""
-    f = np.eye(6)
-    f[0:3, 3:6] = dt * np.eye(3)
+    """F = d f / d m, 30x30: constant velocity plus acceleration."""
+    f = np.eye(STATE)
+    f[:_POS, _POS:] = dt * np.eye(_POS)
     return f
 
 
 def input_jacobian(dt: float) -> np.ndarray:
-    """W = d f / d u for u = (a_i, a_j, q_i_vec, q_j_vec), 6x12.
+    """W = d f / d a, 30x18, for the six sensors' accelerations a in sensor order.
 
-    Orientation noise does not enter the (x, v) rows (orientation handling
-    is decoupled), so those columns are zero.
+    Sensor s > 0 drives its own block with +, the pelvis every block with -.
     """
-    w = np.zeros((6, 12))
-    w[0:3, 0:3] = -0.5 * dt * dt * np.eye(3)
-    w[0:3, 3:6] = 0.5 * dt * dt * np.eye(3)
-    w[3:6, 0:3] = -dt * np.eye(3)
-    w[3:6, 3:6] = dt * np.eye(3)
-    return w
+    relative = np.kron(np.hstack([-np.ones((N_SENSORS - 1, 1)), np.eye(N_SENSORS - 1)]), np.eye(3))
+    return np.vstack([0.5 * dt * dt * relative, dt * relative])
 
 
-def process_noise(dt: float, sigma_u: np.ndarray) -> np.ndarray:
-    """Q = W diag(sigma_u^2) W^T for the 12-dim input noise vector."""
-    sigma_u = np.asarray(sigma_u, dtype=float)
-    if sigma_u.shape != (12,):
-        raise ContractViolationError(f"sigma_u must be a 12-vector, got {sigma_u.shape}")
+def process_noise(dt: float, accel_noise: float) -> np.ndarray:
+    """Q = accel_noise^2 W W^T: independent noise per axis of each sensor."""
     w = input_jacobian(dt)
-    return (w * sigma_u**2) @ w.T
+    return accel_noise**2 * (w @ w.T)
 
 
-# Kernels over one pair axis (P,).
+# Kernels over a clip axis (C,).
 
 
 def _symmetrize(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
+def _predict_mean(mean: np.ndarray, accel: np.ndarray, dt: float) -> np.ndarray:
+    """F m + W a for (C, 30) means and (C, 6, 3) accelerations."""
+    da = (accel[:, 1:] - accel[:, :1]).reshape(-1, _POS)
+    pos, vel = mean[:, :_POS], mean[:, _POS:]
+    return np.concatenate([pos + dt * vel + 0.5 * dt * dt * da, vel + dt * da], axis=1)
+
+
 def _predict_cov(cov: np.ndarray, f: np.ndarray, q_process: np.ndarray) -> np.ndarray:
-    """Predicted covariances (P, 6, 6): F P F^T + Q."""
+    """Predicted covariances (..., 30, 30): F P F^T + Q."""
     return _symmetrize(f @ cov @ f.T + q_process)
 
 
-def _predict(x, v, cov, da, dt: float, q_process: np.ndarray):
-    """One prediction step for (P,) pairs -> (x, v, cov, finite (P,))."""
-    x = x + dt * v + 0.5 * dt * dt * da
-    v = v + dt * da
-    cov = _predict_cov(cov, state_jacobian(dt), q_process)
-    return x, v, cov, np.isfinite(cov).all(axis=(1, 2))
+def _positions(mean: np.ndarray) -> np.ndarray:
+    """Means (..., 30) -> sensor positions (..., 6, 3), the pelvis at the origin."""
+    rel = mean[..., :_POS].reshape(mean.shape[:-1] + (N_SENSORS - 1, 3))
+    return np.concatenate([np.zeros(mean.shape[:-1] + (1, 3)), rel], axis=-2)
 
 
-def _measure(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h = [|x|, |v|] (P, 2) and its Jacobian H (P, 2, 6).
+def _distance_matrices(mean: np.ndarray) -> np.ndarray:
+    """Means (..., 30) -> symmetric (..., 6, 6) sensor distances, zero diagonal."""
+    pos = _positions(mean)
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    return np.sqrt((diff * diff).sum(-1))
 
-    A Jacobian row is zero where its norm is under the 1 mm (1 mm/s) floor.
+
+def _measure(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h = |p_j - p_i| (C, 15) in pair order and its Jacobian H (C, 15, 30).
+
+    A Jacobian row is zero where its range is under the 1 mm floor.
     """
-    xv = np.stack([x, v], axis=1)
-    norms = np.linalg.norm(xv, axis=2)
-    unit = xv / np.where(norms < _NORM_FLOOR, np.inf, norms)[:, :, None]
-    jac = np.zeros((x.shape[0], 2, 6))
-    jac[:, 0, 0:3], jac[:, 1, 3:6] = unit[:, 0], unit[:, 1]
-    return norms, jac
+    pos = _positions(mean)
+    diff = pos[:, PAIR_J] - pos[:, PAIR_I]
+    h = np.sqrt((diff * diff).sum(-1))
+    unit = diff / np.where(h < _NORM_FLOOR, np.inf, h)[..., None]
+    jac = np.zeros((mean.shape[0], PAIR_I.size, STATE))
+    jac[:, :, :_POS] = (_PAIR_SIGNS[:, :, None] * unit[:, :, None, :]).reshape(-1, PAIR_I.size, _POS)
+    return h, jac
 
 
-def _update(x, v, cov, d, r_diag: tuple[float, float]):
-    """Range update for (P,) pairs with measured ranges d (P,).
-
-    Returns (applied, x, v, cov, finite), each over (P,). A pair is not
-    applied when its innovation covariance S is singular; its outputs are
-    then finite but meaningless.
-    """
-    h_val, hm = _measure(x, v)
-    hmt = hm.swapaxes(1, 2)
-    r_var = np.square(r_diag)
-    s = hm @ cov @ hmt + np.diag(r_var)
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    applied = np.isfinite(det) & (np.abs(det) >= _SINGULAR_DET)
-    adj = s[:, ::-1, ::-1].swapaxes(1, 2) * _ADJUGATE_SIGNS
-    k = cov @ hmt @ (adj / np.where(applied, det, 1.0)[:, None, None])
-    # The speed row feeds back the predicted speed: its innovation is zero.
-    dx = k[:, :, 0] * (d - h_val[:, 0])[:, None]
-    ikh = np.eye(6) - k @ hm
-    cov = _symmetrize(ikh @ cov @ ikh.swapaxes(1, 2) + (k * r_var) @ k.swapaxes(1, 2))  # Joseph form keeps PSD
-    x, v = x + dx[:, 0:3], v + dx[:, 3:6]
-    finite = np.isfinite(np.concatenate([x, v, cov.reshape(-1, 36)], axis=1)).all(axis=1)
-    return applied, x, v, cov, finite
+def _update(mean, cov, d, use, r_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form update of (C, 30) means and (C, 30, 30) covariances by the
+    ranges d (C, 15) where use (C, 15) holds; every other row is zero."""
+    h, jac = _measure(mean)
+    use = use & (h >= _NORM_FLOOR)
+    jac = np.where(use[..., None], jac, 0.0)
+    innovation = np.where(use, d - h, 0.0)
+    hp = jac @ cov
+    s = hp @ np.ascontiguousarray(jac.swapaxes(1, 2)) + r_var * np.eye(PAIR_I.size)  # SPD: r > 0
+    gain = np.ascontiguousarray(np.linalg.solve(s, hp).swapaxes(1, 2))  # K = P H^T S^-1, (C, 30, 15)
+    ikh = np.eye(STATE) - gain @ jac
+    cov = _symmetrize(ikh @ cov @ ikh.swapaxes(1, 2) + r_var * (gain @ gain.swapaxes(1, 2)))
+    return mean + (gain * innovation[:, None, :]).sum(-1), cov
 
 
 def max_reach(skel: Skeleton, placement: SensorPlacement, i: int, j: int) -> float:
@@ -169,102 +173,52 @@ def assert_psd(cov: np.ndarray, tol: float = -1e-9) -> None:
         raise ContractViolationError(f"covariance min eigenvalue {eig.min():.3e} below {tol}")
 
 
-class PairFilterBank:
-    """The 15 pair filters of each of C clips, stepped together.
+class BodyShapeFilter:
+    """The body-shape filters of C clips, stepped together.
 
-    The bank holds x (C, 15, 3), v (C, 15, 3), cov (C, 15, 6, 6) and
-    diverged (C, 15) in `PAIR_I`/`PAIR_J` pair order and steps on (C, 6, 3)
-    accelerations and (C, 6, 6) ranges. The kernels see one pair axis of
-    C * 15 rows, and every row steps exactly as in a bank of its own clip.
-    A pair that diverges keeps its last finite state and leaves the
-    distance mask; the next predict_all (or an update that measures it)
-    raises ContractViolationError, and `run` raises DivergenceError first.
-    After a `run`, `smooth` gives that run's RTS-smoothed distances.
+    `mean` (C, 30) and `cov` (C, 30, 30) start from the calibration T-pose
+    and step on (C, 6, 3) accelerations and (C, 6, 6) ranges. `run` filters
+    whole clips and raises DivergenceError at the first non-finite state;
+    after it, `smooth` gives that run's RTS-smoothed distances.
     """
 
     def __init__(
         self,
         skel: Skeleton,
         placement: SensorPlacement,
-        sigma_u: np.ndarray,
-        r_diag: tuple[float, float],
+        accel_noise: float,
+        range_sigma: float,
         dt: float,
         clips: int,
     ):
         if clips < 1:
-            raise ContractViolationError(f"a bank needs at least one clip, got {clips}")
+            raise ContractViolationError(f"a filter needs at least one clip, got {clips}")
         self.clips = clips
-        # Every pair starts from the calibration T-pose geometry.
-        pos, _ = mount_poses(placement.mounts, *tpose(skel))
-        n = PAIR_I.size
-        self.x = np.tile(pos[PAIR_J] - pos[PAIR_I], (clips, 1, 1))
-        self.v = np.zeros((clips, n, 3))
-        self.cov = np.tile(np.diag([SIGMA_X0**2] * 3 + [SIGMA_V0**2] * 3), (clips, n, 1, 1))
-        self.diverged = np.zeros((clips, n), dtype=bool)
-        self.r_diag = r_diag
         self.dt = dt
-        self.gates = np.tile(gate_table()[PAIR_I, PAIR_J], clips)
-        self._q_process = process_noise(dt, sigma_u)
-        # Row indices of each pair's two sensors in the flattened (C * 6, 3)
-        # accelerations, and of its two entries in the flattened (C, 6, 6) ranges.
-        clip = np.repeat(np.arange(clips), n)
-        self._end_i = clip * N_SENSORS + np.tile(PAIR_I, clips)
-        self._end_j = clip * N_SENSORS + np.tile(PAIR_J, clips)
-        self._entry_ij = self._end_i * N_SENSORS + np.tile(PAIR_J, clips)
-        self._entry_ji = self._end_j * N_SENSORS + np.tile(PAIR_I, clips)
-        # The last run's per-frame (x, v) means, predicted and filtered, each
-        # (T, C * 15, 6), and (frame, (C * 15, 6, 6) filtered covariances)
-        # for frame 0 and each frame that ran a round: between those, a
+        pos, _ = mount_poses(placement.mounts, *tpose(skel))
+        self.mean = np.tile(np.concatenate([(pos[1:] - pos[0]).ravel(), np.zeros(_POS)]), (clips, 1))
+        self.cov = np.tile(np.diag([SIGMA_X0**2] * _POS + [SIGMA_V0**2] * _POS), (clips, 1, 1))
+        self.r_var = range_sigma**2
+        self.gates = gate_table()[PAIR_I, PAIR_J]
+        self._f = state_jacobian(dt)
+        self._q_process = process_noise(dt, accel_noise)
+        # The last run's per-frame means, predicted and filtered, each
+        # (T, C, 30), and (frame, (C, 30, 30) filtered covariances) for
+        # frame 0 and each frame that ran a round: between those, a
         # filtered covariance is its prediction.
         self._history: tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]] | None = None
 
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """x, v, cov and diverged as views over one pair axis of C * 15 rows."""
-        return self.x.reshape(-1, 3), self.v.reshape(-1, 3), self.cov.reshape(-1, 6, 6), self.diverged.reshape(-1)
-
-    def _commit(self, rows: np.ndarray, x, v, cov, finite: np.ndarray) -> None:
-        """Store stepped pairs; a pair whose step went non-finite diverges, state kept."""
-        x_all, v_all, cov_all, diverged = self._rows()
-        diverged[rows[~finite]] = True
-        rows = rows[finite]
-        x_all[rows], v_all[rows], cov_all[rows] = x[finite], v[finite], cov[finite]
-
-    def predict_all(self, accel: np.ndarray) -> None:
+    def predict(self, accel: np.ndarray) -> None:
         """One IMU-rate step; accel (C, 6, 3) gravity-free world acceleration per sensor."""
-        if self.diverged.any():
-            raise ContractViolationError("filter diverged; re-init before predicting")
-        accel = accel.reshape(-1, 3)
-        x, v, cov, diverged = self._rows()
-        finite = np.isfinite(accel).all(axis=1)
-        ok = finite[self._end_i] & finite[self._end_j]
-        diverged |= ~ok
-        rows = np.flatnonzero(ok)
-        da = accel[self._end_j[rows]] - accel[self._end_i[rows]]
-        x, v, cov, fin = _predict(x[rows], v[rows], cov[rows], da, self.dt, self._q_process)
-        self._commit(rows, x, v, cov, fin)
+        self.mean = _predict_mean(self.mean, accel, self.dt)
+        self.cov = _predict_cov(self.cov, self._f, self._q_process)
 
-    def update_all(self, distances: np.ndarray, valid: np.ndarray) -> None:
-        """One measurement tick: calibrated ranges (C, 6, 6) and their validity (C, 6, 6)."""
-        d = distances.reshape(-1)[self._entry_ij]
-        measured = valid.reshape(-1)[self._entry_ij]
-        x, v, cov, diverged = self._rows()
-        if (measured & diverged).any():
-            raise ContractViolationError("filter diverged; re-init before updating")
-        go = np.flatnonzero(measured & (0.0 <= d) & (d <= self.gates))
-        applied, x, v, cov, fin = _update(x[go], v[go], cov[go], d[go], self.r_diag)
-        self._commit(go[applied], x[applied], v[applied], cov[applied], fin[applied])
-
-    def _pair_matrices(self, values: np.ndarray) -> np.ndarray:
-        """Per-pair values (..., C * 15) -> symmetric (..., C, 6, 6), zero diagonal."""
-        out = np.zeros(values.shape[:-1] + (self.clips * N_SENSORS * N_SENSORS,), dtype=values.dtype)
-        out[..., self._entry_ij] = out[..., self._entry_ji] = values
-        return out.reshape(values.shape[:-1] + (self.clips, N_SENSORS, N_SENSORS))
-
-    def distance_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current (C, 6, 6) distance estimates and validity mask."""
-        x, _, _, diverged = self._rows()
-        held = ~diverged
-        return self._pair_matrices(np.where(held, np.linalg.norm(x, axis=1), 0.0)), self._pair_matrices(held)
+    def update(self, distances: np.ndarray, valid: np.ndarray) -> None:
+        """One ranging round: calibrated ranges (C, 6, 6) and their validity (C, 6, 6)."""
+        d = distances[:, PAIR_I, PAIR_J]
+        use = valid[:, PAIR_I, PAIR_J] & (0.0 <= d) & (d <= self.gates)
+        if use.any():
+            self.mean, self.cov = _update(self.mean, self.cov, d, use, self.r_var)
 
     def run(
         self,
@@ -273,43 +227,39 @@ class PairFilterBank:
         distances: np.ndarray,
         valid: np.ndarray,
         names: list[str] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Filter the bank's clips -> (d_stream, mask_stream), each (T, C, 6, 6).
+    ) -> np.ndarray:
+        """Filter the clips causally -> filtered distances (T, C, 6, 6).
 
         accel (T, C, 6, 3) is on the frame grid. Round r (distances[r] and
-        valid[r], each (C, 6, 6)) updates the bank right after the predict
+        valid[r], each (C, 6, 6)) updates the filter right after the predict
         of frame round_frames[r]; rounds sharing a frame apply in round
         order, and rounds past the last frame never apply. A step that
-        diverges a pair raises DivergenceError naming the pair, the frame
-        and its clip (by `names`, one per clip, where given).
+        leaves a clip's state non-finite raises DivergenceError naming the
+        clip (by `names`, one per clip, where given) and the frame.
         """
         accel_shape = (self.clips, N_SENSORS, 3)
         pair_shape = (len(round_frames), self.clips, N_SENSORS, N_SENSORS)
         if accel.shape[1:] != accel_shape or distances.shape != pair_shape or valid.shape != pair_shape:
             raise ContractViolationError(f"need accel {('T',) + accel_shape} and ranges {pair_shape}, got {accel.shape}")
         frames = accel.shape[0]
-        d_stream = np.zeros((frames, self.clips, N_SENSORS, N_SENSORS))
-        mask_stream = np.zeros((frames, self.clips, N_SENSORS, N_SENSORS), dtype=bool)
-        predicted, filtered = np.zeros((2, frames, self.clips * PAIR_I.size, 6))
+        predicted, filtered = np.zeros((2, frames, self.clips, STATE))
         kept_cov = []
-        x, v, cov, _ = self._rows()
         self._history = None
         rnd = 0
         for k in range(frames):
-            self.predict_all(accel[k])
+            self.predict(accel[k])
             self._halt_if_diverged(k, names)
-            predicted[k, :, :3], predicted[k, :, 3:] = x, v
+            predicted[k] = self.mean
             first_round = rnd
             while rnd < len(round_frames) and round_frames[rnd] <= k:
-                self.update_all(distances[rnd], valid[rnd])
+                self.update(distances[rnd], valid[rnd])
                 self._halt_if_diverged(k, names)
                 rnd += 1
-            filtered[k, :, :3], filtered[k, :, 3:] = x, v
+            filtered[k] = self.mean
             if k == 0 or rnd > first_round:
-                kept_cov.append((k, cov.copy()))
-            d_stream[k], mask_stream[k] = self.distance_matrix()
+                kept_cov.append((k, self.cov))
         self._history = predicted, filtered, kept_cov
-        return d_stream, mask_stream
+        return _distance_matrices(filtered)
 
     def smooth(self) -> np.ndarray:
         """RTS-smoothed distances (T, C, 6, 6) over the frames of the last `run`.
@@ -320,31 +270,32 @@ class PairFilterBank:
         P_p = F P_f F^T + Q is recomputed as the prediction computes it.
         Between two frames that ran a round, the filtered covariances are
         predictions, recomputed from the earlier frame's the same way.
-        The distance mask is `run`'s: a run that diverges a pair raises, so
-        every pair it returns is held at every frame.
         """
         if self._history is None:
             raise ContractViolationError("smooth needs a completed run")
         predicted, filtered, kept_cov = self._history
-        f = state_jacobian(self.dt)
         smoothed = filtered.copy()
         last = len(smoothed) - 1
         ends = [k for k, _ in kept_cov[1:]] + [last + 1]
         for (start, cov), end in zip(reversed(kept_cov), reversed(ends)):
+            stop = min(end, last)
+            if stop == start:
+                continue
             # covs[i] is P_f of frame start + i, and the prediction from it P_p of the next frame.
             covs = [cov]
-            for _ in range(start, min(end, last)):
-                covs.append(_predict_cov(covs[-1], f, self._q_process))
+            for _ in range(start, stop):
+                covs.append(_predict_cov(covs[-1], self._f, self._q_process))
             covs = np.stack(covs)
-            gains_t = np.linalg.solve(covs[1:], f @ covs[:-1])  # G^T per frame, as P_f and P_p are symmetric
-            for k in range(min(end, last) - 1, start - 1, -1):
-                smoothed[k] += ((smoothed[k + 1] - predicted[k + 1])[:, None, :] @ gains_t[k - start])[:, 0]
-        return self._pair_matrices(np.linalg.norm(smoothed[:, :, :3], axis=2))
+            # G^T = P_p^-1 F P_f per frame, as P_f and P_p are symmetric.
+            gains = np.ascontiguousarray(np.linalg.solve(covs[1:], self._f @ covs[:-1]).swapaxes(-1, -2))
+            for k in range(stop - 1, start - 1, -1):
+                smoothed[k] += (gains[k - start] * (smoothed[k + 1] - predicted[k + 1])[:, None, :]).sum(-1)
+        return _distance_matrices(smoothed)
 
     def _halt_if_diverged(self, frame: int, names: list[str] | None) -> None:
-        if not self.diverged.any():
+        finite = np.isfinite(self.mean).all(axis=1) & np.isfinite(self.cov).all(axis=(1, 2))
+        if finite.all():
             return
-        row = int(np.flatnonzero(self.diverged)[0])
-        clip, pair = divmod(row, PAIR_I.size)
+        clip = int(np.flatnonzero(~finite)[0])
         label = names[clip] if names else f"clip {clip}"
-        raise DivergenceError(f"{label}: pair ({PAIR_I[pair]}, {PAIR_J[pair]}) diverged at frame {frame}")
+        raise DivergenceError(f"{label}: body-shape filter diverged at frame {frame}")

@@ -16,6 +16,8 @@ through the same code.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError
@@ -24,6 +26,7 @@ GRAVITY_MAGNITUDE = 9.81
 GRAVITY_REACTION = np.array([0.0, 0.0, GRAVITY_MAGNITUDE])
 GRAVITY_REACTION.flags.writeable = False
 _UNIT_NORM_TOL = 1e-6
+_LIBM_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 # -- array kernels: quaternions (..., 4), vectors (..., 3), leading shapes broadcast
@@ -102,10 +105,16 @@ def qrotate(q, v) -> np.ndarray:
     )
 
 
+def atan2(y, x) -> np.ndarray:
+    """libm's atan2, elementwise: numpy's vectorized arctan2 rounds
+    differently on some CPUs, so every angle goes through this one."""
+    return np.asarray(_LIBM_ATAN2(y, x), dtype=float)
+
+
 def qangle(q) -> np.ndarray:
     """Rotation angle of unit quaternions, radians in [0, pi]."""
     w, x, y, z = _parts(q)
-    return 2.0 * np.arctan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
+    return 2.0 * atan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
 
 
 def qrotvec(q) -> np.ndarray:
@@ -116,7 +125,7 @@ def qrotvec(q) -> np.ndarray:
     v = np.sqrt(x * x + y * y + z * z)
     small = v < 1e-12
     # small-angle: sin(a/2) ~ a/2, so vector part ~ axis * a/2
-    s = np.where(small, 2.0, 2.0 * np.arctan2(v, w) / np.where(small, 1.0, v))
+    s = np.where(small, 2.0, 2.0 * atan2(v, w) / np.where(small, 1.0, v))
     return q[..., 1:] * s[..., None]
 
 

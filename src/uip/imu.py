@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ContractViolationError
-from .geometry import GRAVITY_MAGNITUDE, GRAVITY_REACTION, qangle, qconj, qfrom_rotvec, qmul, qnormalize, qrotate, qrotvec, vcross
+from .geometry import GRAVITY_MAGNITUDE, GRAVITY_REACTION, atan2, qangle, qconj, qfrom_rotvec, qmul, qnormalize, qrotate, qrotvec, vcross
 
 DT = 0.01  # 100 Hz sample grid used throughout
 
@@ -145,8 +145,6 @@ def tpose_calibrate(
 
 # Accelerometer magnitudes (m/s^2) inside this open interval are trusted as gravity.
 ACCEL_GATE = (8.5, 11.0)
-# libm's atan2: numpy's vectorized arctan2 rounds differently on some CPUs.
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def orientation_filter(
@@ -207,6 +205,6 @@ def _tilt_correct(q: np.ndarray, accel: np.ndarray, a_norm: np.ndarray, gain: fl
     axis_n = np.sqrt(axis[:, 0] * axis[:, 0] + axis[:, 1] * axis[:, 1] + axis[:, 2] * axis[:, 2])
     tilted = axis_n > 1e-12
     # axis is horizontal by construction, so yaw stays untouched
-    angle = _atan2(axis_n, up[:, 2]).astype(float)
+    angle = atan2(axis_n, up[:, 2])
     corr = qfrom_rotvec(axis * (gain * angle / np.where(tilted, axis_n, 1.0))[:, None])
     return np.where(tilted[:, None], qnormalize(qmul(corr, q)), q)

@@ -65,7 +65,7 @@ from .uwb import (
     sample_clocks,
     simulate_stream,
 )
-from .ekf import PairFilterBank
+from .ekf import BodyShapeFilter
 
 CLIPS_FILE = "clips.json"
 CONFIG_FILE = "config.json"
@@ -272,7 +272,7 @@ def _read_clip_sensors(cdir: Path, name: str, rate: float) -> tuple[np.ndarray, 
 
 
 def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
-    """Orientation filter + EKF bank over a synthesized dataset.
+    """Orientation filter + body-shape EKF over a synthesized dataset.
 
     Every setting (skeleton, rate, filter gains, calibration seed) comes
     from the config the dataset was synthesized with, which is copied to
@@ -281,16 +281,15 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     raw-vs-smoothed RMSE diagnostic (its `filtered` entries score the
     distances the model input carries). Each ranging file (T-pose and
     clips) must hold exactly the rounds `round_times` gives for its
-    duration. Every round updates the bank on its nearest frame; rounds
-    sharing a frame apply in round order. After the causal pass, the bank's
-    RTS smoother runs backward over each whole clip; the mask is the
-    causal pass's.
+    duration. Every round updates the filter on its nearest frame; rounds
+    sharing a frame apply in round order. After the causal pass, the RTS
+    smoother runs backward over each whole clip.
 
     The sensor files of every clip are read first. Clips of equal frame
     count (all clips of a synthesized dataset) share one orientation
-    filter call and one stacked EKF bank, which give each clip the bytes
-    it would get alone; truth is then read, and targets and the RMSE
-    written, one clip at a time.
+    filter call and one stacked body-shape filter, which give each clip
+    the bytes it would get alone; truth is then read, and targets and the
+    RMSE written, one clip at a time.
     """
     dataset = Path(dataset_dir)
     verify_manifest(dataset)
@@ -313,11 +312,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     for c, (accel, _, _) in enumerate(sensors):
         groups.setdefault(accel.shape[0], []).append(c)
 
-    # Input noise spans (a_i, a_j, q_i, q_j); orientation terms do not
-    # reach the covariance, so only the accel entries carry sigma.
-    sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
     filtered: list[tuple] = [()] * len(names)
-    # A diverging pair overflows on its way to non-finite; the bank's
+    # A diverging filter overflows on its way to non-finite; its
     # DivergenceError reports it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for members in groups.values():
@@ -331,40 +327,36 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
                 accel_off,
                 dt=1.0 / rate,
             )
-            # One pair EKF bank over the C clips on the IMU grid; equal frame
-            # counts mean equal round times, so the measurement ticks are shared.
+            # One body-shape filter over the C clips on the IMU grid; equal frame
+            # counts mean equal round times, so the rounds are shared.
             rounds = [sensors[c][2] for c in members]
-            bank = PairFilterBank(
-                skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=len(members)
+            shape_filter = BodyShapeFilter(
+                skel, placement, cfg.ekf.accel_noise, cfg.ekf.range_sigma, dt=1.0 / rate, clips=len(members)
             )
-            _, mask_stream = bank.run(
+            shape_filter.run(
                 accel_w,
                 np.rint(rounds[0].times * rate).astype(int),
                 np.stack([apply_calibration(r.distances, cal) for r in rounds], axis=1),
                 np.stack([r.valid for r in rounds], axis=1),
                 names=[names[c] for c in members],
             )
-            d_stream = bank.smooth()
+            d_stream = shape_filter.smooth()
             for k, c in enumerate(members):
-                filtered[c] = (quats[:, k], accel_w[:, k], d_stream[:, k], mask_stream[:, k])
+                filtered[c] = (quats[:, k], accel_w[:, k], d_stream[:, k])
 
     rmse_report: dict[str, dict] = {}
-    for name, (_, _, ranging), (quats, accel_w, d_stream, mask_stream) in zip(names, sensors, filtered):
+    for name, (_, _, ranging), (quats, accel_w, d_stream) in zip(names, sensors, filtered):
         truth = _read_clip_truth(dataset / name / "truth.jsonl", skel, quats.shape[0])
         cdir_out = out / name
         cdir_out.mkdir(exist_ok=True)
-        write_model_input(
-            cdir_out / "model_input.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d_stream, mask_stream
-        )
+        write_model_input(cdir_out / "model_input.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d_stream)
         targets_pos = _pelvis_frame_targets(truth.sensor_pos, truth.sensor_rot)
         targets_rot = _local_rotations(skel, truth.joint_rot)
         contacts = _contact_labels(skel, truth.joint_pos, rate)
         write_targets(cdir_out / "targets.jsonl", truth.times, targets_pos, targets_rot, contacts)
         written += [f"{name}/model_input.jsonl", f"{name}/targets.jsonl"]
 
-        rmse_report[name] = _distance_rmse(
-            truth.sensor_pos, ranging, cal, d_stream, mask_stream, rate
-        )
+        rmse_report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d_stream, rate)
 
     (out / RMSE_FILE).write_text(json.dumps(rmse_report, indent=2) + "\n")
     written.append(RMSE_FILE)
@@ -376,11 +368,11 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     return {"calibration": cal, "rmse": rmse_report}
 
 
-def _distance_rmse(sensor_pos, ranging, cal, d_stream, mask_stream, rate) -> dict:
+def _distance_rmse(sensor_pos, ranging, cal, d_stream, rate) -> dict:
     """Per-pair RMSE of calibrated raw and model-input distances vs truth.
 
     Each round in the clip is scored at its nearest frame, for the pairs
-    it measured (and, for filtered, the pairs the bank holds there).
+    it measured.
     """
     frame = np.rint(ranging.times * rate).astype(int)
     inside = (frame >= 0) & (frame < sensor_pos.shape[0])
@@ -391,9 +383,8 @@ def _distance_rmse(sensor_pos, ranging, cal, d_stream, mask_stream, rate) -> dic
     for i, j in zip(PAIR_I, PAIR_J):
         d_true = np.linalg.norm(sensor_pos[frame, i] - sensor_pos[frame, j], axis=1)
         hit = measured[:, i, j]
-        held = hit & mask_stream[frame, i, j]
         raw_rmse.append(_rms(raw[hit, i, j] - d_true[hit]))
-        filt_rmse.append(_rms(d_stream[frame, i, j][held] - d_true[held]))
+        filt_rmse.append(_rms(d_stream[frame, i, j][hit] - d_true[hit]))
     present = [v for v in filt_rmse if v is not None]
     present_raw = [v for v in raw_rmse if v is not None]
     return {

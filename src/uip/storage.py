@@ -344,9 +344,16 @@ def _read_frames(path: str | Path, what: str, shapes: dict[str, tuple]) -> dict[
     return out
 
 
-def write_model_input(path: str | Path, times, r, a, d, mask) -> None:
-    """Per-frame network inputs: orientations, accelerations, distances."""
-    _write_frames(path, times, r=r.tolist(), a=a.tolist(), D=d.tolist(), mask=mask.astype(int).tolist())
+def write_model_input(path: str | Path, times, r, a, d) -> None:
+    """Per-frame network inputs: orientations, accelerations, distances.
+
+    The distance mask is the constant "every pair held": the filter stage
+    raises on any divergence, so no pair is ever dropped. The field stays in
+    the layout until a re-initialised filter gives it meaning (ROADMAP
+    direction 7).
+    """
+    held = np.broadcast_to(~np.eye(N_SENSORS, dtype=bool), d.shape)
+    _write_frames(path, times, r=r.tolist(), a=a.tolist(), D=d.tolist(), mask=held.astype(int).tolist())
 
 
 def read_model_input(path: str | Path) -> dict[str, np.ndarray]:

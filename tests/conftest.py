@@ -37,18 +37,15 @@ def check_continuity(clip: MotionClip, max_step_deg: float = 20.0) -> None:
         raise AssertionError(f"clip {clip.name}: joint {j} jumps {np.rad2deg(step[t, j]):.1f} deg at frame {t + 1}")
 
 
-def pair_transition(bank, x6: np.ndarray, a6: np.ndarray) -> np.ndarray:
-    """A one-clip bank's mean propagation for pair (0, 1) as a plain function.
+def shape_transition(filt, means: np.ndarray, accels: np.ndarray) -> np.ndarray:
+    """A body-shape filter's mean propagation as a plain function.
 
-    Sets the pair's (x, v) to x6, predicts one step with sensors 0 and 1
-    accelerating by a6[:3] and a6[3:] and the others at rest, and returns
-    the pair's new (x, v).
+    filt holds one clip per row of means (N, 30); sets its means, predicts
+    one step with the accelerations (N, 6, 3) and returns the new means.
     """
-    bank.x[0, 0], bank.v[0, 0] = x6[:3], x6[3:]
-    accel = np.zeros((1, 6, 3))
-    accel[0, 0], accel[0, 1] = a6[:3], a6[3:]
-    bank.predict_all(accel)
-    return np.concatenate([bank.x[0, 0], bank.v[0, 0]])
+    filt.mean = np.array(means, dtype=float)
+    filt.predict(np.asarray(accels, dtype=float))
+    return filt.mean
 
 
 def random_window(rng: np.random.Generator, frames: int = 6) -> TrainingWindow:

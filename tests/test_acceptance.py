@@ -19,7 +19,7 @@ from uip.config import (
     TrainSettings,
     UwbSettings,
 )
-from uip.ekf import PairFilterBank, assert_psd, input_jacobian, state_jacobian
+from uip.ekf import BodyShapeFilter, assert_psd, gate_table, input_jacobian, state_jacobian
 from uip.geometry import qfrom_rotvec, qmul, qnormalize, qrotate
 from uip.imu import ImuNoiseModel, orientation_filter, synthesize_imu
 from uip.metrics import SIP_JOINTS, jitter, position_error, sip_error
@@ -50,7 +50,7 @@ from uip.uwb import (
     simulate_stream,
 )
 
-from conftest import ideal_clocks, pair_transition, random_windows
+from conftest import ideal_clocks, random_windows, shape_transition
 
 PAIRS = [(i, j) for i in range(N_SENSORS) for j in range(i + 1, N_SENSORS)]
 
@@ -109,59 +109,73 @@ def test_criterion_03_ransac_recovers_affine_corruption():
 
 
 DT = 0.01
-SIGMA_U = np.concatenate([np.full(6, 0.3), np.zeros(6)])
-R_DIAG = (0.06, 0.5)
+SIGMA_A = 0.3  # m/s^2, accelerometer noise per axis of each sensor
+R_SIGMA = 0.06
+
+
+def _distances(pos: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(pos[:, None] - pos[None], axis=-1)
 
 
 def test_criterion_04_jacobians_and_covariance_health():
     """F and W match central differences to 1e-6 over 1000 states; the
-    covariance stays positive semidefinite across 100k filter steps."""
-    skel, placement, _ = _tpose_sensor_positions()
-    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=1)
-    rng = derive_rng(4, "acceptance", "jacobians")
+    covariance stays positive semidefinite across 100k filter steps, with a
+    round of ranges from a separate truth track every 5 steps that the
+    filtered distances follow to under half the range noise."""
+    skel, placement, tpose_pos = _tpose_sensor_positions()
     f_an = state_jacobian(DT)
     w_an = input_jacobian(DT)
-    # The bank takes no orientation input: W's orientation columns are zero.
-    assert not w_an[:, 6:].any()
+    n_x, n_u = f_an.shape[1], w_an.shape[1]
+    # One filter clip per perturbed transition: x0 +- eps e_c, then u0 +- eps e_c.
+    filt = BodyShapeFilter(skel, placement, SIGMA_A, R_SIGMA, dt=DT, clips=2 * (n_x + n_u))
+    rng = derive_rng(4, "acceptance", "jacobians")
     eps = 1e-6
+    dx = eps * np.vstack([np.eye(n_x), -np.eye(n_x), np.zeros((2 * n_u, n_x))])
+    du = eps * np.vstack([np.zeros((2 * n_x, n_u)), np.eye(n_u), -np.eye(n_u)]).reshape(-1, N_SENSORS, 3)
     worst = 0.0
     for _ in range(1000):
-        x0 = rng.normal(0.0, 0.5, 6)
-        u0 = rng.normal(0.0, 2.0, 6)
-        for c in range(6):
-            xp, xm = x0.copy(), x0.copy()
-            xp[c] += eps
-            xm[c] -= eps
-            fd = (pair_transition(bank, xp, u0) - pair_transition(bank, xm, u0)) / (2 * eps)
-            denom = np.maximum(np.abs(f_an[:, c]), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - f_an[:, c]) / denom)))
-        for c in range(6):
-            up, um = u0.copy(), u0.copy()
-            up[c] += eps
-            um[c] -= eps
-            fd = (pair_transition(bank, x0, up) - pair_transition(bank, x0, um)) / (2 * eps)
-            denom = np.maximum(np.abs(w_an[:, c]), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - w_an[:, c]) / denom)))
+        x0 = rng.normal(0.0, 0.5, n_x)
+        u0 = rng.normal(0.0, 2.0, (N_SENSORS, 3))
+        out = shape_transition(filt, x0 + dx, u0 + du)
+        fd_x = (out[:n_x] - out[n_x : 2 * n_x]).T / (2 * eps)
+        fd_u = (out[2 * n_x : 2 * n_x + n_u] - out[2 * n_x + n_u :]).T / (2 * eps)
+        worst = max(
+            worst,
+            float(np.max(np.abs(fd_x - f_an) / np.maximum(np.abs(f_an), 1.0))),
+            float(np.max(np.abs(fd_u - w_an) / np.maximum(np.abs(w_an), 1.0))),
+        )
     assert worst < 1e-6
 
-    # Pair (0, 1) of a one-clip bank, driven by sensors 0 and 1 and given
-    # a range every 5 steps.
-    bank = PairFilterBank(skel, placement, SIGMA_U, R_DIAG, dt=DT, clips=1)
-    bank.x[0, 0], bank.v[0, 0], bank.cov[0, 0] = (0.4, 0.1, -0.2), 0.0, 0.01 * np.eye(6)
-    accel = np.zeros((1, N_SENSORS, 3))
-    d = np.zeros((1, N_SENSORS, N_SENSORS))
-    valid = np.zeros((1, N_SENSORS, N_SENSORS), dtype=bool)
-    valid[0, 0, 1] = valid[0, 1, 0] = True
+    # The truth track: each sensor on a damped spring about its T-pose
+    # mount, kicked by white acceleration, so its offsets stay bounded. The
+    # filter gets the truth accelerations plus its own accelerometer noise,
+    # and every 5 steps all 15 truth ranges plus range noise.
+    filt = BodyShapeFilter(skel, placement, SIGMA_A, R_SIGMA, dt=DT, clips=1)
     rng = derive_rng(4, "acceptance", "psd")
+    omega, zeta = 2.0 * math.pi * 0.5, 0.5
+    offset, vel = np.zeros((N_SENSORS, 3)), np.zeros((N_SENSORS, 3))
+    every_pair = ~np.eye(N_SENSORS, dtype=bool)[None]
+    gates = gate_table()
+    accepted, farthest, sq_err = 0, 0.0, 0.0
     for step in range(100_000):
-        accel[0, 0] = rng.normal(0.0, 2.0, 3)
-        accel[0, 1] = rng.normal(0.0, 2.0, 3)
-        bank.predict_all(accel)
+        accel = -omega * omega * offset - 2.0 * zeta * omega * vel + rng.normal(0.0, 5.0, (N_SENSORS, 3))
+        offset = offset + DT * vel + 0.5 * DT * DT * accel
+        vel = vel + DT * accel
+        filt.predict((accel + rng.normal(0.0, SIGMA_A, (N_SENSORS, 3)))[None])
         if step % 5 == 0:
-            d[0, 0, 1] = d[0, 1, 0] = float(np.linalg.norm(bank.x[0, 0])) + rng.normal(0.0, 0.06)
-            bank.update_all(d, valid)
-        assert_psd(bank.cov[0, 0])
-    assert not bank.diverged.any()
+            true_d = _distances(tpose_pos + offset)
+            noise = np.triu(rng.normal(0.0, R_SIGMA, (N_SENSORS, N_SENSORS)), 1)
+            d = true_d + noise + noise.T
+            accepted += int((every_pair[0] & (0.0 <= d) & (d <= gates)).sum()) // 2
+            filt.update(d[None], every_pair)
+            farthest = max(farthest, float(np.abs(offset).max()))
+            est = np.vstack([np.zeros(3), filt.mean[0, :15].reshape(N_SENSORS - 1, 3)])  # the pelvis at 0
+            sq_err += float(np.sum(np.triu(_distances(est) - true_d, 1) ** 2))
+        assert_psd(filt.cov[0])
+    assert np.isfinite(filt.mean).all()
+    assert farthest < 0.5  # the truth track stays within 50 cm of the T-pose per axis
+    assert accepted > 0.99 * 20_000 * 15  # nearly every range reaches the update
+    assert math.sqrt(sq_err / (20_000 * 15)) < R_SIGMA / 2  # the updates track the truth
 
 
 def _nlerp(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -229,10 +243,10 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
         sensor_rot[0],
         dt=1.0 / rate,
     )
-    bank = PairFilterBank(skel, placement, sigma_u=SIGMA_U, r_diag=R_DIAG, dt=1.0 / rate, clips=1)
+    shape_filter = BodyShapeFilter(skel, placement, SIGMA_A, R_SIGMA, dt=1.0 / rate, clips=1)
     round_frames = np.rint(ranging.times * rate).astype(int)
-    d_stream, mask_stream = bank.run(r_world[:, None], round_frames, ranging.distances[:, None], ranging.valid[:, None])
-    d_stream, mask_stream = d_stream[:, 0], mask_stream[:, 0]
+    d_stream = shape_filter.run(r_world[:, None], round_frames, ranging.distances[:, None], ranging.valid[:, None])
+    d_stream = d_stream[:, 0]
     filter_elapsed = time.perf_counter() - start
 
     filtered_means = []
@@ -244,8 +258,7 @@ def test_criterion_05_filtering_beats_raw_on_mixed_motion():
             if frame >= frames or not ranging.valid[k, i, j]:
                 continue
             raw_sq.append((ranging.distances[k, i, j] - truth_d[frame]) ** 2)
-            if mask_stream[frame, i, j]:
-                filt_sq.append((d_stream[frame, i, j] - truth_d[frame]) ** 2)
+            filt_sq.append((d_stream[frame, i, j] - truth_d[frame]) ** 2)
         raw_rmse = math.sqrt(np.mean(raw_sq))
         filt_rmse = math.sqrt(np.mean(filt_sq))
         assert filt_rmse < raw_rmse, f"pair ({i},{j}): filtered {filt_rmse} >= raw {raw_rmse}"

@@ -168,6 +168,20 @@ def test_settings_are_refused_at_parse_time(env, tmp_path, capsys, section, key,
         assert not (tmp_path / "out").exists()
 
 
+def test_filter_refuses_a_config_with_speed_sigma(env, tmp_path, capsys):
+    # The EKF takes no speed pseudo-measurement, so a dataset whose
+    # config.json sets its noise is refused (exit 2), not half-read.
+    data = tmp_path / "old"
+    shutil.copytree(env.data, data)
+    doc = json.loads((data / "config.json").read_text())
+    doc["ekf"]["speed_sigma"] = 0.5
+    (data / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    assert main(["filter", "--data", str(data), "--out", str(tmp_path / "out")]) == EXIT_CONFIG == 2
+    assert "ekf.speed_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_filter_takes_no_config(env, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--data", str(env.data), "--out", str(tmp_path / "out"), "--config", str(env.config)])
@@ -221,7 +235,8 @@ def test_nan_range_is_a_data_error(env, tmp_path, capsys):
 def test_filter_divergence_exits_4(env, tmp_path, capsys, recwarn):
     # A finite but huge accelerometer sample passes the reader, then
     # overflows the range update of its sensor's pairs. The one-line
-    # message is the whole report: numpy warns of no overflow on the way.
+    # message, naming the clip and the frame, is the whole report: numpy
+    # warns of no overflow on the way.
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)
     imu = data / "clip_001_idle" / "imu_s4.csv"
@@ -234,8 +249,7 @@ def test_filter_divergence_exits_4(env, tmp_path, capsys, recwarn):
     code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED
     err = capsys.readouterr().err
-    assert re.fullmatch(r"divergence: clip_001_idle: pair \(\d, \d\) diverged at frame \d+\n", err), err
-    assert "4" in err.split("pair")[1].split(")")[0]
+    assert re.fullmatch(r"divergence: clip_001_idle: body-shape filter diverged at frame \d+\n", err), err
     assert not (tmp_path / "out" / "rmse_report.json").exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -94,6 +94,9 @@ def test_unknown_keys_are_named_with_their_path():
         config_from_dict({"train": {"momentum": 0.9}})
     with pytest.raises(ConfigError, match="ekf.speed_mode"):
         config_from_dict({"ekf": {"speed_mode": "predicted"}})
+    # The EKF takes no speed pseudo-measurement, so it has no noise for one.
+    with pytest.raises(ConfigError, match="ekf.speed_sigma"):
+        config_from_dict({"ekf": {"speed_sigma": 0.5}})
     with pytest.raises(ConfigError, match="output_dir"):
         config_from_dict({"output_dir": "runs"})
 

@@ -225,3 +225,19 @@ def test_rotvec_roundtrip_through_qrotvec_in_a_stack():
     # the axis-angle and the rotation-vector forms name the same rotation
     angle = np.linalg.norm(r[1:], axis=-1)
     assert np.allclose(qfrom_axis_angle(axes[1:], angle), q[1:], atol=1e-15)
+
+
+def test_angles_round_as_libm_atan2_bitwise():
+    # qangle and qrotvec round as a scalar loop over math.atan2 does:
+    # numpy's vectorized arctan2 differs from it in the last bit on some
+    # CPUs, which would make synthesized gyro bytes depend on the machine.
+    rng = derive_rng(7, "geometry", "atan2")
+    q = qnormalize(rng.normal(size=(20000, 4))) * rng.choice([-1.0, 1.0], (20000, 1))
+    angle, rotvec = qangle(q), qrotvec(q)
+    for k, (w, x, y, z) in enumerate(q.tolist()):
+        v = math.sqrt(x * x + y * y + z * z)
+        assert angle[k] == 2.0 * math.atan2(v, abs(w)), k
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        s = 2.0 * math.atan2(v, w) / v
+        assert rotvec[k].tolist() == [x * s, y * s, z * s], k

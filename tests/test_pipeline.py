@@ -17,7 +17,7 @@ from uip.config import (
 )
 from uip import pipeline
 from uip.config import load_config
-from uip.ekf import PairFilterBank
+from uip.ekf import BodyShapeFilter
 from uip.errors import DataError
 from uip.geometry import qconj, qfrom_rot6d, qmul, qnormalize, rot6d_from_quat
 from uip.imu import orientation_filter, tpose_calibrate
@@ -127,25 +127,25 @@ def test_filter_outputs(pipe):
 
 def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
     # At 20 Hz a 2 s clip has 40 frames and 50 rounds (25 Hz): ten frames
-    # carry two rounds each, and both must reach the bank, in round order.
+    # carry two rounds each, and both must reach the filter, in round order.
     cfg = dataclasses.replace(
         SMALL, motions=MotionSettings(catalog=("walk",), duration_s=2.0, rate_hz=20.0)
     )
     synthesize_dataset(cfg, tmp_path / "data")
     frames, ticks, ranges = [], [], []
-    predict_all, update_all = PairFilterBank.predict_all, PairFilterBank.update_all
+    predict, update = BodyShapeFilter.predict, BodyShapeFilter.update
 
-    def counted_predict(bank, accel):
+    def counted_predict(filt, accel):
         frames.append(len(frames))
-        predict_all(bank, accel)
+        predict(filt, accel)
 
-    def counted_update(bank, distances, valid):
+    def counted_update(filt, distances, valid):
         ticks.append(frames[-1])
         ranges.append(distances)
-        update_all(bank, distances, valid)
+        update(filt, distances, valid)
 
-    monkeypatch.setattr(PairFilterBank, "predict_all", counted_predict)
-    monkeypatch.setattr(PairFilterBank, "update_all", counted_update)
+    monkeypatch.setattr(BodyShapeFilter, "predict", counted_predict)
+    monkeypatch.setattr(BodyShapeFilter, "update", counted_update)
     filter_dataset(tmp_path / "data", tmp_path / "filt")
     assert len(frames) == 40
     assert len(ticks) == 50
@@ -154,13 +154,14 @@ def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
     name = read_clip_meta(tmp_path / "data")[0]["name"]
     ranging = read_ranging_csv(tmp_path / "data" / name / "ranging.csv")
     cal = read_calibration(tmp_path / "filt" / "calibration.json")
-    # The one clip is the clip axis of a one-clip bank: ranges arrive as (1, 6, 6).
+    # The one clip is the clip axis of a one-clip filter: ranges arrive as (1, 6, 6).
     assert np.array_equal(np.array(ranges)[:, 0], apply_calibration(ranging.distances, cal))
 
 
 def _filter_reference(data, filt, out) -> dict:
     """Each clip's model_input.jsonl (written under out) and RMSE row, from
-    its own orientation filter call and its own one-clip bank, smoothed."""
+    its own orientation filter call and its own one-clip body-shape filter,
+    smoothed."""
     cfg = load_config(data / "config.json")
     skel = default_skeleton(cfg.skeleton.height_m)
     placement = default_placement(skel)
@@ -169,7 +170,6 @@ def _filter_reference(data, filt, out) -> dict:
     offsets = [tpose_calibrate(read_imu_csv(data / f"tpose_imu_s{s}.csv"), srot_t[s]) for s in range(6)]
     gyro_off, accel_off = (np.array(o) for o in zip(*offsets))
     cal = read_calibration(filt / "calibration.json")
-    sigma_u = np.concatenate([np.full(6, cfg.ekf.accel_noise), np.zeros(6)])
     report = {}
     for m in read_clip_meta(data):
         name = m["name"]
@@ -180,19 +180,19 @@ def _filter_reference(data, filt, out) -> dict:
             srot_t, cfg.imu.filter_gain, gyro_off, accel_off, dt=1.0 / rate,
         )
         ranging = read_ranging_csv(data / name / "ranging.csv")
-        bank = PairFilterBank(
-            skel, placement, sigma_u, (cfg.ekf.range_sigma, cfg.ekf.speed_sigma), dt=1.0 / rate, clips=1
+        shape_filter = BodyShapeFilter(
+            skel, placement, cfg.ekf.accel_noise, cfg.ekf.range_sigma, dt=1.0 / rate, clips=1
         )
-        _, mask = bank.run(
+        shape_filter.run(
             accel_w[:, None],
             np.rint(ranging.times * rate).astype(int),
             apply_calibration(ranging.distances, cal)[:, None],
             ranging.valid[:, None],
         )
-        d, mask = bank.smooth()[:, 0], mask[:, 0]
+        d = shape_filter.smooth()[:, 0]
         truth = read_truth(data / name / "truth.jsonl")
-        write_model_input(out / f"{name}.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d, mask)
-        report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d, mask, rate)
+        write_model_input(out / f"{name}.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d)
+        report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d, rate)
     return report
 
 
@@ -205,14 +205,15 @@ def _assert_filter_matches_reference(data, filt, out) -> None:
 
 
 def test_filter_matches_per_clip_filters(pipe, tmp_path):
-    # Both clips share one stacked orientation filter call and one bank.
+    # Both clips share one stacked orientation filter call and one body-shape filter.
     _assert_filter_matches_reference(pipe.data, pipe.filt, tmp_path / "ref")
 
 
 def test_filter_groups_clips_by_frame_count(pipe, tmp_path, monkeypatch):
     # Graft a 2 s squat clip (50 frames) between the two 3 s clips (75
-    # frames) of the same seed: the 3 s clips share a filter call and a
-    # bank, the squat gets its own, and every output is the per-clip one.
+    # frames) of the same seed: the 3 s clips share an orientation filter
+    # call and a body-shape filter, the squat gets its own, and every output
+    # is the per-clip one.
     short = dataclasses.replace(SMALL, motions=dataclasses.replace(SMALL.motions, catalog=("squat",), duration_s=2.0))
     synthesize_dataset(short, tmp_path / "short")
     data = tmp_path / "data"

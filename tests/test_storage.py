@@ -266,15 +266,15 @@ def test_model_input_roundtrip_and_keys(tmp_path):
     r = rng.normal(size=(frames, 6, 6))
     a = rng.normal(size=(frames, 6, 3))
     d = np.zeros((frames, 6, 6))
-    mask = np.zeros((frames, 6, 6), dtype=bool)
     path = tmp_path / "model_input.jsonl"
-    write_model_input(path, times, r, a, d, mask)
+    write_model_input(path, times, r, a, d)
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"t", "r", "a", "D", "mask"}
     back = read_model_input(path)
     assert back["r"].tobytes() == r.tobytes()
     assert back["a"].tobytes() == a.tobytes()
     assert back["mask"].dtype == bool
+    assert np.array_equal(back["mask"], np.broadcast_to(~np.eye(6, dtype=bool), (frames, 6, 6)))
 
 
 def test_model_input_shape_errors(tmp_path):
