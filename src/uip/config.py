@@ -18,9 +18,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .imu import ACCEL_STRIDE
 from .motions import MOTION_KINDS
 from .posenet import PoseNetConfig, TrainSettings
 from .rng import SEED_MAX
+
+
+def _check_segment(where: str, seconds: float, rate_hz: float) -> None:
+    """A synthesized segment needs the samples the accelerometer's central difference spans."""
+    frames, least = round(seconds * rate_hz), 2 * ACCEL_STRIDE + 1
+    if frames < least:
+        raise ConfigError(
+            f"{where} {seconds:g} s at motions.rate_hz {rate_hz:g} gives {frames} frames; "
+            f"IMU synthesis needs at least {least}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,7 @@ class MotionSettings:
                 )
         if self.duration_s <= 0.0 or self.rate_hz <= 0.0:
             raise ConfigError("duration_s and rate_hz must be positive")
+        _check_segment("motions.duration_s", self.duration_s, self.rate_hz)
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,7 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"seed {self.seed} outside 0..{SEED_MAX}")
+        _check_segment("imu.tpose_seconds", self.imu.tpose_seconds, self.motions.rate_hz)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

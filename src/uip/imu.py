@@ -17,6 +17,8 @@ from .errors import CalibrationError, ContractViolationError
 from .geometry import GRAVITY_MAGNITUDE, GRAVITY_REACTION, atan2, qangle, qconj, qfrom_rotvec, qmul, qnormalize, qrotate, qrotvec, vcross
 
 DT = 0.01  # 100 Hz sample grid used throughout
+# Default stride n of synthesize_accel: its central difference spans 2 n + 1 samples.
+ACCEL_STRIDE = 4
 
 
 @dataclass
@@ -57,7 +59,7 @@ class ImuNoiseModel:
         return ImuNoiseModel(accel_sigma, gyro_sigma, ab, gb)
 
 
-def synthesize_accel(positions: np.ndarray, n: int = 4, dt: float = DT) -> np.ndarray:
+def synthesize_accel(positions: np.ndarray, n: int = ACCEL_STRIDE, dt: float = DT) -> np.ndarray:
     """World-frame acceleration by stride-n central second difference.
 
     a_t = (p_{t+n} - 2 p_t + p_{t-n}) / (n dt)^2, exact on quadratics.
@@ -104,7 +106,7 @@ def synthesize_imu(
     orientations,
     noise: ImuNoiseModel,
     rng: np.random.Generator,
-    n: int = 4,
+    n: int = ACCEL_STRIDE,
     dt: float = DT,
 ) -> ImuStream:
     """Raw IMU stream for one sensor from its ground-truth trajectory.

@@ -95,8 +95,8 @@ def _noise_models(cfg: RunConfig) -> list[ImuNoiseModel]:
 
 
 def _round_sigma(cfg: RunConfig, skel, placement, joint_pos, sensor_pos) -> np.ndarray:
-    """Range noise sigmas (R, 6, 6) by the body-occlusion ratio of each pair, one frame per round."""
-    occ = np.stack([pairwise_occlusion(skel, placement, jp, sp) for jp, sp in zip(joint_pos, sensor_pos)])
+    """Range noise sigmas (..., 6, 6) by the body-occlusion ratio of each pair, one frame per round."""
+    occ = pairwise_occlusion(skel, placement, joint_pos, sensor_pos)
     return occlusion_noise_sigma(occ, cfg.uwb.sigma_los, cfg.uwb.sigma_nlos)
 
 
@@ -131,7 +131,7 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
         clocks,
         derive_rng(cfg.seed, "uwb", "tpose"),
         drop_prob=cfg.uwb.drop_prob,
-        sigma=_round_sigma(cfg, skel, placement, jp_t[None], spos_t[None]),
+        sigma=_round_sigma(cfg, skel, placement, jp_t, spos_t),
     )
     write_ranging_csv(out / "tpose_ranging.csv", ranging_t)
     written.append("tpose_ranging.csv")

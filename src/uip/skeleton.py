@@ -195,10 +195,11 @@ def tpose(skel: Skeleton) -> tuple[np.ndarray, np.ndarray]:
     return fk_batch(skel, local, (0.0, 0.0, 0.96 * skel.body_height / 1.70))
 
 
-def world_capsules(skel: Skeleton, joint_pos) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Capsule endpoints in world coordinates for a posed frame."""
-    jp = np.asarray(joint_pos, dtype=float)
-    return [(jp[c.j0], jp[c.j1], c.radius) for c in skel.capsules]
+# Frames per occlusion pass: its temporaries stay this size whatever the clip length.
+# Past 8, bigger blocks run no faster but raise the synth stage's peak memory.
+OCCLUSION_BLOCK = 8
+# Slack (m) on the culling test: far above the rounding of either distance, far below any radius.
+CULL_MARGIN = 1e-9
 
 
 def sensor_exclusions(skel: Skeleton, placement: SensorPlacement) -> np.ndarray:
@@ -206,50 +207,95 @@ def sensor_exclusions(skel: Skeleton, placement: SensorPlacement) -> np.ndarray:
     return np.array([[m.joint in (c.j0, c.j1) for c in skel.capsules] for m in placement.mounts])
 
 
-def _occluded_share(capsules, p_i, p_j, skip, resolution: int) -> np.ndarray:
-    """Per sight line, the share of its samples inside any capsule it does not skip.
+def _dot(u, v):
+    """Component-first dot product over the leading axis of length 3, summed x, y, z in order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    capsules are world_capsules' (c0, c1, radius) triples; p_i, p_j (P, 3)
-    are the sight-line ends and skip (P, C) marks each line's excluded
-    capsules. Works on (3, P, resolution, C) temporaries: one frame's
-    sight lines, never a clip's.
+
+def _segment_distance(p, d1, q, d2) -> np.ndarray:
+    """Least distance between segments p + s d1 and q + t d2, s, t in [0, 1].
+
+    Component-first arrays (3, ...) that broadcast together. The closest
+    points follow Ericson, Real-Time Collision Detection (2005), 5.1.9:
+    solve the unclamped pair, clamp s, take the best t for it, and if t
+    clamps, take the best s for that t. Zero-length segments are points.
     """
-    if resolution < 32:
-        raise ContractViolationError(f"occlusion resolution {resolution} < 32")
-    c0, c1, radius = (np.array(col, dtype=float) for col in zip(*capsules))
-    k = np.arange(resolution)
-    w2 = (k + 0.5) / resolution
-    w1 = (resolution - k - 0.5) / resolution
-    # component-first, so each op runs on whole (P, S, C) planes: sample
-    # points (3, P, S, 1) against capsule axes (3, 1, 1, C)
-    points = np.moveaxis(w1[:, None] * p_i[:, None, :] + w2[:, None] * p_j[:, None, :], -1, 0)[..., None]
-    c0, d = c0.T[:, None, None, :], (c1 - c0).T[:, None, None, :]
-    rel = points - c0
-    len2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-    # a zero-length capsule is a sphere: t = 0 puts the foot point at c0
-    t = np.clip((rel[0] * d[0] + rel[1] * d[1] + rel[2] * d[2]) / np.where(len2 == 0.0, 1.0, len2), 0.0, 1.0)
-    gap = points - (c0 + t * d)
-    inside = (np.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2]) <= radius) & ~skip[:, None, :]
-    share = inside.any(axis=-1).sum(axis=-1) / resolution
-    too_short = np.sqrt(((p_j - p_i) ** 2).sum(axis=-1)) < 1e-3
-    return np.where(too_short, 0.0, share)
+    r = p - q
+    a, b, e = _dot(d1, d1), _dot(d1, d2), _dot(d2, d2)
+    c, f = _dot(d1, r), _dot(d2, r)
+    denom = a * e - b * b
+    # parallel or degenerate segments (denom == 0) start from s = 0
+    s = np.where(denom > 0.0, np.clip((b * f - c * e) / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0), 0.0)
+    t_free = (b * s + f) / np.where(e == 0.0, 1.0, e)
+    t = np.clip(t_free, 0.0, 1.0)
+    # a point axis (e == 0) leaves t = 0 unclamped, but s still needs its projection
+    redo = (t != t_free) | (e == 0.0)
+    s = np.where(redo, np.clip((t * b - c) / np.where(a == 0.0, 1.0, a), 0.0, 1.0), s)
+    gap = r + s * d1 - t * d2
+    return np.sqrt(_dot(gap, gap))
 
 
 def pairwise_occlusion(
     skel: Skeleton,
     placement: SensorPlacement,
     joint_pos,
-    sensor_pos: np.ndarray,
+    sensor_pos,
     resolution: int = 64,
 ) -> np.ndarray:
-    """Occlusion ratio for all 15 sensor pairs of a posed frame -> (6, 6) symmetric."""
-    sp = np.asarray(sensor_pos, dtype=float)
+    """Occlusion ratio of all 15 sensor pairs, frame by frame -> (..., 6, 6) symmetric.
+
+    joint_pos (..., J, 3) and sensor_pos (..., 6, 3) are posed frames, so
+    every round of a clip goes in one call. A pair's ratio is the share of
+    `resolution` evenly spaced samples of its sight line that fall inside
+    any capsule neither sensor is mounted on; a sight line under 1 mm
+    reads 0. Only (frame, pair, capsule) triples whose sight segment comes
+    within radius + CULL_MARGIN of the capsule axis are sampled: a sample
+    of any other triple lies farther out, so culling changes no sample.
+    """
+    if resolution < 32:
+        raise ContractViolationError(f"occlusion resolution {resolution} < 32")
+    jp, sp = np.asarray(joint_pos, dtype=float), np.asarray(sensor_pos, dtype=float)
+    lead = np.broadcast_shapes(jp.shape[:-2], sp.shape[:-2])
+    jp = np.broadcast_to(jp, lead + jp.shape[-2:]).reshape(-1, *jp.shape[-2:])
+    sp = np.broadcast_to(sp, lead + sp.shape[-2:]).reshape(-1, N_SENSORS, 3)
+    j0 = [c.j0 for c in skel.capsules]
+    j1 = [c.j1 for c in skel.capsules]
+    radius = np.array([c.radius for c in skel.capsules])
     mounted = sensor_exclusions(skel, placement)
-    out = np.zeros((N_SENSORS, N_SENSORS))
-    out[PAIR_I, PAIR_J] = out[PAIR_J, PAIR_I] = _occluded_share(
-        world_capsules(skel, joint_pos), sp[PAIR_I], sp[PAIR_J], mounted[PAIR_I] | mounted[PAIR_J], resolution
-    )
-    return out
+    skip = mounted[PAIR_I] | mounted[PAIR_J]  # (P, C)
+    k = np.arange(resolution)
+    w2 = (k + 0.5) / resolution
+    w1 = (resolution - k - 0.5) / resolution
+    n_pairs = PAIR_I.size
+    share = np.empty((sp.shape[0], n_pairs))
+    for lo in range(0, sp.shape[0], OCCLUSION_BLOCK):
+        block = slice(lo, lo + OCCLUSION_BLOCK)
+        # component-first (3, B, P) sight-line ends and (3, B, C) capsule axes
+        p_i, p_j = np.moveaxis(sp[block, PAIR_I], -1, 0), np.moveaxis(sp[block, PAIR_J], -1, 0)
+        c0 = np.moveaxis(jp[block, j0], -1, 0)
+        d = np.moveaxis(jp[block, j1], -1, 0) - c0
+        near = _segment_distance(p_i[..., None], (p_j - p_i)[..., None], c0[:, :, None], d[:, :, None])
+        f, p, c = np.nonzero((near <= radius + CULL_MARGIN) & ~skip)
+        hits = np.zeros((p_i.shape[1], n_pairs, resolution), dtype=bool)
+        if f.size:
+            # the per-sample test on the kept triples only: sample points
+            # (3, K, S) against their capsule axes (3, K, 1)
+            points = w1 * p_i[:, f, p, None] + w2 * p_j[:, f, p, None]
+            ck, dk = c0[:, f, c, None], d[:, f, c, None]
+            len2 = _dot(dk, dk)
+            # a zero-length capsule is a sphere: t = 0 puts the foot point at c0
+            t = np.clip(_dot(points - ck, dk) / np.where(len2 == 0.0, 1.0, len2), 0.0, 1.0)
+            gap = points - (ck + t * dk)
+            inside = np.sqrt(_dot(gap, gap)) <= radius[c, None]
+            # nonzero lists the triples frame- then pair-major: OR each pair's run
+            fp = f * n_pairs + p
+            first = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
+            hits.reshape(-1, resolution)[fp[first]] = np.logical_or.reduceat(inside, first, axis=0)
+        share[block] = hits.sum(axis=-1) / resolution
+    too_short = np.sqrt(((sp[:, PAIR_J] - sp[:, PAIR_I]) ** 2).sum(axis=-1)) < 1e-3
+    out = np.zeros((sp.shape[0], N_SENSORS, N_SENSORS))
+    out[:, PAIR_I, PAIR_J] = out[:, PAIR_J, PAIR_I] = np.where(too_short, 0.0, share)
+    return out.reshape(lead + (N_SENSORS, N_SENSORS))
 
 
 def validate_kind(kind: str, known: tuple[str, ...]) -> None:

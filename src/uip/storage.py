@@ -219,23 +219,34 @@ IMU_HEADER = ["t", "ax", "ay", "az", "gx", "gy", "gz"]
 RANGING_HEADER = ["round", "t", "i", "j", "d_raw", "valid"]
 
 
-def write_imu_csv(path: str | Path, stream: ImuStream) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: list[str]) -> None:
+    """Header plus pre-joined rows in one write, with csv.writer's \\r\\n line ends."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(IMU_HEADER)
-        for k in range(len(stream)):
-            row = [stream.t[k], *stream.accel[k], *stream.gyro[k]]
-            w.writerow([repr(float(v)) for v in row])
+        f.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+
+
+def _read_csv(p: Path, header: list[str], what: str) -> list[list[str]]:
+    """The data rows of a CSV log, which must have this header and its width on every row."""
+    with open(p, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != header:
+        raise DataError(f"{p}: expected header {','.join(header)}")
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != len(header):
+            raise DataError(f"{p}:{line}: bad {what} row: {len(row)} fields, the header has {len(header)}")
+    return rows[1:]
+
+
+def write_imu_csv(path: str | Path, stream: ImuStream) -> None:
+    rows = np.column_stack([stream.t, stream.accel, stream.gyro]).tolist()
+    _write_csv(path, IMU_HEADER, [",".join(map(repr, row)) for row in rows])
 
 
 def read_imu_csv(path: str | Path) -> ImuStream:
     p = _require(Path(path))
-    with open(p, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != IMU_HEADER:
-        raise DataError(f"{p}: expected header {','.join(IMU_HEADER)}")
+    rows = _read_csv(p, IMU_HEADER, "IMU")
     try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise DataError(f"{p}: bad numeric field: {exc}") from exc
     if data.size == 0:
@@ -248,38 +259,37 @@ def read_imu_csv(path: str | Path) -> ImuStream:
 
 def write_ranging_csv(path: str | Path, stream: RawDistanceStream) -> None:
     """One row per pair per round: the 15 pairs of round k in PAIR_I/PAIR_J order."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RANGING_HEADER)
-        for k in range(stream.times.shape[0]):
-            t = repr(float(stream.times[k]))
-            for i, j in zip(PAIR_I.tolist(), PAIR_J.tolist()):
-                w.writerow([k, t, i, j, repr(float(stream.distances[k, i, j])), int(stream.valid[k, i, j])])
+    pairs = [f"{i},{j}" for i, j in zip(PAIR_I.tolist(), PAIR_J.tolist())]
+    dists = stream.distances[:, PAIR_I, PAIR_J].tolist()
+    valid = stream.valid[:, PAIR_I, PAIR_J].astype(int).tolist()
+    rows = [
+        f"{k},{t!r},{pair},{d!r},{v}"
+        for k, (t, ds, vs) in enumerate(zip(stream.times.tolist(), dists, valid))
+        for pair, d, v in zip(pairs, ds, vs)
+    ]
+    _write_csv(path, RANGING_HEADER, rows)
 
 
 def read_ranging_csv(path: str | Path) -> RawDistanceStream:
     """The stream write_ranging_csv wrote: every round k = 0..R-1 holds
     exactly its 15 pair rows, in the writer's order, with one time."""
     p = _require(Path(path))
-    with open(p, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != RANGING_HEADER:
-        raise DataError(f"{p}: expected header {','.join(RANGING_HEADER)}")
-    if len(rows) < 2:
+    rows = _read_csv(p, RANGING_HEADER, "ranging")
+    if not rows:
         raise DataError(f"{p}: empty ranging stream")
     pairs = list(zip(PAIR_I.tolist(), PAIR_J.tolist()))
     n_pairs = len(pairs)
-    n_rows = len(rows) - 1
+    n_rows = len(rows)
     n_rounds = -(-n_rows // n_pairs)
     times = np.zeros(n_rounds)
     dists = np.zeros((n_rounds, N_SENSORS, N_SENSORS))
     valid = np.zeros((n_rounds, N_SENSORS, N_SENSORS), dtype=bool)
-    for n, row in enumerate(rows[1:]):
+    for n, row in enumerate(rows):
         line = n + 2
         try:
             k, t, i, j, d = int(row[0]), float(row[1]), int(row[2]), int(row[3]), float(row[4])
             ok = {"0": False, "1": True}[row[5]]
-        except (ValueError, IndexError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:
             raise DataError(f"{p}:{line}: bad ranging row: {exc}") from exc
         if not (math.isfinite(t) and math.isfinite(d)):
             raise DataError(f"{p}:{line}: non-finite time or distance")

@@ -272,6 +272,48 @@ def test_seed_outside_32_bits_is_a_config_error(env, tmp_path, capsys, seed):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, width, rows, where",
+    [
+        # every row six fields wide, as a logger that lost a gyro axis writes them
+        ("clip_000_walk/imu_s3.csv", 6, None, "imu_s3.csv:2: bad IMU row: 6 fields, the header has 7"),
+        ("clip_001_idle/imu_s0.csv", 8, [5], "imu_s0.csv:6: bad IMU row: 8 fields, the header has 7"),
+        ("clip_000_walk/ranging.csv", 7, [20], "ranging.csv:21: bad ranging row: 7 fields, the header has 6"),
+    ],
+)
+def test_csv_rows_of_the_wrong_width_are_data_errors(env, tmp_path, capsys, name, width, rows, where):
+    data = tmp_path / "poisoned"
+    shutil.copytree(env.data, data)
+    log = data / name
+    lines = log.read_text().splitlines()
+    for k in rows or range(1, len(lines)):
+        fields = lines[k].split(",")
+        lines[k] = ",".join((fields + fields)[:width])
+    log.write_text("\n".join(lines) + "\n")
+    write_manifest(data, list(read_manifest(data)))
+    code = main(["filter", "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and where in err, err
+    assert not (tmp_path / "out" / "rmse_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("motions", "duration_s", 0.03), ("motions", "rate_hz", 2.0), ("imu", "tpose_seconds", 1.0)],
+)
+def test_segments_too_short_for_imu_synthesis_are_refused_before_writing(tmp_path, capsys, section, key, value):
+    doc = CLI_CONFIG.to_dict()
+    doc["motions"]["rate_hz"] = 8.0 if key == "tpose_seconds" else 50.0
+    doc[section][key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "IMU synthesis needs at least 9" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_truncated_ranging_is_a_data_error(env, tmp_path, capsys):
     data = tmp_path / "poisoned"
     shutil.copytree(env.data, data)

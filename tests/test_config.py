@@ -176,6 +176,31 @@ def test_motion_catalog_validation():
     assert MotionSettings(catalog=("walk", "walk")).catalog == ("walk", "walk")
 
 
+@pytest.mark.parametrize(
+    "doc, frames",
+    [
+        ({"motions": {"duration_s": 0.03, "rate_hz": 50.0}}, 2),
+        ({"motions": {"duration_s": 0.16, "rate_hz": 50.0}}, 8),
+        ({"motions": {"duration_s": 0.08, "rate_hz": 100.0}}, 8),
+        ({"motions": {"rate_hz": 5.0}, "imu": {"tpose_seconds": 1.0}}, 5),
+        ({"motions": {"duration_s": 10.0, "rate_hz": 4.0}, "imu": {"tpose_seconds": 2.0}}, 8),
+    ],
+)
+def test_segments_shorter_than_the_accel_stencil_are_refused(doc, frames):
+    # synthesize_accel's stride-4 central difference needs 9 frames of
+    # every clip and of the T-pose; fewer is a config error, not a crash
+    # midway through `uip synth`.
+    key = "imu.tpose_seconds" if "imu" in doc else "motions.duration_s"
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)} .* gives {frames} frames; IMU synthesis needs at least 9"):
+        config_from_dict(doc)
+
+
+def test_segments_of_exactly_the_accel_stencil_are_accepted():
+    assert config_from_dict({"motions": {"duration_s": 0.18, "rate_hz": 50.0}}).motions.duration_s == 0.18
+    cfg = config_from_dict({"motions": {"duration_s": 2.0, "rate_hz": 9.0}, "imu": {"tpose_seconds": 1.0}})
+    assert round(cfg.imu.tpose_seconds * cfg.motions.rate_hz) == 9
+
+
 def test_section_bounds():
     with pytest.raises(ConfigError):
         SkeletonSettings(height_m=0.9)

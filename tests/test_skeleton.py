@@ -7,9 +7,12 @@ import pytest
 from conftest import check_continuity
 from uip.errors import ContractViolationError
 from uip.geometry import qangle, qconj, qfrom_axis_angle, qfrom_rotvec, qmul, qnormalize, qrotate
-from uip.motions import generate_motion_suite
+from uip.motions import MOTION_KINDS, generate_motion_suite
 from uip.rng import derive_rng
 from uip.skeleton import (
+    OCCLUSION_BLOCK,
+    PAIR_I,
+    PAIR_J,
     MotionClip,
     N_SENSORS,
     default_placement,
@@ -19,7 +22,6 @@ from uip.skeleton import (
     pairwise_occlusion,
     sensor_exclusions,
     tpose,
-    world_capsules,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -224,6 +226,45 @@ def test_occlusion_ratio_endpoints(skel, placement):
     assert pairwise_occlusion(skel, placement, pos, sensor_pos)[1, 2] > 0.8
 
 
+def world_capsules(skel, joint_pos):
+    """Capsule endpoints in world coordinates for a posed frame."""
+    jp = np.asarray(joint_pos, dtype=float)
+    return [(jp[c.j0], jp[c.j1], c.radius) for c in skel.capsules]
+
+
+def _occluded_share(capsules, p_i, p_j, skip, resolution: int) -> np.ndarray:
+    """Per sight line of one frame, the share of its samples inside any capsule it does not skip.
+
+    The per-frame pass the culled one replaced, kept as its reference:
+    every sample of every line against every capsule, as (3, P, S, C)
+    planes.
+    """
+    c0, c1, radius = (np.array(col, dtype=float) for col in zip(*capsules))
+    k = np.arange(resolution)
+    w2 = (k + 0.5) / resolution
+    w1 = (resolution - k - 0.5) / resolution
+    points = np.moveaxis(w1[:, None] * p_i[:, None, :] + w2[:, None] * p_j[:, None, :], -1, 0)[..., None]
+    c0, d = c0.T[:, None, None, :], (c1 - c0).T[:, None, None, :]
+    rel = points - c0
+    len2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    t = np.clip((rel[0] * d[0] + rel[1] * d[1] + rel[2] * d[2]) / np.where(len2 == 0.0, 1.0, len2), 0.0, 1.0)
+    gap = points - (c0 + t * d)
+    inside = (np.sqrt(gap[0] * gap[0] + gap[1] * gap[1] + gap[2] * gap[2]) <= radius) & ~skip[:, None, :]
+    share = inside.any(axis=-1).sum(axis=-1) / resolution
+    too_short = np.sqrt(((p_j - p_i) ** 2).sum(axis=-1)) < 1e-3
+    return np.where(too_short, 0.0, share)
+
+
+def _frame_occlusion(skel, placement, jp, sp, resolution=64) -> np.ndarray:
+    """Reference (6, 6) ratios of one frame by the per-frame pass."""
+    mounted = sensor_exclusions(skel, placement)
+    out = np.zeros((N_SENSORS, N_SENSORS))
+    out[PAIR_I, PAIR_J] = out[PAIR_J, PAIR_I] = _occluded_share(
+        world_capsules(skel, jp), sp[PAIR_I], sp[PAIR_J], mounted[PAIR_I] | mounted[PAIR_J], resolution
+    )
+    return out
+
+
 def _scalar_occlusion(capsules, p_i, p_j, exclude, resolution=64):
     """Reference ratio: every sample against every capsule, one at a time."""
     if np.linalg.norm(p_j - p_i) < 1e-3:
@@ -251,10 +292,15 @@ def test_pairwise_occlusion_symmetric_zero_diagonal(skel, placement):
         sp, _ = mount_poses(placement.mounts, jp, jr)
         frames += [(jp[t], sp[t]) for t in (60, 75, 90)]
     excl = sensor_exclusions(skel, placement)
+    stacked = pairwise_occlusion(skel, placement, *(np.stack(a) for a in zip(*frames)))
+    assert stacked.shape == (len(frames), N_SENSORS, N_SENSORS)
+    assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
+    assert np.array_equal(np.diagonal(stacked, axis1=1, axis2=2), np.zeros((len(frames), N_SENSORS)))
     covered = 0
-    for jp, sp in frames:
+    for (jp, sp), in_stack in zip(frames, stacked):
         occ = pairwise_occlusion(skel, placement, jp, sp)
         assert occ.shape == (N_SENSORS, N_SENSORS)
+        assert np.array_equal(occ, in_stack)
         assert np.array_equal(occ, occ.T)
         assert np.array_equal(np.diag(occ), np.zeros(N_SENSORS))
         assert np.all((occ >= 0.0) & (occ <= 1.0))
@@ -267,6 +313,62 @@ def test_pairwise_occlusion_symmetric_zero_diagonal(skel, placement):
                 assert abs(occ[i, j] - ref) <= 1.0 / 64
         covered += int(np.count_nonzero(occ))
     assert covered > 0
+
+
+def test_culled_occlusion_equals_the_per_frame_pass_on_every_motion_kind(skel, placement):
+    # Every clip's frames stacked in one call: more frames than a block,
+    # each read bitwise as the per-frame pass reads it.
+    clips = generate_motion_suite(31, MOTION_KINDS, 5.0, 25.0, skel)
+    assert {c.kind for c in clips} == set(MOTION_KINDS)
+    poses = [fk_batch(skel, c.local_rot, c.root_pos) for c in clips]
+    jp = np.concatenate([p for p, _ in poses])
+    sp = np.concatenate([mount_poses(placement.mounts, p, r)[0] for p, r in poses])
+    assert jp.shape[0] > OCCLUSION_BLOCK
+    occ = pairwise_occlusion(skel, placement, jp, sp)
+    ref = np.stack([_frame_occlusion(skel, placement, a, b) for a, b in zip(jp, sp)])
+    assert occ.tobytes() == ref.tobytes()
+    assert np.count_nonzero(occ) > 0
+    # leading axes keep their shape
+    assert pairwise_occlusion(skel, placement, jp[:12].reshape(3, 4, -1, 3), sp[:12].reshape(3, 4, 6, 3)).tobytes() == (
+        ref[:12].reshape(3, 4, 6, 6).tobytes()
+    )
+
+
+def test_culled_occlusion_on_hand_built_sight_lines(skel, placement):
+    """Edge geometry on the T-pose body, against the per-frame pass."""
+    jp, jr = tpose(skel)
+    base, _ = mount_poses(placement.mounts, jp, jr)
+    torso = skel.capsules[0]  # pelvis -> spine, vertical in the T-pose
+    r, z = torso.radius, 1.0
+    assert jp[torso.j0, 2] < z < jp[torso.j1, 2] and jp[torso.j0, 0] == jp[torso.j0, 1] == 0.0
+    head = jp[skel.joint_index("head")]
+    wrist = jp[skel.joint_index("l_wrist")]
+    # the first sample, 0.5/64 of the way from y = -0.005 to y = 0.635,
+    # sits on y = 0: its distance to the torso axis is the line's x
+    graze = lambda x: ((x, -0.005, z), (x, 0.635, z))  # noqa: E731
+    cases = {
+        "graze inside": (1, 2, *graze(r * (1 - 1e-12)), 1 / 64),
+        "graze outside": (1, 2, *graze(r * (1 + 1e-12)), 0.0),
+        # above the chest capsule's end sphere, inside the head's (a zero-length capsule)
+        "head sphere": (1, 2, head + (-0.5, 0.0, 0.105), head + (0.5, 0.0, 0.105), None),
+        "shorter than 1 mm": (1, 2, (0.0, 0.0, z), (0.0, 0.0009, z), 0.0),
+        "parallel inside": (3, 4, (0.1, 0.0, 0.9), (0.1, 0.0, 1.3), None),
+        "parallel outside": (3, 4, (r + 0.01, 0.0, 0.9), (r + 0.01, 0.0, 1.3), 0.0),
+        # the wrist sensor skips its forearm, which it sits in
+        "end in a skipped capsule": (1, 2, wrist, (0.0, -0.6, wrist[2]), None),
+    }
+    sp = np.repeat(base[None], len(cases), axis=0)
+    for f, (i, j, p_i, p_j, _) in enumerate(cases.values()):
+        sp[f, i], sp[f, j] = p_i, p_j
+    occ = pairwise_occlusion(skel, placement, jp, sp)  # one joint frame for every sensor frame
+    for f, (name, (i, j, _, _, want)) in enumerate(cases.items()):
+        ref = _frame_occlusion(skel, placement, jp, sp[f])
+        assert occ[f].tobytes() == ref.tobytes(), name
+        if want is not None:
+            assert occ[f, i, j] == want, name
+    assert occ[2, 1, 2] > 0.0 and occ[4, 3, 4] > 0.5
+    with pytest.raises(ContractViolationError, match="resolution 16 < 32"):
+        pairwise_occlusion(skel, placement, jp, base, resolution=16)
 
 
 def test_check_continuity_accepts_smooth_rejects_jump(skel):

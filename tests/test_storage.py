@@ -1,4 +1,5 @@
 """On-disk formats: bitwise roundtrips, manifest guarding, error context."""
+import csv
 import json
 import math
 
@@ -12,6 +13,8 @@ from uip.metrics import MetricReport
 from uip.rng import derive_rng
 from uip.skeleton import PAIR_I, PAIR_J
 from uip.storage import (
+    IMU_HEADER,
+    RANGING_HEADER,
     read_calibration,
     read_imu_csv,
     read_jsonl,
@@ -169,6 +172,65 @@ def test_ranging_csv_writes_the_pair_order_it_reads(tmp_path):
     write_ranging_csv(path, stream)
     lines = path.read_text().splitlines()
     assert lines[1:] == [f"0,0.5,{i},{j},{float(d[0, i, j] + d[0, j, i])!r},1" for i in range(6) for j in range(i + 1, 6)]
+
+
+def _per_row_imu_csv(path, stream):
+    """The earlier IMU writer, one csv.writer row per sample: the byte reference."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(IMU_HEADER)
+        for k in range(len(stream)):
+            row = [stream.t[k], *stream.accel[k], *stream.gyro[k]]
+            w.writerow([repr(float(v)) for v in row])
+
+
+def _per_row_ranging_csv(path, stream):
+    """The earlier ranging writer, one csv.writer row per pair per round: the byte reference."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(RANGING_HEADER)
+        for k in range(stream.times.shape[0]):
+            t = repr(float(stream.times[k]))
+            for i, j in zip(PAIR_I.tolist(), PAIR_J.tolist()):
+                w.writerow([k, t, i, j, repr(float(stream.distances[k, i, j])), int(stream.valid[k, i, j])])
+
+
+def test_csv_writers_write_the_per_row_writers_bytes(tmp_path):
+    rng = derive_rng(54, "storage", "csv")
+    odd = np.concatenate([AWKWARD, [-0.0, 0.0, 1e300, -1e300, 2.0, -3.0, 1e16, 123456789.0]])
+    values = np.concatenate([odd, rng.normal(size=7 * 40 - odd.size) * 10.0 ** rng.integers(-8, 8, 7 * 40 - odd.size)])
+    table = values.reshape(40, 7)
+    imu = ImuStream(t=table[:, 0], accel=table[:, 1:4], gyro=table[:, 4:7])
+    rounds = 6
+    d = rng.permutation(np.resize(odd, rounds * 36)).reshape(rounds, 6, 6)
+    # the writer reads the upper triangle only
+    stream = RawDistanceStream(times=np.arange(rounds) * 0.04, distances=d, valid=rng.uniform(size=(rounds, 6, 6)) < 0.7)
+    for name, write, reference, data in (
+        ("imu", write_imu_csv, _per_row_imu_csv, imu),
+        ("ranging", write_ranging_csv, _per_row_ranging_csv, stream),
+    ):
+        write(tmp_path / f"{name}.csv", data)
+        reference(tmp_path / f"{name}_per_row.csv", data)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_per_row.csv").read_bytes(), name
+    # the awkward values come first, as repr writes them, on \r\n lines
+    first = (tmp_path / "imu.csv").read_bytes().split(b"\r\n")[1:4]
+    assert b",".join(first).split(b",")[: odd.size] == [repr(float(v)).encode() for v in odd]
+
+
+def test_csv_rows_must_have_their_headers_width(tmp_path):
+    path = tmp_path / "imu.csv"
+    good = "0.0,1,2,3,4,5,6"
+    for row in ("0.01,1,2,3,4,5", "0.01,1,2,3,4,5,6,7", ""):
+        path.write_text(f"t,ax,ay,az,gx,gy,gz\n{good}\n{row}\n{good}\n")
+        width = len(row.split(",")) if row else 0
+        with pytest.raises(DataError, match=rf"imu\.csv:3: bad IMU row: {width} fields, the header has 7"):
+            read_imu_csv(path)
+    path = tmp_path / "ranging.csv"
+    rows = _ranging_rows(1)
+    rows[4] += ",1"
+    path.write_text("round,t,i,j,d_raw,valid\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=r"ranging\.csv:6: bad ranging row: 7 fields, the header has 6"):
+        read_ranging_csv(path)
 
 
 def test_truth_roundtrip(tmp_path):
