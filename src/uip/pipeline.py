@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .geometry import qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
-from .posenet import PoseNetParams, TrainingWindow, infer, train
+from .posenet import PoseNetParams, Windows, check_inputs, infer, train
 from .rng import derive_rng
 from .skeleton import (
     MotionClip,
@@ -37,6 +38,7 @@ from .skeleton import (
 from .storage import (
     MANIFEST_NAME,
     TruthData,
+    finite_number,
     read_imu_csv,
     read_model_input,
     read_ranging_csv,
@@ -49,7 +51,6 @@ from .storage import (
     write_manifest,
     write_model_input,
     write_ranging_csv,
-    write_report_csv,
     write_report_json,
     write_targets,
     write_truth,
@@ -193,17 +194,56 @@ def _read_json(p: Path):
         raise DataError(f"{p} is not valid JSON: {exc}") from exc
 
 
-def read_clip_meta(dataset_dir: str | Path) -> list[dict]:
-    p = Path(dataset_dir) / CLIPS_FILE
+class _Listed:
+    """An input directory with its manifest verified; `file` refuses a name it does not list."""
+
+    def __init__(self, directory: str | Path):
+        self.dir = Path(directory)
+        self.files = verify_manifest(self.dir)
+
+    def file(self, name: str) -> Path:
+        if name not in self.files:
+            raise DataError(f"{self.dir / name} is not listed in {self.dir / MANIFEST_NAME}")
+        return self.dir / name
+
+
+def _clip_entry_problem(entry, seen: set[str]) -> str | None:
+    """What makes one clips.json entry unusable, or None."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    name = entry.get("name")
+    if not isinstance(name, str) or not re.fullmatch(r"[^/\\\0]+", name) or name in (".", ".."):
+        return f"name {name!r} is not a plain directory name"
+    if name in seen:
+        return f"name {name!r} repeats an earlier entry"
+    rate = entry.get("rate_hz")
+    if not (finite_number(rate) and rate > 0):
+        return f"rate_hz {rate!r} is not a positive finite number"
+    if not finite_number(entry.get("mean_accel_ms2")):
+        return f"mean_accel_ms2 {entry.get('mean_accel_ms2')!r} is not a finite number"
+    return None
+
+
+def read_clip_meta(path: str | Path) -> list[dict]:
+    """The clip list of a clips.json file; a DataError names the file and the
+    first entry without a plain, unrepeated directory `name`, a positive
+    finite `rate_hz` and a finite `mean_accel_ms2`."""
+    p = Path(path)
     meta = _read_json(p)
     if not isinstance(meta, list) or not meta:
         raise DataError(f"{p}: expected a non-empty clip list")
+    seen: set[str] = set()
+    for k, entry in enumerate(meta):
+        problem = _clip_entry_problem(entry, seen)
+        if problem:
+            raise DataError(f"{p}: clip entry {k}: {problem}")
+        seen.add(entry["name"])
     return meta
 
 
-def _calibrate_imu(dataset: Path, srot_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _calibrate_imu(dataset: _Listed, srot_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sensor gyro and accel offsets, each (6, 3), from the T-pose streams."""
-    offsets = [tpose_calibrate(read_imu_csv(dataset / f"tpose_imu_s{s}.csv"), srot_t[s]) for s in range(N_SENSORS)]
+    offsets = [tpose_calibrate(read_imu_csv(dataset.file(f"tpose_imu_s{s}.csv")), srot_t[s]) for s in range(N_SENSORS)]
     gyro_off, accel_off = (np.array(o) for o in zip(*offsets))
     return gyro_off, accel_off
 
@@ -229,9 +269,9 @@ def _read_rounds(path: Path, duration_s: float, what: str) -> RawDistanceStream:
     return ranging
 
 
-def _calibrate_uwb(cfg: RunConfig, dataset: Path, spos_t) -> CalibrationResult:
+def _calibrate_uwb(cfg: RunConfig, dataset: _Listed, spos_t) -> CalibrationResult:
     seconds = cfg.imu.tpose_seconds
-    ranging = _read_rounds(dataset / "tpose_ranging.csv", seconds, f"the {seconds:g} s T-pose")
+    ranging = _read_rounds(dataset.file("tpose_ranging.csv"), seconds, f"the {seconds:g} s T-pose")
     # Every valid T-pose range against its static truth, pair-major.
     picked = ranging.valid[:, PAIR_I, PAIR_J].T
     raw = ranging.distances[:, PAIR_I, PAIR_J].T[picked]
@@ -260,14 +300,15 @@ def _pelvis_frame_targets(sensor_pos: np.ndarray, sensor_rot: np.ndarray) -> np.
     return qrotate(qconj(sensor_rot[:, :1]), sensor_pos - sensor_pos[:, :1])
 
 
-def _read_clip_sensors(cdir: Path, name: str, rate: float) -> tuple[np.ndarray, np.ndarray, RawDistanceStream]:
+def _read_clip_sensors(dataset: _Listed, name: str, rate: float) -> tuple[np.ndarray, np.ndarray, RawDistanceStream]:
     """A clip's raw accel and gyro samples, each (T, 6, 3), and its ranging rounds."""
-    streams = [read_imu_csv(cdir / f"imu_s{s}.csv") for s in range(N_SENSORS)]
+    streams = [read_imu_csv(dataset.file(f"{name}/imu_s{s}.csv")) for s in range(N_SENSORS)]
     frames = len(streams[0])
     for s, stream in enumerate(streams):
         if len(stream) != frames:
             raise DataError(f"{name}: IMU stream s{s} has {len(stream)} frames, s0 {frames}")
-    ranging = _read_rounds(cdir / "ranging.csv", frames / rate, f"clip {name} ({frames} frames at {rate:g} Hz)")
+    what = f"clip {name} ({frames} frames at {rate:g} Hz)"
+    ranging = _read_rounds(dataset.file(f"{name}/ranging.csv"), frames / rate, what)
     return np.stack([st.accel for st in streams], axis=1), np.stack([st.gyro for st in streams], axis=1), ranging
 
 
@@ -291,9 +332,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     the bytes it would get alone; truth is then read, and targets and the
     RMSE written, one clip at a time.
     """
-    dataset = Path(dataset_dir)
-    verify_manifest(dataset)
-    cfg = load_config(dataset / CONFIG_FILE)
+    dataset = _Listed(dataset_dir)
+    cfg = load_config(dataset.file(CONFIG_FILE))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     skel, placement = _setup(cfg)
@@ -306,8 +346,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
     write_calibration(out / "calibration.json", cal)
     written.append("calibration.json")
 
-    names = [entry["name"] for entry in read_clip_meta(dataset)]
-    sensors = [_read_clip_sensors(dataset / name, name, rate) for name in names]
+    names = [entry["name"] for entry in read_clip_meta(dataset.file(CLIPS_FILE))]
+    sensors = [_read_clip_sensors(dataset, name, rate) for name in names]
     groups: dict[int, list[int]] = {}
     for c, (accel, _, _) in enumerate(sensors):
         groups.setdefault(accel.shape[0], []).append(c)
@@ -346,7 +386,7 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
 
     rmse_report: dict[str, dict] = {}
     for name, (_, _, ranging), (quats, accel_w, d_stream) in zip(names, sensors, filtered):
-        truth = _read_clip_truth(dataset / name / "truth.jsonl", skel, quats.shape[0])
+        truth = _read_clip_truth(dataset.file(f"{name}/truth.jsonl"), skel, quats.shape[0])
         cdir_out = out / name
         cdir_out.mkdir(exist_ok=True)
         write_model_input(cdir_out / "model_input.jsonl", truth.times, rot6d_from_quat(quats), accel_w, d_stream)
@@ -360,7 +400,7 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
 
     (out / RMSE_FILE).write_text(json.dumps(rmse_report, indent=2) + "\n")
     written.append(RMSE_FILE)
-    (out / CLIPS_FILE).write_text((dataset / CLIPS_FILE).read_text())
+    (out / CLIPS_FILE).write_text(dataset.file(CLIPS_FILE).read_text())
     written.append(CLIPS_FILE)
     cfg.save(out / CONFIG_FILE)
     written.append(CONFIG_FILE)
@@ -399,43 +439,48 @@ def _rms(err: np.ndarray) -> float | None:
     return math.sqrt(np.mean(err * err)) if err.size else None
 
 
+def _read_network_input(directory: _Listed, name: str, no_distances: bool) -> tuple[np.ndarray, ...]:
+    """A clip's model input (r, a, d, valid), as check_inputs returns it. The
+    ablation (`no_distances`) clears the mask and keeps the distances; a bad
+    frame is a DataError naming the file and the frame."""
+    path = directory.file(f"{name}/model_input.jsonl")
+    mi = read_model_input(path)
+    mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
+    try:
+        return check_inputs(mi["r"], mi["a"], mi["d"], mask)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def load_windows(
     filtered_dirs: list[str | Path],
     window_frames: int,
     window_stride: int,
     no_distances: bool = False,
-) -> list[TrainingWindow]:
-    """Cut every clip of every filtered directory into training windows."""
-    windows: list[TrainingWindow] = []
+) -> Windows:
+    """Cut every clip of every filtered directory into training windows.
+
+    A clip of T frames gives the windows that start at 0, window_stride,
+    ... and fit whole. Each clip is cut with one (windows, window_frames)
+    frame-index array, and the windows of every clip, in directory and
+    clip order, are stacked into one Windows.
+    """
+    clips: list[list[np.ndarray]] = []
     for d in filtered_dirs:
-        fdir = Path(d)
-        verify_manifest(fdir)
-        for entry in read_clip_meta(fdir):
+        fdir = _Listed(d)
+        for entry in read_clip_meta(fdir.file(CLIPS_FILE)):
             name = entry["name"]
-            mi = read_model_input(fdir / name / "model_input.jsonl")
-            tg = read_targets(fdir / name / "targets.jsonl")
-            frames = mi["times"].shape[0]
+            inputs = _read_network_input(fdir, name, no_distances)
+            tg = read_targets(fdir.file(f"{name}/targets.jsonl"))
+            frames = inputs[0].shape[0]
             if tg["times"].shape[0] != frames:
                 raise DataError(f"{name}: target stream length differs from model input")
-            mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
-            for start in range(0, frames - window_frames + 1, window_stride):
-                stop = start + window_frames
-                windows.append(
-                    TrainingWindow(
-                        r=mi["r"][start:stop],
-                        a=mi["a"][start:stop],
-                        d=mi["d"][start:stop],
-                        valid=mask[start:stop],
-                        positions=tg["positions"][start:stop],
-                        rotations=tg["rotations"][start:stop],
-                        contacts=tg["contacts"][start:stop],
-                    )
-                )
-    if not windows:
-        raise DataError(
-            f"no training windows: streams shorter than window_frames={window_frames}"
-        )
-    return windows
+            starts = np.arange(0, frames - window_frames + 1, window_stride)
+            index = starts[:, None] + np.arange(window_frames)
+            clips.append([arr[index] for arr in (*inputs, tg["positions"], tg["rotations"], tg["contacts"])])
+    if not any(len(fields[0]) for fields in clips):
+        raise DataError(f"no training windows: streams shorter than window_frames={window_frames}")
+    return Windows(*(np.concatenate(field) for field in zip(*clips)))
 
 
 def train_model(
@@ -474,26 +519,22 @@ def evaluate_model(
     directory, which `train_model` writes next to it.
     """
     checkpoint = Path(checkpoint)
-    if checkpoint.name not in verify_manifest(checkpoint.parent):
-        raise DataError(f"{checkpoint} is not listed in {checkpoint.parent / MANIFEST_NAME}")
-    params = PoseNetParams.load(checkpoint)
-    fdir = Path(filtered_dir)
-    tdir = Path(truth_dir)
-    verify_manifest(fdir)
-    verify_manifest(tdir)
-    cfg = load_config(tdir / CONFIG_FILE)
+    params = PoseNetParams.load(_Listed(checkpoint.parent).file(checkpoint.name))
+    fdir = _Listed(filtered_dir)
+    tdir = _Listed(truth_dir)
+    cfg = load_config(tdir.file(CONFIG_FILE))
     skel, _ = _setup(cfg)
     sip_index = {name: skel.joint_index(name) for name in SIP_JOINTS}
-    rmse_report = _read_json(fdir / RMSE_FILE)
+    rmse_file = fdir.file(RMSE_FILE)
+    rmse_report = _read_json(rmse_file)
     per_clip: list[ClipMetrics] = []
-    for entry in read_clip_meta(fdir):
+    for entry in read_clip_meta(fdir.file(CLIPS_FILE)):
         name = entry["name"]
         rate = float(entry["rate_hz"])
-        mi = read_model_input(fdir / name / "model_input.jsonl")
-        frames = mi["times"].shape[0]
-        truth = _read_clip_truth(tdir / name / "truth.jsonl", skel, frames)
-        mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
-        local = qfrom_rot6d(infer(params, mi["r"], mi["a"], mi["d"], mask).rotations)
+        inputs = _read_network_input(fdir, name, no_distances)
+        frames = inputs[0].shape[0]
+        truth = _read_clip_truth(tdir.file(f"{name}/truth.jsonl"), skel, frames)
+        local = qfrom_rot6d(infer(params, *inputs).rotations)
         pred_pos, pred_rot = fk_batch(skel, local, np.zeros(3))
         sip = sip_error(
             {n: pred_rot[:, i] for n, i in sip_index.items()},
@@ -506,7 +547,7 @@ def evaluate_model(
             if len(rmse) != PAIR_I.size:
                 raise ValueError(f"{len(rmse)} pairs")
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{fdir / RMSE_FILE}: bad filtered_rmse_m for clip {name}: {exc}") from exc
+            raise DataError(f"{rmse_file}: bad filtered_rmse_m for clip {name}: {exc}") from exc
         per_clip.append(
             ClipMetrics(
                 name=name,
@@ -523,7 +564,6 @@ def evaluate_model(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", reports)
-    write_report_csv(out / "report.csv", reports)
     clip_doc = [
         {
             "name": c.name,
@@ -537,7 +577,7 @@ def evaluate_model(
     ]
     (out / "clip_metrics.json").write_text(json.dumps(clip_doc, indent=2) + "\n")
     (out / "run.json").write_text(json.dumps({"no_distances": no_distances}, indent=2) + "\n")
-    write_manifest(out, ["report.json", "report.csv", "clip_metrics.json", "run.json"])
+    write_manifest(out, ["report.json", "clip_metrics.json", "run.json"])
     return {"reports": reports, "clips": per_clip}
 
 

@@ -1,18 +1,18 @@
 """Pose estimation network: temporal and distance-attention branches."""
 from .loss import contact_term, position_terms, rotation_term, total_loss
-from .model import ModelInput, PoseOutput, fusion_weights, infer, normalize_distances
+from .model import PoseOutput, check_inputs, fusion_weights, infer, normalize_distances
 from .params import CHECKPOINT_VERSION, PoseNetConfig, PoseNetParams, init_params
-from .train import TrainSettings, TrainingWindow, batch_loss, learning_rate_at, train
+from .train import TrainSettings, Windows, batch_loss, learning_rate_at, train
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "ModelInput",
     "PoseNetConfig",
     "PoseNetParams",
     "PoseOutput",
     "TrainSettings",
-    "TrainingWindow",
+    "Windows",
     "batch_loss",
+    "check_inputs",
     "contact_term",
     "fusion_weights",
     "infer",

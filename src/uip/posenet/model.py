@@ -9,14 +9,19 @@ to joint rotations and foot contacts. The decoder is per frame, so it
 takes no raw accelerations or distances: their per-frame noise would
 reach every frame's pose.
 
+What the network reads is declared once, in `check_inputs`: per frame the
+orientations r, accelerations a, distances d and their mask valid, over
+any leading shape. `infer` calls it on one clip's (T, ...) arrays and
+`train.Windows` on stacked (W, T, ...) training windows.
+
 `Forward` is the one implementation. Training runs it on a recording tape;
 inference (`infer`) and validation losses run it on a values-only tape
 (`Tape(grads=False)`), which keeps no op records, so only the live
 activations stay in memory and the values are bitwise the training ones.
-Layout: a batch is W windows of T frames, flattened to N = W*T frames in
-window-major order, one row per frame. Position rows are sensor-major:
-column 3*s + k is coordinate k of sensor s. The graph layers hold one row
-per sensor node, row 6*f + s.
+Layout: `Forward.run` takes W windows of T frames, (W, T, ...), and
+flattens them to N = W*T frames in window-major order, one row per frame.
+Position rows are sensor-major: column 3*s + k is coordinate k of sensor
+s. The graph layers hold one row per sensor node, row 6*f + s.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import Node, Tape
-from ..errors import ConfigError, ContractViolationError, DataError
+from ..errors import ConfigError, DataError
 from ..skeleton import HEAD_SENSOR, N_SENSORS, PELVIS_SENSOR
 from .params import PoseNetParams
 
@@ -33,45 +38,42 @@ from .params import PoseNetParams
 MIN_NORMALIZER_M = 0.01
 
 
-@dataclass(frozen=True)
-class ModelInput:
-    """T frames of network input.
+_INPUT_TAILS = {"r": (N_SENSORS, 6), "a": (N_SENSORS, 3), "d": (N_SENSORS, N_SENSORS), "valid": (N_SENSORS, N_SENSORS)}
 
-    r: per-sensor orientations, 6D representation, shape (T, 6, 6)
-    a: per-sensor world accelerations (gravity removed), m/s^2, shape (T, 6, 3)
-    d: inter-sensor distances, m, shape (T, 6, 6), each frame symmetric
-       with zero diagonal
-    valid: entry validity mask for d, shape (T, 6, 6)
+
+def check_inputs(r, a, d, valid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The network's per-frame input, checked, as float r, a, d and bool valid.
+
+    r: 6D sensor orientations (..., 6, 6); a: gravity-free world
+    accelerations, m/s^2 (..., 6, 3); d: inter-sensor distances, m, and
+    valid, their mask (..., 6, 6). The four share one leading shape, (T,)
+    for a clip or (W, T) for stacked windows, of at least one frame; r, a
+    and d are finite and each frame's d symmetric with a zero diagonal. A
+    DataError names the first bad frame (an index tuple for (W, T)).
     """
-
-    r: np.ndarray
-    a: np.ndarray
-    d: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        v = np.asarray(self.valid, dtype=bool)
-        t = r.shape[0] if r.ndim == 3 else -1
-        if r.shape != (t, N_SENSORS, 6) or a.shape != (t, N_SENSORS, 3):
-            raise ContractViolationError(
-                f"bad input shapes r{r.shape} a{a.shape}"
-            )
-        if t < 1:
-            raise ContractViolationError("need at least one input frame")
-        if d.shape != (t, N_SENSORS, N_SENSORS) or v.shape != d.shape:
-            raise ContractViolationError(f"bad distance shapes d{d.shape} valid{v.shape}")
-        if not np.array_equal(d, d.transpose(0, 2, 1)):
-            raise ContractViolationError("distance matrix must be symmetric")
-        diag = np.arange(N_SENSORS)
-        if np.any(d[:, diag, diag] != 0.0):
-            raise ContractViolationError("distance matrix diagonal must be zero")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "valid", v)
+    r, a, d = (np.asarray(x, dtype=float) for x in (r, a, d))
+    valid = np.asarray(valid, dtype=bool)
+    lead = r.shape[:-2]
+    for (name, tail), arr in zip(_INPUT_TAILS.items(), (r, a, d, valid)):
+        if arr.shape != lead + tail:
+            raise DataError(f"input {name} has shape {arr.shape}, expected {lead + tail}")
+    if not lead or 0 in lead:
+        raise DataError(f"need at least one input frame, got leading shape {lead}")
+    diag = np.arange(N_SENSORS)
+    problems = {
+        "non-finite r": ~np.isfinite(r),
+        "non-finite a": ~np.isfinite(a),
+        "non-finite d": ~np.isfinite(d),
+        "distance matrix not symmetric": d != np.swapaxes(d, -1, -2),
+        "distance matrix diagonal not zero": d[..., diag, diag] != 0.0,
+    }
+    bad = np.stack([flags.reshape(r[..., 0, 0].size, -1).any(axis=1) for flags in problems.values()], axis=1)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        frame = tuple(int(i) for i in np.unravel_index(k, lead))
+        problem = list(problems)[int(np.argmax(bad[k]))]
+        raise DataError(f"frame {frame[0] if len(lead) == 1 else frame}: {problem}")
+    return r, a, d, valid
 
 
 @dataclass(frozen=True)
@@ -135,20 +137,20 @@ class Forward:
         return t.add(t.matmul(x, self.params[f"{name}_w"].T), self.params[f"{name}_b"])
 
     def run(self, r: np.ndarray, a: np.ndarray, d: np.ndarray, valid: np.ndarray) -> dict[str, Node]:
-        """Both branches, fusion and the decoder.
+        """Both branches, fusion and the decoder over W windows of T frames.
 
-        r: (W, T, 6, 6) orientations, a: (W, T, 6, 3) accelerations; d,
-        valid: (W*T, 6, 6). Returns (N, 18) positions p_t, p_s and p,
-        (N, 90) rotations and (N, 2) contact logits.
+        r, a, d, valid: (W, T, ...) as check_inputs takes them. Returns
+        (W*T, 18) positions p_t, p_s and p, (W*T, 90) rotations and
+        (W*T, 2) contact logits, window-major rows.
         """
         w_count, t_count = r.shape[:2]
         n = w_count * t_count
         r_frames = r.reshape(n, N_SENSORS, 6)
-        a_frames = a.reshape(n, N_SENSORS, 3)
-        p_s, dn_masked = self.dagcn(r_frames, d, valid)
+        pairs = (n, N_SENSORS, N_SENSORS)
+        p_s, dn_masked = self.dagcn(r_frames, d.reshape(pairs), valid.reshape(pairs))
         seq = (w_count, t_count, -1)
         p_t = self.lstm(np.concatenate([r.reshape(seq), a.reshape(seq), dn_masked.reshape(seq)], axis=2))
-        p = self.fuse(p_t, p_s, a_frames)
+        p = self.fuse(p_t, p_s, a.reshape(n, N_SENSORS, 3))
         rot, con = self.decoder(p, r_frames)
         return {"p_t": p_t, "p_s": p_s, "p": p, "rotations": rot, "contacts": con}
 
@@ -234,17 +236,17 @@ def infer(
 ) -> PoseOutput:
     """Both branches, fusion, and the decoder over one sequence of T frames.
 
-    r: (T, 6, 6), a: (T, 6, 3), d and valid: (T, 6, 6), as ModelInput
+    r: (T, 6, 6), a: (T, 6, 3), d and valid: (T, 6, 6), as check_inputs
     checks them.
     """
-    x = ModelInput(r, a, d, valid)
+    r, a, d, valid = check_inputs(r, a, d, valid)
+    if r.ndim != 3:
+        raise DataError(f"infer takes one sequence of (T, 6, 6) orientations, got {r.shape}")
     fwd = Forward(Tape(grads=False), params)
-    out = fwd.run(x.r[None], x.a[None], x.d, x.valid)
-    n = x.r.shape[0]
+    out = fwd.run(r[None], a[None], d[None], valid[None])
+    n = r.shape[0]
     return PoseOutput(
-        p_t=out["p_t"].value.reshape(n, N_SENSORS, 3),
-        p_s=out["p_s"].value.reshape(n, N_SENSORS, 3),
-        p=out["p"].value.reshape(n, N_SENSORS, 3),
+        **{k: out[k].value.reshape(n, N_SENSORS, 3) for k in ("p_t", "p_s", "p")},
         rotations=out["rotations"].value.reshape(n, 15, 6),
         contacts=fwd.tape.sigmoid(out["contacts"]).value,
     )

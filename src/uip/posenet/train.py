@@ -1,37 +1,40 @@
 """Mini-batch training for the pose network.
 
-Windows of equal length are shuffled per epoch, run through the tape
-forward pass in batches, and the parameters updated with Adam under a
-step-decayed learning rate. Everything is seeded: the validation split,
-the epoch shuffles, and (when no starting parameters are given) the
-initialization, so a rerun with the same inputs reproduces the same
-checkpoint bit for bit.
+The training set is one `Windows` record, W windows of T frames stacked
+into (W, T, ...) arrays. Each epoch shuffles the window indices, `take`s
+every batch from the stack, runs it through the tape forward pass, and
+updates the parameters with Adam under a step-decayed learning rate.
+Everything is seeded: the validation split, the epoch shuffles, and
+(when no starting parameters are given) the initialization, so a rerun
+with the same inputs reproduces the same checkpoint bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..autodiff import Tape
-from ..errors import ConfigError, ContractViolationError, DataError, DivergenceError
+from ..errors import ConfigError, DataError, DivergenceError
 from ..rng import derive_rng
 from ..skeleton import N_SENSORS
 from .loss import contact_term, position_terms, rotation_term, total_loss
-from .model import Forward
+from .model import Forward, check_inputs
 from .params import PoseNetConfig, PoseNetParams, init_params
 
 
-@dataclass(frozen=True)
-class TrainingWindow:
-    """One fixed-length training example.
+_TARGET_TAILS = {"positions": (N_SENSORS, 3), "rotations": (15, 6), "contacts": (2,)}
 
-    r: sensor orientations (T, 6, 6); a: world accelerations (T, 6, 3);
-    d, valid: measured distances and mask (T, 6, 6); positions: target
-    sensor positions in the pelvis-sensor frame (T, 6, 3); rotations:
-    target joint rotations (T, 15, 6); contacts: foot contact labels
-    (T, 2) with values 0 or 1.
+
+@dataclass(frozen=True)
+class Windows:
+    """W fixed-length training windows of T frames, stacked.
+
+    r, a, d, valid: the network input, (W, T, ...) as check_inputs checks
+    it; positions: target sensor positions in the pelvis-sensor frame
+    (W, T, 6, 3); rotations: target joint rotations (W, T, 15, 6);
+    contacts: foot contact labels (W, T, 2) with values 0 or 1.
     """
 
     r: np.ndarray
@@ -43,36 +46,28 @@ class TrainingWindow:
     contacts: np.ndarray
 
     def __post_init__(self):
-        arrays = {
-            "r": (np.asarray(self.r, dtype=float), (N_SENSORS, 6)),
-            "a": (np.asarray(self.a, dtype=float), (N_SENSORS, 3)),
-            "d": (np.asarray(self.d, dtype=float), (N_SENSORS, N_SENSORS)),
-            "positions": (np.asarray(self.positions, dtype=float), (N_SENSORS, 3)),
-            "rotations": (np.asarray(self.rotations, dtype=float), (15, 6)),
-            "contacts": (np.asarray(self.contacts, dtype=float), (2,)),
-        }
-        t = arrays["r"][0].shape[0] if arrays["r"][0].ndim > 0 else 0
-        if t < 1:
-            raise DataError("training window must have at least one frame")
-        for name, (arr, tail) in arrays.items():
-            if arr.shape != (t,) + tail:
-                raise DataError(
-                    f"window field {name} has shape {arr.shape}, "
-                    f"expected {(t,) + tail}"
-                )
+        checked = dict(zip(("r", "a", "d", "valid"), check_inputs(self.r, self.a, self.d, self.valid)))
+        lead = checked["r"].shape[:-2]
+        if len(lead) != 2:
+            raise DataError(f"windows need (W, T, 6, 6) orientations, got {checked['r'].shape}")
+        for name, tail in _TARGET_TAILS.items():
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != lead + tail:
+                raise DataError(f"window field {name} has shape {arr.shape}, expected {lead + tail}")
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"window field {name} has non-finite values")
-            object.__setattr__(self, name, arr)
-        valid = np.asarray(self.valid, dtype=bool)
-        if valid.shape != (t, N_SENSORS, N_SENSORS):
-            raise DataError(f"window field valid has shape {valid.shape}")
-        object.__setattr__(self, "valid", valid)
-        if not np.all(np.isin(arrays["contacts"][0], (0.0, 1.0))):
+            checked[name] = arr
+        if not np.all(np.isin(checked["contacts"], (0.0, 1.0))):
             raise DataError("contact labels must be 0 or 1")
+        for name, arr in checked.items():
+            object.__setattr__(self, name, arr)
 
-    @property
-    def frames(self) -> int:
+    def __len__(self) -> int:
         return self.r.shape[0]
+
+    def take(self, index: np.ndarray) -> Windows:
+        """The windows at `index`, in its order, stacked anew."""
+        return Windows(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -125,49 +120,30 @@ class _Adam:
             tensors[name] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _stacked(windows: list[TrainingWindow]) -> dict[str, np.ndarray]:
-    n = len(windows) * windows[0].frames
-
-    def flat(field: str) -> np.ndarray:
-        arr = np.stack([getattr(w, field) for w in windows])
-        return arr.reshape((n,) + arr.shape[2:])
-
-    return {
-        "r": np.stack([w.r for w in windows]),
-        "a": np.stack([w.a for w in windows]),
-        "d": flat("d"),
-        "valid": flat("valid"),
-        "positions": flat("positions"),
-        "rotations": flat("rotations"),
-        "contacts": flat("contacts"),
-    }
-
-
 def batch_loss(
     params: PoseNetParams,
-    windows: list[TrainingWindow],
+    windows: Windows,
     with_grads: bool = True,
 ) -> tuple[float, dict[str, float], dict[str, np.ndarray]]:
-    """Mean loss over a batch of equal-length windows.
+    """Mean loss over a batch of `len(windows)` windows.
 
     Returns the total, the per-group breakdown (position, rotation,
     contact), and the parameter gradients (empty when with_grads is off).
     """
-    if not windows:
-        raise ContractViolationError("empty batch")
-    frames = windows[0].frames
-    if any(w.frames != frames for w in windows):
-        raise ContractViolationError("batch windows must share one length")
-    data = _stacked(windows)
     tape = Tape(grads=with_grads)
     fwd = Forward(tape, params)
-    out = fwd.run(data["r"], data["a"], data["d"], data["valid"])
+    out = fwd.run(windows.r, windows.a, windows.d, windows.valid)
+
+    def rows(x: np.ndarray) -> np.ndarray:
+        # One row per frame, window-major, as Forward.run returns them.
+        return x.reshape((-1,) + x.shape[2:])
+
     pos = position_terms(
-        tape, out["p"], data["positions"], data["d"], data["valid"],
+        tape, out["p"], rows(windows.positions), rows(windows.d), rows(windows.valid),
         params.config.lambda_distance,
     )
-    rot = rotation_term(tape, out["rotations"], data["rotations"])
-    con = contact_term(tape, out["contacts"], data["contacts"])
+    rot = rotation_term(tape, out["rotations"], rows(windows.rotations))
+    con = contact_term(tape, out["contacts"], rows(windows.contacts))
     root = total_loss(tape, pos + [rot, con])
 
     value = float(root.value)
@@ -199,7 +175,7 @@ def _diverged(epoch: int, batch: np.ndarray, value: float, params: PoseNetParams
 
 
 def train(
-    dataset: list[TrainingWindow],
+    dataset: Windows,
     config: PoseNetConfig,
     train_config: TrainSettings | None = None,
     params: PoseNetParams | None = None,
@@ -215,11 +191,6 @@ def train(
     loss (None when the split leaves no validation windows).
     """
     tc = train_config or TrainSettings()
-    if not dataset:
-        raise DataError("empty training dataset")
-    frames = dataset[0].frames
-    if any(w.frames != frames for w in dataset):
-        raise DataError("all training windows must share one length")
     fitted = params.copy() if params is not None else init_params(config, seed)
     if params is not None and params.config != config:
         raise ConfigError("starting parameters built for a different architecture")
@@ -234,7 +205,7 @@ def train(
         running = {"total": 0.0, "position": 0.0, "rotation": 0.0, "contact": 0.0}
         for start in range(0, len(order), tc.batch_size):
             batch = order[start : start + tc.batch_size]
-            value, parts, grads = batch_loss(fitted, [dataset[i] for i in batch])
+            value, parts, grads = batch_loss(fitted, dataset.take(batch))
             if not math.isfinite(value):
                 raise _diverged(epoch, batch, value, fitted)
             adam.step(fitted.tensors, grads, lr)
@@ -255,9 +226,7 @@ def train(
             total = 0.0
             for start in range(0, len(val_idx), tc.batch_size):
                 batch = val_idx[start : start + tc.batch_size]
-                value, _, _ = batch_loss(
-                    fitted, [dataset[i] for i in batch], with_grads=False
-                )
+                value, _, _ = batch_loss(fitted, dataset.take(batch), with_grads=False)
                 total += value * len(batch)
             record["val_loss"] = total / len(val_idx)
         log.append(record)

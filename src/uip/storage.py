@@ -147,7 +147,8 @@ def write_truth(
 _POSE_WIDTHS = {"p": 3, "q": 4}
 
 
-def _finite_number(v) -> bool:
+def finite_number(v) -> bool:
+    """Whether a parsed JSON value is a number (not a bool) that is finite as a float."""
     if isinstance(v, float):
         return math.isfinite(v)
     return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308
@@ -160,7 +161,7 @@ def _truth_frame_problem(rec, n_joints: int) -> str | None:
     for key in ("t", "joints", "sensors"):
         if key not in rec:
             return f"missing key {key!r}"
-    if not _finite_number(rec["t"]):
+    if not finite_number(rec["t"]):
         return "t is not a finite number"
     for key, count in (("joints", n_joints), ("sensors", N_SENSORS)):
         entries = rec[key]
@@ -173,7 +174,7 @@ def _truth_frame_problem(rec, n_joints: int) -> str | None:
                 return f"{key}[{i}] is not an object"
             for field, width in _POSE_WIDTHS.items():
                 v = e.get(field)
-                if not (isinstance(v, list) and len(v) == width and all(map(_finite_number, v))):
+                if not (isinstance(v, list) and len(v) == width and all(map(finite_number, v))):
                     return f"{key}[{i}].{field} is not {width} finite numbers"
     return None
 
@@ -411,17 +412,3 @@ def read_report_json(path: str | Path) -> dict[str, MetricReport]:
         return out
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"report {p} is malformed: {exc}") from exc
-
-
-def write_report_csv(path: str | Path, reports: dict[str, MetricReport]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["split", "sip_error_deg", "pos_error_cm", "jitter_km_s3", "mean_distance_rmse_m"])
-        for tag in ("overall", "slow", "fast"):
-            if tag not in reports:
-                continue
-            rep = reports[tag]
-            rmse = "" if rep.distance_rmse_m is None else repr(float(np.mean(rep.distance_rmse_m)))
-            w.writerow(
-                [tag, repr(rep.sip_error_deg), repr(rep.pos_error_cm), repr(rep.jitter_km_s3), rmse]
-            )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uip.geometry import qangle, qconj, qmul, qnormalize
-from uip.posenet import PoseNetConfig, TrainingWindow
+from uip.posenet import PoseNetConfig, Windows
 from uip.rng import derive_rng
 from uip.skeleton import MotionClip, default_placement, default_skeleton
 from uip.uwb import N_NODES, NodeClock
@@ -48,8 +48,8 @@ def shape_transition(filt, means: np.ndarray, accels: np.ndarray) -> np.ndarray:
     return filt.mean
 
 
-def random_window(rng: np.random.Generator, frames: int = 6) -> TrainingWindow:
-    """A plausible synthetic training window (valid mask, symmetric d)."""
+def _window_draws(rng: np.random.Generator, frames: int) -> dict[str, np.ndarray]:
+    """The fields of one plausible synthetic training window (valid mask, symmetric d)."""
     d0 = rng.uniform(0.3, 1.6, (frames, 6, 6))
     d = (d0 + d0.transpose(0, 2, 1)) / 2.0
     valid = rng.uniform(size=(frames, 6, 6)) < 0.9
@@ -57,7 +57,7 @@ def random_window(rng: np.random.Generator, frames: int = 6) -> TrainingWindow:
     for k in range(frames):
         np.fill_diagonal(d[k], 0.0)
         np.fill_diagonal(valid[k], False)
-    return TrainingWindow(
+    return dict(
         r=rng.normal(0.0, 0.4, (frames, 6, 6)),
         a=rng.normal(0.0, 2.0, (frames, 6, 3)),
         d=d,
@@ -68,6 +68,8 @@ def random_window(rng: np.random.Generator, frames: int = 6) -> TrainingWindow:
     )
 
 
-def random_windows(seed: int, count: int, frames: int = 6) -> list[TrainingWindow]:
+def random_windows(seed: int, count: int, frames: int = 6) -> Windows:
+    """count windows drawn one after another from one seeded stream, stacked."""
     rng = derive_rng(seed, "test", "windows")
-    return [random_window(rng, frames) for _ in range(count)]
+    draws = [_window_draws(rng, frames) for _ in range(count)]
+    return Windows(**{key: np.stack([w[key] for w in draws]) for key in draws[0]})

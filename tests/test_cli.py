@@ -438,3 +438,106 @@ def test_divergence_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_DIVERGED
     assert "divergence: non-finite loss at epoch 1" in capsys.readouterr().err
+
+
+def _stage_args(env, stage: str, data, out) -> list[str]:
+    """Arguments that run `stage` on the input directory data (synthesized for
+    filter, filtered for train and eval)."""
+    if stage == "filter":
+        return ["filter", "--data", str(data), "--out", str(out)]
+    if stage == "train":
+        return ["train", "--data", str(data), "--out", str(out), "--config", str(env.config)]
+    return [
+        "eval", "--checkpoint", str(env.root / "trained" / "checkpoint.json"),
+        "--data", str(data), "--truth", str(env.data), "--out", str(out),
+    ]
+
+
+def _set(key, value):
+    def edit(meta):
+        meta[0][key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(meta):
+        del meta[0][key]
+    return edit
+
+
+def _replace_entry(meta):
+    meta[0] = ["clip_000_walk"]
+
+
+def _repeat_name(meta):
+    meta[1]["name"] = meta[0]["name"]
+
+
+@pytest.mark.parametrize(
+    "edit, why",
+    [
+        (_drop("name"), "clip entry 0: name None is not a plain directory name"),
+        (_set("name", "../clip_000_walk"), "clip entry 0: name '../clip_000_walk' is not a plain directory name"),
+        (_set("name", ".."), "clip entry 0: name '..' is not a plain directory name"),
+        (_set("name", ""), "clip entry 0: name '' is not a plain directory name"),
+        (_repeat_name, "clip entry 1: name 'clip_000_walk' repeats an earlier entry"),
+        (_drop("rate_hz"), "clip entry 0: rate_hz None is not a positive finite number"),
+        (_set("rate_hz", "fast"), "clip entry 0: rate_hz 'fast' is not a positive finite number"),
+        (_set("rate_hz", 0), "clip entry 0: rate_hz 0 is not a positive finite number"),
+        (_set("rate_hz", True), "clip entry 0: rate_hz True is not a positive finite number"),
+        (_set("mean_accel_ms2", float("nan")), "clip entry 0: mean_accel_ms2 nan is not a finite number"),
+        (_replace_entry, "clip entry 0: not an object"),
+    ],
+    ids=[
+        "no-name", "parent-path", "dot-dot", "empty-name", "repeated-name",
+        "no-rate", "rate-string", "rate-zero", "rate-bool", "accel-nan", "not-an-object",
+    ],
+)
+def test_malformed_clip_list_is_a_data_error(env, trained, tmp_path, capsys, edit, why):
+    for stage, source in (("filter", env.data), ("train", env.filt), ("eval", env.filt)):
+        data = tmp_path / stage
+        shutil.copytree(source, data)
+        meta = json.loads((data / "clips.json").read_text())
+        edit(meta)
+        (data / "clips.json").write_text(json.dumps(meta))
+        write_manifest(data, list(read_manifest(data)))
+        assert main(_stage_args(env, stage, data, tmp_path / f"{stage}_out")) == EXIT_DATA, stage
+        assert capsys.readouterr().err == f"data error: {data / 'clips.json'}: {why}\n", stage
+
+
+@pytest.mark.parametrize("stage, first", [("filter", "imu_s0.csv"), ("train", "model_input.jsonl"), ("eval", "model_input.jsonl")])
+def test_a_file_the_manifest_does_not_list_is_a_data_error(env, trained, tmp_path, capsys, stage, first):
+    # A clip copied under a new name and added to clips.json; only clips.json
+    # is hashed anew, so the copied clip's files are in no manifest.
+    data = tmp_path / "input"
+    shutil.copytree(env.data if stage == "filter" else env.filt, data)
+    shutil.copytree(data / "clip_000_walk", data / "clip_002_walk")
+    meta = json.loads((data / "clips.json").read_text())
+    meta.append({**meta[0], "name": "clip_002_walk"})
+    (data / "clips.json").write_text(json.dumps(meta))
+    write_manifest(data, list(read_manifest(data)))
+    assert main(_stage_args(env, stage, data, tmp_path / "out")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {data / 'clip_002_walk' / first} is not listed in {data / 'manifest.json'}\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, entry, value, why",
+    [("a", (2, 1), float("nan"), "frame 5: non-finite a"), ("D", (0, 3), None, "frame 5: distance matrix not symmetric")],
+)
+def test_bad_model_input_is_a_data_error_in_train_and_eval(env, trained, tmp_path, capsys, field, entry, value, why):
+    filt = tmp_path / "filtered"
+    shutil.copytree(env.filt, filt)
+    path = filt / "clip_001_idle" / "model_input.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[5])
+    i, j = entry
+    record[field][i][j] = value if value is not None else record[field][i][j] + 0.01
+    lines[5] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    write_manifest(filt, list(read_manifest(filt)))
+    for stage in ("train", "eval"):
+        assert main(_stage_args(env, stage, filt, tmp_path / stage)) == EXIT_DATA, stage
+        assert capsys.readouterr().err == f"data error: {path}: {why}\n", stage
+        assert not (tmp_path / stage / "manifest.json").exists()

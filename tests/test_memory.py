@@ -30,8 +30,8 @@ def test_default_net_training_batch_peak_memory():
 def test_default_net_inference_peak_memory():
     # One 10 s clip at 100 Hz runs as a single sequence.
     params = init_params(PoseNetConfig(), 2)
-    w = random_windows(32, 1, frames=1000)[0]
-    assert _peak_mb(lambda: infer(params, w.r, w.a, w.d, w.valid)) < 64.0
+    w = random_windows(32, 1, frames=1000)
+    assert _peak_mb(lambda: infer(params, w.r[0], w.a[0], w.d[0], w.valid[0])) < 64.0
 
 
 def test_default_net_checkpoint_peak_memory(tmp_path):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import TINY_NET
 from uip.config import (
     ImuSettings,
     ModelSettings,
@@ -31,12 +32,15 @@ from uip.pipeline import (
     synthesize_dataset,
     train_model,
 )
-from uip.posenet import PoseNetConfig, PoseNetParams
+from uip.posenet import PoseNetConfig, PoseNetParams, Windows, train
+from uip.posenet.train import _split
+from uip.rng import derive_rng
 from uip.skeleton import default_placement, default_skeleton, mount_poses, tpose
 from uip.storage import (
     read_calibration,
     read_imu_csv,
     read_manifest,
+    read_model_input,
     read_ranging_csv,
     read_targets,
     read_truth,
@@ -80,7 +84,7 @@ def trained(pipe):
 
 def test_synth_layout_and_inventory(pipe):
     verify_manifest(pipe.data)
-    meta = read_clip_meta(pipe.data)
+    meta = read_clip_meta(pipe.data / "clips.json")
     assert [m["kind"] for m in meta] == ["walk", "idle"]
     assert all(m["frames"] == FRAMES for m in meta)
     assert all(m["mean_accel_ms2"] > 0.0 for m in meta)
@@ -115,7 +119,7 @@ def test_filter_outputs(pipe):
     cal = read_calibration(pipe.filt / "calibration.json")
     assert cal.inliers > 0
     report = json.loads((pipe.filt / "rmse_report.json").read_text())
-    for m in read_clip_meta(pipe.filt):
+    for m in read_clip_meta(pipe.filt / "clips.json"):
         cdir = pipe.filt / m["name"]
         for stem in ("model_input", "targets"):
             assert (cdir / f"{stem}.jsonl").is_file()
@@ -151,7 +155,7 @@ def test_filter_applies_every_round_below_the_round_rate(tmp_path, monkeypatch):
     assert len(ticks) == 50
     assert len(set(ticks)) == 40
     assert ticks == sorted(ticks)
-    name = read_clip_meta(tmp_path / "data")[0]["name"]
+    name = read_clip_meta(tmp_path / "data" / "clips.json")[0]["name"]
     ranging = read_ranging_csv(tmp_path / "data" / name / "ranging.csv")
     cal = read_calibration(tmp_path / "filt" / "calibration.json")
     # The one clip is the clip axis of a one-clip filter: ranges arrive as (1, 6, 6).
@@ -171,7 +175,7 @@ def _filter_reference(data, filt, out) -> dict:
     gyro_off, accel_off = (np.array(o) for o in zip(*offsets))
     cal = read_calibration(filt / "calibration.json")
     report = {}
-    for m in read_clip_meta(data):
+    for m in read_clip_meta(data / "clips.json"):
         name = m["name"]
         streams = [read_imu_csv(data / name / f"imu_s{s}.csv") for s in range(6)]
         quats, accel_w = orientation_filter(
@@ -219,8 +223,8 @@ def test_filter_groups_clips_by_frame_count(pipe, tmp_path, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(pipe.data, data)
     shutil.copytree(tmp_path / "short" / "clip_000_squat", data / "clip_002_squat")
-    meta = read_clip_meta(data)
-    (squat,) = read_clip_meta(tmp_path / "short")
+    meta = read_clip_meta(data / "clips.json")
+    (squat,) = read_clip_meta(tmp_path / "short" / "clips.json")
     meta.insert(1, {**squat, "name": "clip_002_squat"})
     (data / "clips.json").write_text(json.dumps(meta, indent=2) + "\n")
     files = list(read_manifest(data))
@@ -243,18 +247,75 @@ def test_filter_groups_clips_by_frame_count(pipe, tmp_path, monkeypatch):
 def test_window_math_and_ablation(pipe):
     windows = load_windows([pipe.filt], 16, 8)
     assert len(windows) == WINDOWS
-    assert all(w.frames == 16 for w in windows)
-    assert any(w.valid.any() for w in windows)
+    assert windows.r.shape[:2] == (WINDOWS, 16)
+    assert windows.valid.any()
     starved = load_windows([pipe.filt], 16, 8, no_distances=True)
-    assert not any(w.valid.any() for w in starved)
+    assert not starved.valid.any()
     # distances themselves stay in place; only the mask is cleared
-    assert np.array_equal(starved[0].d, windows[0].d)
+    assert np.array_equal(starved.d, windows.d)
     with pytest.raises(DataError, match="window_frames"):
         load_windows([pipe.filt], 200, 8)
 
 
+def _per_window_reference(fdir, window_frames: int, window_stride: int, no_distances: bool) -> list[dict]:
+    """The per-window path: one dict of per-clip slices per window, in clip order."""
+    windows = []
+    for m in read_clip_meta(fdir / "clips.json"):
+        mi = read_model_input(fdir / m["name"] / "model_input.jsonl")
+        tg = read_targets(fdir / m["name"] / "targets.jsonl")
+        mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
+        for start in range(0, mi["times"].shape[0] - window_frames + 1, window_stride):
+            cut = slice(start, start + window_frames)
+            windows.append(
+                {
+                    "r": mi["r"][cut], "a": mi["a"][cut], "d": mi["d"][cut], "valid": mask[cut],
+                    "positions": tg["positions"][cut], "rotations": tg["rotations"][cut],
+                    "contacts": tg["contacts"][cut],
+                }
+            )
+    return windows
+
+
+def _assert_batch_is_reference(batch: Windows, reference: list[dict], index) -> None:
+    """batch holds the reference windows at index, stacked as one np.stack per field."""
+    for key in reference[0]:
+        want = np.stack([reference[i][key] for i in index])
+        got = getattr(batch, key)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("no_distances", [False, True])
+def test_stacked_windows_and_batches_equal_the_per_window_path(pipe, monkeypatch, no_distances):
+    reference = _per_window_reference(pipe.filt, 16, 8, no_distances)
+    windows = load_windows([pipe.filt], 16, 8, no_distances)
+    _assert_batch_is_reference(windows, reference, range(len(reference)))
+
+    taken = []
+    take = Windows.take
+
+    def recorded_take(self, index):
+        batch = take(self, index)
+        taken.append((np.array(index), batch))
+        return batch
+
+    monkeypatch.setattr(Windows, "take", recorded_take)
+    tc = TrainSettings(epochs=2, batch_size=3, val_fraction=0.25)
+    train(windows, TINY_NET, tc, seed=41)
+    # The batches train takes, in its epoch order: the shuffled training
+    # windows, then the validation windows in index order, every epoch.
+    train_idx, val_idx = _split(len(reference), tc, 41)
+    order = []
+    for epoch in (1, 2):
+        shuffled = derive_rng(41, "train", "epoch", epoch).permutation(train_idx)
+        order += [shuffled[k : k + 3] for k in range(0, len(shuffled), 3)]
+        order += [val_idx[k : k + 3] for k in range(0, len(val_idx), 3)]
+    assert [index.tolist() for index, _ in taken] == [index.tolist() for index in order]
+    for index, batch in taken:
+        _assert_batch_is_reference(batch, reference, index)
+
+
 def test_targets_pin_pelvis_sensor_at_origin(pipe):
-    for m in read_clip_meta(pipe.filt):
+    for m in read_clip_meta(pipe.filt / "clips.json"):
         tg = read_targets(pipe.filt / m["name"] / "targets.jsonl")
         assert np.array_equal(tg["positions"][:, 0], np.zeros((FRAMES, 3)))
 
@@ -263,7 +324,7 @@ def test_target_rotations_recover_truth_locals(pipe):
     from uip.skeleton import default_skeleton
 
     skel = default_skeleton(SMALL.skeleton.height_m)
-    name = read_clip_meta(pipe.filt)[0]["name"]
+    name = read_clip_meta(pipe.filt / "clips.json")[0]["name"]
     tg = read_targets(pipe.filt / name / "targets.jsonl")
     truth = read_truth(pipe.data / name / "truth.jsonl")
     for k in (0, FRAMES // 2, FRAMES - 1):
@@ -280,7 +341,7 @@ def test_target_rotations_recover_truth_locals(pipe):
 
 
 def test_contact_labels_follow_ankle_speed(pipe):
-    by_kind = {m["kind"]: m["name"] for m in read_clip_meta(pipe.filt)}
+    by_kind = {m["kind"]: m["name"] for m in read_clip_meta(pipe.filt / "clips.json")}
     idle = read_targets(pipe.filt / by_kind["idle"] / "targets.jsonl")
     assert np.array_equal(idle["contacts"], np.ones((FRAMES, 2)))
     walk = read_targets(pipe.filt / by_kind["walk"] / "targets.jsonl")
@@ -316,9 +377,10 @@ def test_eval_outputs_and_determinism(pipe, trained):
     verify_manifest(out_a)
     assert "overall" in res["reports"]
     clip_doc = json.loads((out_a / "clip_metrics.json").read_text())
-    assert [c["name"] for c in clip_doc] == [m["name"] for m in read_clip_meta(pipe.filt)]
+    assert [c["name"] for c in clip_doc] == [m["name"] for m in read_clip_meta(pipe.filt / "clips.json")]
     run = json.loads((out_a / "run.json").read_text())
     assert run == {"no_distances": False}
+    assert sorted(read_manifest(out_a)) == ["clip_metrics.json", "report.json", "run.json"]
 
 
 def test_eval_distance_rmse_is_the_filter_stages(trained, tmp_path):
@@ -334,7 +396,7 @@ def test_eval_distance_rmse_is_the_filter_stages(trained, tmp_path):
 
 
 def test_truth_must_match_the_skeleton_and_the_model_input(pipe, trained, tmp_path):
-    name = read_clip_meta(pipe.data)[0]["name"]
+    name = read_clip_meta(pipe.data / "clips.json")[0]["name"]
 
     def rewrite(edit):
         data = tmp_path / "data"

@@ -1,10 +1,12 @@
 """Loss terms: hand-checked values, masking rules, exact gradients."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import TINY_NET, random_windows
 from uip.autodiff import Tape
-from uip.errors import ContractViolationError
+from uip.errors import DataError
 from uip.posenet import (
     batch_loss,
     contact_term,
@@ -191,10 +193,11 @@ def test_batch_loss_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
-def test_batch_loss_rejects_mixed_lengths():
-    params = init_params(TINY_NET, 24)
-    windows = random_windows(24, 1, frames=3) + random_windows(25, 1, frames=4)
-    with pytest.raises(ContractViolationError):
-        batch_loss(params, windows)
-    with pytest.raises(ContractViolationError):
-        batch_loss(params, [])
+def test_windows_share_one_length_and_are_never_empty():
+    # A batch of mixed lengths cannot be stacked and a batch of none is
+    # refused, so batch_loss never sees either.
+    three, four = random_windows(24, 1, frames=3), random_windows(25, 1, frames=4)
+    with pytest.raises(DataError, match=r"input a has shape \(1, 4, 6, 3\), expected \(1, 3, 6, 3\)"):
+        dataclasses.replace(three, a=four.a)
+    with pytest.raises(DataError, match="at least one input frame"):
+        three.take(np.arange(0))

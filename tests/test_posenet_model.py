@@ -6,8 +6,8 @@ import pytest
 
 from conftest import TINY_NET
 from uip.autodiff import Tape
-from uip.errors import ConfigError, ContractViolationError, DataError
-from uip.posenet import ModelInput, PoseNetParams, fusion_weights, infer, init_params, normalize_distances
+from uip.errors import ConfigError, DataError
+from uip.posenet import PoseNetParams, check_inputs, fusion_weights, infer, init_params, normalize_distances
 from uip.posenet.model import Forward
 from uip.rng import derive_rng
 
@@ -29,13 +29,13 @@ def distance_matrix(rng) -> np.ndarray:
     return d
 
 
-def model_input(rng, frames: int, invalid_pairs=()) -> ModelInput:
-    """A (T, ...) stack of plausible frames, drawn frame by frame."""
+def model_input(rng, frames: int, invalid_pairs=()) -> dict[str, np.ndarray]:
+    """A (T, ...) stack of plausible frames, drawn frame by frame: r, a, d, valid."""
     draws = [
         (rng.normal(0.0, 0.4, (6, 6)), rng.normal(0.0, 2.0, (6, 3)), distance_matrix(rng))
         for _ in range(frames)
     ]
-    return ModelInput(
+    return dict(
         r=np.stack([r for r, _, _ in draws]),
         a=np.stack([a for _, a, _ in draws]),
         d=np.stack([d for _, _, d in draws]),
@@ -43,8 +43,8 @@ def model_input(rng, frames: int, invalid_pairs=()) -> ModelInput:
     )
 
 
-def run(params, mi: ModelInput):
-    return infer(params, mi.r, mi.a, mi.d, mi.valid)
+def run(params, mi: dict[str, np.ndarray]):
+    return infer(params, **mi)
 
 
 def values_only(params) -> Forward:
@@ -64,20 +64,54 @@ def spatial_branch(params, r: np.ndarray, d: np.ndarray, valid: np.ndarray) -> n
     return p.value.reshape(6, 3)
 
 
+def _refused(why: str, **inputs) -> None:
+    with pytest.raises(DataError) as err:
+        check_inputs(**inputs)
+    assert str(err.value) == why
+
+
 def test_model_input_validates_shapes_and_symmetry():
     rng = derive_rng(8, "pn", "mi")
     good = model_input(rng, 3)
-    assert good.d.shape == (3, 6, 6)
-    bad_d = good.d.copy()
-    bad_d[1, 0, 1] += 0.01  # breaks symmetry in one frame
-    with pytest.raises(ContractViolationError):
-        ModelInput(r=good.r, a=good.a, d=bad_d, valid=good.valid)
-    diag_d = good.d.copy()
-    diag_d[2, 2, 2] = 0.4
-    with pytest.raises(ContractViolationError):
-        ModelInput(r=good.r, a=good.a, d=diag_d, valid=good.valid)
-    with pytest.raises(ContractViolationError):
-        ModelInput(r=good.r[:, :5], a=good.a, d=good.d, valid=good.valid)
+    r, a, d, valid = check_inputs(**dict(good, valid=good["valid"].astype(int)))
+    assert d.shape == (3, 6, 6) and d.dtype == float and valid.dtype == bool
+    assert all(x.tobytes() == good[k].tobytes() for k, x in zip("rad", (r, a, d)))
+
+    def changed(key, frame, index, value):
+        arr = good[key].copy()
+        arr[(frame,) + index] = value
+        return dict(good, **{key: arr})
+
+    _refused("frame 1: distance matrix not symmetric", **changed("d", 1, (0, 1), 0.7))
+    _refused("frame 2: distance matrix diagonal not zero", **changed("d", 2, (2, 2), 0.4))
+    _refused("frame 2: non-finite a", **changed("a", 2, (4, 1), np.nan))
+    _refused("frame 0: non-finite r", **changed("r", 0, (5, 5), np.inf))
+    _refused("frame 1: non-finite d", **changed("d", 1, (3, 4), -np.inf))
+    # A NaN d entry also breaks symmetry; the first problem in the list is named.
+    _refused("frame 1: non-finite d", **changed("d", 1, (3, 4), np.nan))
+    # The first bad frame is named, whatever its problem.
+    two = changed("a", 2, (0, 0), np.nan)
+    two["d"] = changed("d", 1, (0, 1), 0.7)["d"]
+    _refused("frame 1: distance matrix not symmetric", **two)
+    _refused("input r has shape (3, 5, 6), expected (3, 6, 6)", **dict(good, r=good["r"][:, :5]))
+    _refused("input a has shape (3, 6, 4), expected (3, 6, 3)", **dict(good, a=np.zeros((3, 6, 4))))
+    _refused("input valid has shape (2, 6, 6), expected (3, 6, 6)", **dict(good, valid=good["valid"][:2]))
+    _refused("input d has shape (6, 6), expected (3, 6, 6)", **dict(good, d=good["d"][0]))
+    _refused("need at least one input frame, got leading shape (0,)", **{k: v[:0] for k, v in good.items()})
+
+
+def test_check_inputs_names_a_frame_of_a_window_stack():
+    rng = derive_rng(8, "pn", "stack-check")
+    frames = model_input(rng, 6)
+    stack = {k: v.reshape((2, 3) + v.shape[1:]) for k, v in frames.items()}
+    assert all(x.shape[:2] == (2, 3) for x in check_inputs(**stack))
+    stack["a"] = stack["a"].copy()
+    stack["a"][1, 2, 3, 0] = np.nan
+    _refused("frame (1, 2): non-finite a", **stack)
+    _refused("need at least one input frame, got leading shape (2, 0)", **{k: v[:, :0] for k, v in stack.items()})
+    # infer runs one clip, not a stack of windows.
+    with pytest.raises(DataError, match=r"infer takes one sequence of \(T, 6, 6\) orientations, got \(2, 3, 6, 6\)"):
+        infer(init_params(TINY_NET, 1), **{k: v.reshape((2, 3) + v.shape[1:]) for k, v in frames.items()})
 
 
 def test_normalize_divides_by_head_pelvis():
@@ -235,7 +269,7 @@ def test_infer_shapes_and_determinism():
 
 def test_infer_rejects_empty_sequence():
     params = init_params(TINY_NET, 6)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(DataError, match="need at least one input frame"):
         infer(params, np.zeros((0, 6, 6)), np.zeros((0, 6, 3)), np.zeros((0, 6, 6)), np.zeros((0, 6, 6), bool))
 
 

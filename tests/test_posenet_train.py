@@ -6,14 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import TINY_NET, random_window, random_windows
+from conftest import TINY_NET, random_windows
 from uip.autodiff import Tape
 from uip.errors import CheckpointVersionError, ConfigError, DataError, DivergenceError
 from uip.posenet import (
     PoseNetConfig,
     PoseNetParams,
     TrainSettings,
-    TrainingWindow,
+    Windows,
     batch_loss,
     init_params,
     learning_rate_at,
@@ -54,26 +54,34 @@ def test_adam_first_step_hand_oracle():
 
 
 def test_window_validation():
-    w = random_window(derive_rng(1, "tw"), frames=3)
-    with pytest.raises(DataError):
-        TrainingWindow(
-            r=w.r[:, :5], a=w.a, d=w.d, valid=w.valid,
-            positions=w.positions, rotations=w.rotations, contacts=w.contacts,
-        )
+    w = random_windows(1, 2, frames=3)
+    with pytest.raises(DataError, match=r"input r has shape \(2, 3, 5, 6\), expected \(2, 3, 6, 6\)"):
+        dataclasses.replace(w, r=w.r[:, :, :5])
     soft = w.contacts.copy()
-    soft[0, 0] = 0.5
-    with pytest.raises(DataError):
-        TrainingWindow(
-            r=w.r, a=w.a, d=w.d, valid=w.valid,
-            positions=w.positions, rotations=w.rotations, contacts=soft,
-        )
+    soft[0, 0, 0] = 0.5
+    with pytest.raises(DataError, match="contact labels must be 0 or 1"):
+        dataclasses.replace(w, contacts=soft)
     holed = w.a.copy()
-    holed[1, 2, 0] = np.nan
-    with pytest.raises(DataError):
-        TrainingWindow(
-            r=w.r, a=holed, d=w.d, valid=w.valid,
-            positions=w.positions, rotations=w.rotations, contacts=w.contacts,
-        )
+    holed[1, 2, 0, 0] = np.nan
+    with pytest.raises(DataError, match=r"^frame \(1, 2\): non-finite a$"):
+        dataclasses.replace(w, a=holed)
+    with pytest.raises(DataError, match=r"window field positions has shape \(2, 2, 6, 3\), expected \(2, 3, 6, 3\)"):
+        dataclasses.replace(w, positions=w.positions[:, :2])
+    with pytest.raises(DataError, match="window field rotations has non-finite values"):
+        dataclasses.replace(w, rotations=np.full_like(w.rotations, np.inf))
+    # One clip's (T, ...) arrays are not a stack of windows.
+    with pytest.raises(DataError, match=r"windows need \(W, T, 6, 6\) orientations, got \(3, 6, 6\)"):
+        Windows(**{f.name: getattr(w, f.name)[0] for f in dataclasses.fields(w)})
+
+
+def test_take_stacks_the_indexed_windows_in_order():
+    w = random_windows(2, 5, frames=3)
+    part = w.take(np.array([3, 0, 3]))
+    assert len(part) == 3
+    for f in dataclasses.fields(w):
+        got, full = getattr(part, f.name), getattr(w, f.name)
+        assert got.tobytes() == np.stack([full[3], full[0], full[3]]).tobytes()
+        assert got.dtype == full.dtype
 
 
 def test_batch_loss_records_as_many_tape_ops_for_any_window_length(monkeypatch):
@@ -150,8 +158,9 @@ def test_architecture_mismatch_rejected():
 
 
 def test_empty_dataset_rejected():
-    with pytest.raises(DataError):
-        train([], TINY_NET, TrainSettings(epochs=1))
+    # A training set of no windows cannot be built, so train never sees one.
+    with pytest.raises(DataError, match=r"need at least one input frame, got leading shape \(0, 4\)"):
+        random_windows(3, 2, frames=4).take(np.arange(0))
 
 
 def test_divergence_reports_worst_parameter_norms():

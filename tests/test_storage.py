@@ -31,7 +31,6 @@ from uip.storage import (
     write_manifest,
     write_model_input,
     write_ranging_csv,
-    write_report_csv,
     write_report_json,
     write_targets,
     write_truth,
@@ -366,7 +365,7 @@ def test_targets_roundtrip_and_keys(tmp_path):
     assert back["contacts"].tobytes() == con.tobytes()
 
 
-def test_report_json_roundtrip_and_csv_layout(tmp_path):
+def test_report_json_roundtrip(tmp_path):
     reports = {
         "overall": MetricReport(
             split="overall", sip_error_deg=12.5, pos_error_cm=6.25,
@@ -380,10 +379,3 @@ def test_report_json_roundtrip_and_csv_layout(tmp_path):
     write_report_json(jpath, reports)
     back = read_report_json(jpath)
     assert back == reports
-    cpath = tmp_path / "report.csv"
-    write_report_csv(cpath, reports)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "split,sip_error_deg,pos_error_cm,jitter_km_s3,mean_distance_rmse_m"
-    assert lines[1].startswith("overall,12.5,")
-    assert lines[2].startswith("slow,10.0,")
-    assert len(lines) == 3
