@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .imu import ACCEL_STRIDE
-from .motions import MOTION_KINDS
+from .motions import validate_kind
 from .posenet import PoseNetConfig, TrainSettings
 from .rng import SEED_MAX
 
@@ -47,10 +47,7 @@ class MotionSettings:
         if not self.catalog:
             raise ConfigError("motion catalog is empty")
         for kind in self.catalog:
-            if kind not in MOTION_KINDS:
-                raise ConfigError(
-                    f"unknown motion kind {kind!r}; known: {', '.join(MOTION_KINDS)}"
-                )
+            validate_kind(kind)
         if self.duration_s <= 0.0 or self.rate_hz <= 0.0:
             raise ConfigError("duration_s and rate_hz must be positive")
         _check_segment("motions.duration_s", self.duration_s, self.rate_hz)

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import qfrom_axis_angle, qmul, qnormalize
 from .rng import derive_rng
-from .skeleton import MotionClip, Skeleton, default_skeleton, validate_kind
+from .skeleton import MotionClip, Skeleton, default_skeleton
 
 MOTION_KINDS = (
     "walk",
@@ -25,6 +26,13 @@ MOTION_KINDS = (
     "reach",
     "idle",
 )
+
+
+def validate_kind(kind: str) -> None:
+    """Refuse a kind outside MOTION_KINDS, naming the known ones."""
+    if kind not in MOTION_KINDS:
+        raise ConfigError(f"unknown motion kind '{kind}' (known: {', '.join(MOTION_KINDS)})")
+
 
 LEAD_IN_S = 2.0
 RAMP_S = 1.0
@@ -208,9 +216,6 @@ def _generate_one(
         ch["r_hip"] = [("y", noisy(0.4, 1.0))]
         ch["head"] = [("z", noisy(0.4, 1.2))]
 
-    else:
-        validate_kind(kind, MOTION_KINDS)
-
     meta = {"kind": kind, "seed": seed, "index": index}
     return _build_clip(name, kind, skel, rate, ch, root, meta)
 
@@ -226,7 +231,7 @@ def generate_motion_suite(
     if skel is None:
         skel = default_skeleton()
     for kind in catalog:
-        validate_kind(kind, MOTION_KINDS)
+        validate_kind(kind)
     clips = []
     for i, kind in enumerate(catalog):
         name = f"clip_{i:03d}_{kind.replace('-', '_')}"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .geometry import qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_quat
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
@@ -23,7 +23,6 @@ from .motions import generate_motion_suite
 from .posenet import PoseNetParams, Windows, check_inputs, infer, train
 from .rng import derive_rng
 from .skeleton import (
-    MotionClip,
     N_SENSORS,
     PAIR_I,
     PAIR_J,
@@ -102,7 +101,14 @@ def _round_sigma(cfg: RunConfig, skel, placement, joint_pos, sensor_pos) -> np.n
 
 
 def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
-    """Emit ground truth, raw IMU, and raw ranging for the whole catalog."""
+    """Emit ground truth, raw IMU, and raw ranging for the whole catalog.
+
+    The stationary T-pose segment (`tpose_*` files, the calibration source
+    for the IMU offsets and the affine range correction) and every clip
+    (`<clip>/` files) go through one segment writer: six IMU logs, each
+    drawn from its own `imu` rng, and one ranging log from the `uwb` rng,
+    both keyed by "tpose" or the clip index.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     skel, placement = _setup(cfg)
@@ -115,27 +121,31 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
     )
     written: list[str] = []
 
-    # Stationary T-pose segment: calibration source for IMU offsets and
-    # the affine range correction.
+    def write_segment(sensor_pos, sensor_rot, joint_pos, starts, prefix: str, key) -> None:
+        """IMU logs from the (T, 6, ...) sensor poses, ranging at the frames nearest the round starts."""
+        for s in range(N_SENSORS):
+            stream = synthesize_imu(
+                sensor_pos[:, s], sensor_rot[:, s], noise[s], derive_rng(cfg.seed, "imu", key, s), dt=1.0 / rate
+            )
+            write_imu_csv(out / f"{prefix}imu_s{s}.csv", stream)
+            written.append(f"{prefix}imu_s{s}.csv")
+        frame = np.minimum(np.rint(starts * rate).astype(int), sensor_pos.shape[0] - 1)
+        ranging = simulate_stream(
+            starts,
+            sensor_pos[frame],
+            clocks,
+            derive_rng(cfg.seed, "uwb", key),
+            drop_prob=cfg.uwb.drop_prob,
+            sigma=_round_sigma(cfg, skel, placement, joint_pos[frame], sensor_pos[frame]),
+        )
+        write_ranging_csv(out / f"{prefix}ranging.csv", ranging)
+        written.append(f"{prefix}ranging.csv")
+
     jp_t, jr_t = tpose(skel)
     spos_t, srot_t = mount_poses(placement.mounts, jp_t, jr_t)
     n_tpose = int(round(cfg.imu.tpose_seconds * rate))
-    for s in range(N_SENSORS):
-        pos, rot = np.tile(spos_t[s], (n_tpose, 1)), np.tile(srot_t[s], (n_tpose, 1))
-        stream = synthesize_imu(pos, rot, noise[s], derive_rng(cfg.seed, "imu", "tpose", s), dt=1.0 / rate)
-        name = f"tpose_imu_s{s}.csv"
-        write_imu_csv(out / name, stream)
-        written.append(name)
-    ranging_t = simulate_stream(
-        round_times(cfg.imu.tpose_seconds),
-        spos_t,
-        clocks,
-        derive_rng(cfg.seed, "uwb", "tpose"),
-        drop_prob=cfg.uwb.drop_prob,
-        sigma=_round_sigma(cfg, skel, placement, jp_t, spos_t),
-    )
-    write_ranging_csv(out / "tpose_ranging.csv", ranging_t)
-    written.append("tpose_ranging.csv")
+    still = [np.broadcast_to(x, (n_tpose,) + x.shape) for x in (spos_t, srot_t, jp_t)]
+    write_segment(*still, round_times(cfg.imu.tpose_seconds), "tpose_", "tpose")
 
     clips = generate_motion_suite(cfg.seed, cfg.motions.catalog, cfg.motions.duration_s, rate, skel)
     meta = []
@@ -148,25 +158,7 @@ def synthesize_dataset(cfg: RunConfig, out_dir: str | Path) -> dict:
         write_truth(cdir / "truth.jsonl", times, joint_pos, joint_rot, sensor_pos, sensor_rot)
         written.append(f"{clip.name}/truth.jsonl")
         mean_accel = float(np.linalg.norm(synthesize_accel(sensor_pos, dt=1.0 / rate), axis=2).mean())
-        for s in range(N_SENSORS):
-            stream = synthesize_imu(
-                sensor_pos[:, s], sensor_rot[:, s], noise[s], derive_rng(cfg.seed, "imu", idx, s), dt=1.0 / rate
-            )
-            name = f"{clip.name}/imu_s{s}.csv"
-            write_imu_csv(cdir / f"imu_s{s}.csv", stream)
-            written.append(name)
-        starts = round_times(clip.duration)
-        frame = np.minimum(np.rint(starts * rate).astype(int), clip.n_frames - 1)
-        ranging = simulate_stream(
-            starts,
-            sensor_pos[frame],
-            clocks,
-            derive_rng(cfg.seed, "uwb", idx),
-            drop_prob=cfg.uwb.drop_prob,
-            sigma=_round_sigma(cfg, skel, placement, joint_pos[frame], sensor_pos[frame]),
-        )
-        write_ranging_csv(cdir / "ranging.csv", ranging)
-        written.append(f"{clip.name}/ranging.csv")
+        write_segment(sensor_pos, sensor_rot, joint_pos, round_times(clip.duration), f"{clip.name}/", idx)
         meta.append(
             {
                 "name": clip.name,
@@ -582,11 +574,12 @@ def evaluate_model(
 
 
 def summarize_runs(run_dirs: list[str | Path]) -> str:
-    """Text table over eval directories: one row per run and split."""
+    """Text table over eval directories, each report checked against its
+    directory's manifest: one row per run and split."""
     header = f"{'run':<28} {'split':<8} {'sip_deg':>9} {'pos_cm':>9} {'jitter':>9}"
     lines = [header, "-" * len(header)]
     for d in run_dirs:
-        reports = read_report_json(Path(d) / "report.json")
+        reports = read_report_json(_Listed(d).file("report.json"))
         for tag in ("overall", "slow", "fast"):
             if tag not in reports:
                 continue

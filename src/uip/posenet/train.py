@@ -66,8 +66,14 @@ class Windows:
         return self.r.shape[0]
 
     def take(self, index: np.ndarray) -> Windows:
-        """The windows at `index`, in its order, stacked anew."""
-        return Windows(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+        """The windows at `index`, in its order, stacked anew. The stack was
+        checked when it was built, so its slices are not checked again."""
+        batch = object.__new__(Windows)
+        for f in fields(self):
+            object.__setattr__(batch, f.name, getattr(self, f.name)[index])
+        if not len(batch):
+            check_inputs(batch.r, batch.a, batch.d, batch.valid)  # refuses the empty stack by its shape
+        return batch
 
 
 @dataclass(frozen=True)

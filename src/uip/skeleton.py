@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError
+from .errors import ContractViolationError
 from .geometry import qfrom_axis_angle, qmul, qnormalize, qrotate
 
 PELVIS_SENSOR = 0
@@ -296,8 +296,3 @@ def pairwise_occlusion(
     out = np.zeros((sp.shape[0], N_SENSORS, N_SENSORS))
     out[:, PAIR_I, PAIR_J] = out[:, PAIR_J, PAIR_I] = np.where(too_short, 0.0, share)
     return out.reshape(lead + (N_SENSORS, N_SENSORS))
-
-
-def validate_kind(kind: str, known: tuple[str, ...]) -> None:
-    if kind not in known:
-        raise ConfigError(f"unknown motion kind '{kind}' (known: {', '.join(known)})")

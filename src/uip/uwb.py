@@ -8,11 +8,12 @@ answers node i's earlier transmission and
 
     tof_ij = 0.5 * (t_i_received - t_i_sent + t_j_received - t_j_sent)
 
-A round is array code over the (6,) send stamps and the (6, 6) receive
-stamps, recv[r, s] being node r's stamp of node s's message; only the
-random draws (a drop, then noise, per message) run one message at a time,
-in a fixed order. `simulate_stream` runs one round per `round_times` entry
-on a (R, 6, 3) position stack and an optional (R, 6, 6) sigma stack.
+`simulate_stream` runs one round per `round_times` entry on a (R, 6, 3)
+position stack and an optional (R, 6, 6) sigma stack, as array code over
+all rounds at once: the (R, 6) send stamps and the (R, 6, 6) receive
+stamps, recv[k, r, s] being node r's stamp of node s's message in round
+k. Only the random draws (a drop, then noise, per message) run one
+message at a time, round by round, in a fixed order.
 
 Send/receive stamps are read through each node's own clock (offset +
 multiplicative skew). Offsets cancel exactly in the formula; skew leaves
@@ -96,63 +97,6 @@ def resolve_tof(t_i_sent, t_i_received, t_j_received, t_j_sent):
     return 0.5 * (t_i_received - t_i_sent + t_j_received - t_j_sent)
 
 
-def run_ranging_round(
-    positions: np.ndarray,
-    clocks: tuple[NodeClock, ...],
-    rng: np.random.Generator | None = None,
-    *,
-    t_start: float = 0.0,
-    drop_prob: float = 0.0,
-    sigma: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one round at frozen node positions (6, 3).
-
-    sigma: (6, 6) symmetric range noise sigmas in meters, or None for
-    noise-free. Dropped receptions (probability drop_prob each) invalidate
-    exactly the pairs that needed them. Returns the (6, 6) resolved
-    distances (symmetric, 0 on the diagonal and for invalid pairs) and
-    the (6, 6) validity mask.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.shape != (N_NODES, 3):
-        raise ContractViolationError(f"expected positions ({N_NODES}, 3), got {positions.shape}")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (N_NODES, N_NODES):
-            raise ContractViolationError(f"expected sigma ({N_NODES}, {N_NODES}), got {sigma.shape}")
-
-    # The random draws, message by message: a drop, then (if kept) noise.
-    received = ~np.eye(N_NODES, dtype=bool)
-    noise = np.zeros((N_NODES, N_NODES))
-    noisy = sigma is not None and bool((sigma[received] > 0.0).any())
-    if noisy and rng is None:
-        raise ContractViolationError("noise requested without an rng")
-    if rng is not None and (noisy or drop_prob > 0.0):
-        scale = sigma * math.sqrt(2.0) / SPEED_OF_LIGHT if noisy else None
-        for r, s in _MESSAGES:
-            if drop_prob > 0.0 and rng.random() < drop_prob:
-                received[r, s] = False
-            elif noisy and sigma[r, s] > 0.0:
-                noise[r, s] = rng.normal(0.0, scale[r, s])
-
-    gain = 1.0 + np.array([c.skew_ppm for c in clocks]) * 1e-6
-    offset = np.array([c.offset for c in clocks])
-    delay = np.array([c.antenna_delay for c in clocks])
-    tx = t_start + np.arange(N_NODES) * SLOT_S
-    send = gain * tx + offset
-    diff = positions[:, None, :] - positions[None, :, :]
-    # This matmul form rounds like the per-vector np.linalg.norm.
-    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    arrival = (tx + delay)[None, :] + dist / SPEED_OF_LIGHT + delay[:, None]
-    recv = gain[:, None] * arrival + offset[:, None] + noise
-
-    # Pair (i, j), i < j, from i's stamp of j's reply and j's stamp of i's message.
-    tof = resolve_tof(send[:, None], recv, recv.T, send[None, :])
-    valid = received & received.T
-    distances = np.where(valid, np.where(_UPPER, tof, tof.T) * SPEED_OF_LIGHT, 0.0)
-    return distances, valid
-
-
 @dataclass
 class RawDistanceStream:
     """Per-round resolved distances at the round rate."""
@@ -176,28 +120,56 @@ def simulate_stream(
     drop_prob: float = 0.0,
     sigma: np.ndarray | None = None,
 ) -> RawDistanceStream:
-    """One round per start time: positions (R, 6, 3) and sigma (R, 6, 6) or
-    None; a single (6, 3) or (6, 6) array stands for every round."""
+    """One round per start time (R,) at frozen node positions (R, 6, 3).
+
+    sigma: (R, 6, 6) symmetric range noise sigmas in meters, or None for
+    noise-free. A single (6, 3) position or (6, 6) sigma array stands for
+    every round.
+    Dropped receptions (probability drop_prob each) invalidate exactly the
+    pairs that needed them: a round's distances are symmetric, 0 on the
+    diagonal and for invalid pairs.
+    """
     times = np.asarray(times, dtype=float)
     n_rounds = times.shape[0]
     try:
-        positions = np.broadcast_to(positions, (n_rounds, N_NODES, 3))
+        positions = np.broadcast_to(np.asarray(positions, dtype=float), (n_rounds, N_NODES, 3))
         if sigma is not None:
-            sigma = np.broadcast_to(sigma, (n_rounds, N_NODES, N_NODES))
+            sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (n_rounds, N_NODES, N_NODES))
     except ValueError as exc:
         raise ContractViolationError(f"positions or sigma do not fit {n_rounds} rounds: {exc}") from exc
-    dists = np.zeros((n_rounds, N_NODES, N_NODES))
-    valid = np.zeros((n_rounds, N_NODES, N_NODES), dtype=bool)
-    for k in range(n_rounds):
-        dists[k], valid[k] = run_ranging_round(
-            positions[k],
-            clocks,
-            rng,
-            t_start=times[k],
-            drop_prob=drop_prob,
-            sigma=None if sigma is None else sigma[k],
-        )
-    return RawDistanceStream(times, dists, valid)
+
+    # The random draws, round by round and message by message: a drop,
+    # then (if kept) noise.
+    off_diag = ~np.eye(N_NODES, dtype=bool)
+    received = np.broadcast_to(off_diag, (n_rounds, N_NODES, N_NODES)).copy()
+    noise = np.zeros((n_rounds, N_NODES, N_NODES))
+    noisy = sigma is not None and bool((sigma[:, off_diag] > 0.0).any())
+    if noisy and rng is None:
+        raise ContractViolationError("noise requested without an rng")
+    if rng is not None and (noisy or drop_prob > 0.0):
+        scale = sigma * math.sqrt(2.0) / SPEED_OF_LIGHT if noisy else None
+        for k in range(n_rounds):
+            for r, s in _MESSAGES:
+                if drop_prob > 0.0 and rng.random() < drop_prob:
+                    received[k, r, s] = False
+                elif noisy and sigma[k, r, s] > 0.0:
+                    noise[k, r, s] = rng.normal(0.0, scale[k, r, s])
+
+    skew, offset, delay = np.array([(c.skew_ppm, c.offset, c.antenna_delay) for c in clocks]).T
+    gain = 1.0 + skew * 1e-6
+    tx = times[:, None] + np.arange(N_NODES) * SLOT_S
+    send = gain * tx + offset
+    diff = positions[:, :, None, :] - positions[:, None, :, :]
+    # This matmul form rounds like the per-vector np.linalg.norm.
+    dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    arrival = (tx + delay)[:, None, :] + dist / SPEED_OF_LIGHT + delay[:, None]
+    recv = gain[:, None] * arrival + offset[:, None] + noise
+
+    # Pair (i, j), i < j, from i's stamp of j's reply and j's stamp of i's message.
+    tof = resolve_tof(send[:, :, None], recv, recv.transpose(0, 2, 1), send[:, None, :])
+    valid = received & received.transpose(0, 2, 1)
+    distances = np.where(valid, np.where(_UPPER, tof, tof.transpose(0, 2, 1)) * SPEED_OF_LIGHT, 0.0)
+    return RawDistanceStream(times, distances, valid)
 
 
 @dataclass(frozen=True)

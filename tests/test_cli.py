@@ -365,6 +365,36 @@ def _eval(env, ckpt, out):
     )
 
 
+@pytest.mark.parametrize("damage", ["tampered", "unlisted", "missing"])
+def test_report_prints_only_a_report_the_manifest_vouches_for(env, trained, tmp_path, capsys, damage):
+    edir = tmp_path / "eval"
+    assert _eval(env, trained / "checkpoint.json", edir) == 0
+    capsys.readouterr()
+    report = edir / "report.json"
+    doc = json.loads(report.read_text())
+    assert main(["report", "--run", str(edir)]) == 0
+    rows = [
+        f"{'eval':<28} {tag:<8} {r['sip_error_deg']:>9.3f} {r['pos_error_cm']:>9.3f} {r['jitter_km_s3']:>9.4f}"
+        for tag, r in doc.items()
+    ]
+    assert capsys.readouterr().out.splitlines()[2:] == rows
+
+    if damage == "tampered":
+        doc["overall"]["pos_error_cm"] = 1.0
+        report.write_text(json.dumps(doc, indent=2) + "\n")
+        why = f"hash mismatch for {report}"
+    elif damage == "unlisted":
+        write_manifest(edir, [name for name in read_manifest(edir) if name != "report.json"])
+        why = f"{report} is not listed in {edir / 'manifest.json'}"
+    else:
+        report.unlink()
+        why = f"manifest lists missing file {report}"
+    assert main(["report", "--run", str(edir)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: {why}")
+
+
 def test_stale_checkpoint_is_a_data_error(env, trained, tmp_path, capsys):
     tdir = tmp_path / "trained"
     shutil.copytree(trained, tdir)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import check_continuity
+from uip.config import MotionSettings
 from uip.errors import ConfigError
 from uip.geometry import qangle, qconj, qmul
 from uip.motions import LEAD_IN_S, MOTION_KINDS, generate_motion_suite
@@ -94,3 +95,12 @@ def test_reach_arms_move_independently(skel):
 def test_unknown_kind_rejected(skel):
     with pytest.raises(ConfigError, match="moonwalk"):
         generate_motion_suite(7, ("moonwalk",), DURATION, RATE, skel)
+
+
+def test_config_and_suite_refuse_an_unknown_kind_alike(skel):
+    with pytest.raises(ConfigError) as from_config:
+        MotionSettings(catalog=("walk", "moonwalk"))
+    with pytest.raises(ConfigError) as from_suite:
+        generate_motion_suite(7, ("walk", "moonwalk"), DURATION, RATE, skel)
+    assert str(from_config.value) == str(from_suite.value)
+    assert str(from_suite.value) == f"unknown motion kind 'moonwalk' (known: {', '.join(MOTION_KINDS)})"

@@ -1,5 +1,6 @@
 """End-to-end stage behavior on a desk-scale dataset."""
 import dataclasses
+import importlib
 import json
 import shutil
 from types import SimpleNamespace
@@ -312,6 +313,22 @@ def test_stacked_windows_and_batches_equal_the_per_window_path(pipe, monkeypatch
     assert [index.tolist() for index, _ in taken] == [index.tolist() for index in order]
     for index, batch in taken:
         _assert_batch_is_reference(batch, reference, index)
+
+
+def test_train_checks_the_loaded_windows_once_and_no_batch(pipe, monkeypatch):
+    train_module = importlib.import_module("uip.posenet.train")  # the package's `train` is the function
+    checked = []
+    check_inputs = train_module.check_inputs
+
+    def counted(*inputs):
+        checked.append(inputs[0].shape)
+        return check_inputs(*inputs)
+
+    monkeypatch.setattr(train_module, "check_inputs", counted)
+    windows = load_windows([pipe.filt], 16, 8, False)
+    assert checked == [windows.r.shape]
+    train(windows, TINY_NET, TrainSettings(epochs=2, batch_size=3, val_fraction=0.25), seed=41)
+    assert checked == [windows.r.shape]
 
 
 def test_targets_pin_pelvis_sensor_at_origin(pipe):

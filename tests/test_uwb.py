@@ -18,7 +18,6 @@ from uip.uwb import (
     ransac_affine_calibrate,
     resolve_tof,
     round_times,
-    run_ranging_round,
     sample_clocks,
     simulate_stream,
 )
@@ -92,49 +91,70 @@ def random_sigma(rng) -> np.ndarray:
     return np.triu(sigma, 1) + np.triu(sigma, 1).T
 
 
+def one_round(positions, clocks, rng=None, **kwargs):
+    """The distances and validity of a one-round stream starting at t = 0."""
+    stream = simulate_stream(np.zeros(1), positions, clocks, rng, **kwargs)
+    return stream.distances[0], stream.valid[0]
+
+
+def assert_stream_equals_scalar_rounds(stream, times, pos, clocks, ref_rng, drop_prob, sigma):
+    """Every round's bytes equal scalar_round run round by round on ref_rng."""
+    assert stream.distances.shape == stream.valid.shape == (times.shape[0], N_NODES, N_NODES)
+    for k, t_start in enumerate(times):
+        want = scalar_round(
+            pos[k], clocks, ref_rng, t_start=t_start, drop_prob=drop_prob, sigma=None if sigma is None else sigma[k]
+        )
+        assert stream.distances[k].tobytes() == want[0].tobytes()
+        assert np.array_equal(stream.valid[k], want[1])
+
+
 def test_array_round_equals_scalar_round_bitwise():
+    """Streams of 0, 1 and several rounds, with and without per-round sigma
+    stacks (some entries and some whole rounds noise-free), equal scalar
+    rounds drawing from one rng, to the bit and to the final rng state."""
     setup = derive_rng(6, "uwb", "bitwise")
     mismatched = 0
     for trial in range(1000):
         clocks = sample_clocks(setup, skew_ppm_sigma=5.0, offset_sigma=10.0, antenna_delay_ns=0.5)
-        pos = body_positions(setup)
-        t_start = float(setup.uniform(0.0, 60.0))
+        n_rounds = (0, 1, 2, 5)[trial % 4]
+        times = float(setup.uniform(0.0, 60.0)) + 0.04 * np.arange(n_rounds)
+        pos = np.array([body_positions(setup) for _ in times]).reshape(n_rounds, N_NODES, 3)
         drop_prob = (0.0, 0.2, 0.6)[trial % 3]
-        sigma = random_sigma(setup) if trial % 4 else None
+        sigma = None
+        if trial % 5:
+            sigma = np.array([random_sigma(setup) * (setup.uniform() > 0.2) for _ in times])
+            sigma = sigma.reshape(n_rounds, N_NODES, N_NODES)
         seed = int(setup.integers(1 << 30))
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = scalar_round(pos, clocks, ref_rng, t_start=t_start, drop_prob=drop_prob, sigma=sigma)
-        got = run_ranging_round(pos, clocks, rng, t_start=t_start, drop_prob=drop_prob, sigma=sigma)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.array_equal(got[1], want[1])
+        stream = simulate_stream(times, pos, clocks, rng, drop_prob=drop_prob, sigma=sigma)
+        assert_stream_equals_scalar_rounds(stream, times, pos, clocks, ref_rng, drop_prob, sigma)
         # same draws in the same order
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        mismatched += not want[1][~np.eye(N_NODES, dtype=bool)].all()
-    assert mismatched > 300  # drops were exercised
+        mismatched += int((~stream.valid[:, ~np.eye(N_NODES, dtype=bool)]).any(axis=1).sum())
+    assert mismatched > 600  # drops were exercised
 
 
 def test_array_round_without_rng_equals_scalar_round():
     setup = derive_rng(6, "uwb", "norng")
-    for _ in range(50):
+    for trial in range(50):
         clocks = sample_clocks(setup, skew_ppm_sigma=5.0, offset_sigma=10.0)
-        pos = body_positions(setup)
-        t_start = float(setup.uniform(0.0, 60.0))
-        zero = np.zeros((N_NODES, N_NODES))
+        n_rounds = (0, 1, 4)[trial % 3]
+        times = float(setup.uniform(0.0, 60.0)) + 0.04 * np.arange(n_rounds)
+        pos = np.array([body_positions(setup) for _ in times]).reshape(n_rounds, N_NODES, 3)
+        zero = np.zeros((n_rounds, N_NODES, N_NODES))
         for sigma in (None, zero):
-            want = scalar_round(pos, clocks, t_start=t_start, drop_prob=0.5, sigma=sigma)
-            got = run_ranging_round(pos, clocks, t_start=t_start, drop_prob=0.5, sigma=sigma)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert np.array_equal(got[1], want[1])
-            assert np.array_equal(got[1], ~np.eye(N_NODES, dtype=bool))
+            stream = simulate_stream(times, pos, clocks, drop_prob=0.5, sigma=sigma)
+            assert_stream_equals_scalar_rounds(stream, times, pos, clocks, None, 0.5, sigma)
+            assert np.array_equal(stream.valid, np.broadcast_to(~np.eye(N_NODES, dtype=bool), stream.valid.shape))
     with pytest.raises(ContractViolationError, match="without an rng"):
-        run_ranging_round(body_positions(), ideal_clocks(), sigma=np.full((N_NODES, N_NODES), 0.05))
+        one_round(body_positions(), ideal_clocks(), sigma=np.full((N_NODES, N_NODES), 0.05))
 
 
 def test_round_rejects_bad_shapes():
     with pytest.raises(ContractViolationError):
-        run_ranging_round(body_positions()[:5], ideal_clocks())
+        one_round(body_positions()[:5], ideal_clocks())
     with pytest.raises(ContractViolationError):
-        run_ranging_round(body_positions(), ideal_clocks(), sigma=np.zeros((5, 5)))
+        one_round(body_positions(), ideal_clocks(), sigma=np.zeros((5, 5)))
     with pytest.raises(ContractViolationError):
         simulate_stream(round_times(0.2), np.zeros((4, N_NODES, 3)), ideal_clocks())
     with pytest.raises(ContractViolationError):
@@ -158,7 +178,7 @@ def test_resolve_tof_oracle():
 
 def test_clean_round_resolves_geometry():
     pos = body_positions()
-    distances, valid = run_ranging_round(pos, ideal_clocks())
+    distances, valid = one_round(pos, ideal_clocks())
     truth = truth_matrix(pos)
     assert valid[~np.eye(N_NODES, dtype=bool)].all()
     assert np.allclose(distances, truth, atol=1e-9)
@@ -171,7 +191,7 @@ def test_clock_offsets_cancel_exactly():
         NodeClock(offset=float(o), skew_ppm=0.0, antenna_delay=0.0)
         for o in (3.0, -12.5, 0.001, 7.7, -0.4, 123.0)
     )
-    distances, _ = run_ranging_round(pos, clocks)
+    distances, _ = one_round(pos, clocks)
     assert np.allclose(distances, truth_matrix(pos), atol=1e-6)
 
 
@@ -179,7 +199,7 @@ def test_antenna_delay_bias_is_sum_of_delays():
     pos = body_positions()
     delays = (1e-9, 2e-9, 0.5e-9, 3e-9, 1.5e-9, 2.5e-9)
     clocks = tuple(NodeClock(offset=0.0, skew_ppm=0.0, antenna_delay=d) for d in delays)
-    distances, _ = run_ranging_round(pos, clocks)
+    distances, _ = one_round(pos, clocks)
     truth = truth_matrix(pos)
     for i, j in PAIRS:
         want_bias = SPEED_OF_LIGHT * (delays[i] + delays[j])
@@ -190,7 +210,7 @@ def test_skew_error_stays_bounded():
     pos = body_positions()
     skew_ppm = 20.0  # far above spec hardware, still small over a slot
     clocks = tuple(NodeClock(offset=0.0, skew_ppm=skew_ppm, antenna_delay=0.0) for _ in range(6))
-    distances, _ = run_ranging_round(pos, clocks)
+    distances, _ = one_round(pos, clocks)
     err = np.abs(distances - truth_matrix(pos))
     # bound: skew * max reply delay (5 slots of 2 ms) * c
     assert err.max() < skew_ppm * 1e-6 * 0.01 * SPEED_OF_LIGHT + 1e-9
@@ -202,7 +222,7 @@ def test_noise_sigma_comes_out_as_configured():
     sigma = 0.05
     samples = []
     for _ in range(3000):
-        distances, _ = run_ranging_round(pos, ideal_clocks(), rng, sigma=np.full((N_NODES, N_NODES), sigma))
+        distances, _ = one_round(pos, ideal_clocks(), rng, sigma=np.full((N_NODES, N_NODES), sigma))
         samples.append(distances[0, 1])
     err = np.array(samples) - truth_matrix(pos)[0, 1]
     assert abs(err.std() - sigma) < 0.004
@@ -214,7 +234,7 @@ def test_drops_invalidate_only_affected_pairs():
     rng = derive_rng(6, "uwb", "drop")
     seen_partial = False
     for _ in range(40):
-        distances, valid = run_ranging_round(pos, ideal_clocks(), rng, drop_prob=0.3)
+        distances, valid = one_round(pos, ideal_clocks(), rng, drop_prob=0.3)
         off_diag = ~np.eye(N_NODES, dtype=bool)
         n_valid = valid[off_diag].sum()
         if 0 < n_valid < 30:
@@ -229,9 +249,7 @@ def test_drops_invalidate_only_affected_pairs():
 
 
 def test_drop_prob_one_kills_everything():
-    _, valid = run_ranging_round(
-        body_positions(), ideal_clocks(), derive_rng(6, "uwb", "all"), drop_prob=1.0
-    )
+    _, valid = one_round(body_positions(), ideal_clocks(), derive_rng(6, "uwb", "all"), drop_prob=1.0)
     assert not valid.any()
 
 
