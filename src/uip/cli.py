@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint against ground truth")
-    p.add_argument("--checkpoint", required=True, help="checkpoint JSON file")
+    p.add_argument("--checkpoint", required=True, help="checkpoint header (JSON); its .npy tensor body lies beside it")
     p.add_argument("--data", required=True, help="filtered directory to run inference on")
     p.add_argument("--truth", required=True, help="synthesized dataset directory with ground truth")
     p.add_argument("--out", required=True, help="output directory for reports")

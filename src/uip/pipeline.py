@@ -1,7 +1,7 @@
 """Pipeline stages behind the CLI: synth, filter, train, eval, report.
 
 Each stage reads hashed inputs, derives every random stream from the run
-seed, and writes text artifacts plus a manifest, so a stage rerun with
+seed, and writes its artifacts plus a manifest, so a stage rerun with
 identical inputs reproduces identical bytes. No stage mutates its input
 directory.
 """
@@ -20,7 +20,7 @@ from .geometry import qconj, qfrom_rot6d, qmul, qnormalize, qrotate, rot6d_from_
 from .imu import ImuNoiseModel, orientation_filter, synthesize_accel, synthesize_imu, tpose_calibrate
 from .metrics import ClipMetrics, SIP_JOINTS, jitter, position_error, sip_error, split_by_acceleration
 from .motions import generate_motion_suite
-from .posenet import PoseNetParams, Windows, check_inputs, infer, train
+from .posenet import PoseNetParams, Windows, check_inputs, checkpoint_body, infer, train
 from .rng import derive_rng
 from .skeleton import (
     N_SENSORS,
@@ -385,8 +385,8 @@ def filter_dataset(dataset_dir: str | Path, out_dir: str | Path) -> dict:
         targets_pos = _pelvis_frame_targets(truth.sensor_pos, truth.sensor_rot)
         targets_rot = _local_rotations(skel, truth.joint_rot)
         contacts = _contact_labels(skel, truth.joint_pos, rate)
-        write_targets(cdir_out / "targets.jsonl", truth.times, targets_pos, targets_rot, contacts)
-        written += [f"{name}/model_input.jsonl", f"{name}/targets.jsonl"]
+        write_targets(cdir_out / "targets.npy", truth.times, targets_pos, targets_rot, contacts)
+        written += [f"{name}/model_input.jsonl", f"{name}/targets.npy"]
 
         rmse_report[name] = _distance_rmse(truth.sensor_pos, ranging, cal, d_stream, rate)
 
@@ -463,7 +463,7 @@ def load_windows(
         for entry in read_clip_meta(fdir.file(CLIPS_FILE)):
             name = entry["name"]
             inputs = _read_network_input(fdir, name, no_distances)
-            tg = read_targets(fdir.file(f"{name}/targets.jsonl"))
+            tg = read_targets(fdir.file(f"{name}/targets.npy"))
             frames = inputs[0].shape[0]
             if tg["times"].shape[0] != frames:
                 raise DataError(f"{name}: target stream length differs from model input")
@@ -488,13 +488,14 @@ def train_model(
     params, log = train(windows, cfg.model.network(), cfg.train, seed=cfg.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params.save(out / "checkpoint.json")
+    checkpoint = out / "checkpoint.json"
+    params.save(checkpoint)
     (out / "train_log.json").write_text(json.dumps(log, indent=2) + "\n")
     (out / "run.json").write_text(
         json.dumps({"no_distances": no_distances, "n_windows": len(windows)}, indent=2) + "\n"
     )
     cfg.save(out / CONFIG_FILE)
-    write_manifest(out, ["checkpoint.json", "train_log.json", "run.json", CONFIG_FILE])
+    write_manifest(out, [checkpoint.name, checkpoint_body(checkpoint).name, "train_log.json", "run.json", CONFIG_FILE])
     return params, log
 
 
@@ -507,11 +508,15 @@ def evaluate_model(
 ) -> dict:
     """Run inference over each clip and score it against ground truth.
 
-    The checkpoint must be listed in, and match, the manifest of its
-    directory, which `train_model` writes next to it.
+    The checkpoint's header and its tensor body must both be listed in,
+    and match, the manifest of their directory, which `train_model`
+    writes next to them.
     """
     checkpoint = Path(checkpoint)
-    params = PoseNetParams.load(_Listed(checkpoint.parent).file(checkpoint.name))
+    checkpoint_dir = _Listed(checkpoint.parent)
+    header = checkpoint_dir.file(checkpoint.name)
+    checkpoint_dir.file(checkpoint_body(checkpoint).name)
+    params = PoseNetParams.load(header)
     fdir = _Listed(filtered_dir)
     tdir = _Listed(truth_dir)
     cfg = load_config(tdir.file(CONFIG_FILE))

@@ -1,7 +1,7 @@
 """Pose estimation network: temporal and distance-attention branches."""
 from .loss import contact_term, position_terms, rotation_term, total_loss
 from .model import PoseOutput, check_inputs, fusion_weights, infer, normalize_distances
-from .params import CHECKPOINT_VERSION, PoseNetConfig, PoseNetParams, init_params
+from .params import CHECKPOINT_VERSION, PoseNetConfig, PoseNetParams, checkpoint_body, init_params
 from .train import TrainSettings, Windows, batch_loss, learning_rate_at, train
 
 __all__ = [
@@ -13,6 +13,7 @@ __all__ = [
     "Windows",
     "batch_loss",
     "check_inputs",
+    "checkpoint_body",
     "contact_term",
     "fusion_weights",
     "infer",

@@ -2,14 +2,15 @@
 
 All learnable tensors live in one name -> float64 ndarray mapping so the
 training loop, the checkpoint format, and gradient bookkeeping agree on a
-single flat namespace. Checkpoints are JSON: a format version, the
-architecture description, and each tensor as its shape plus one base64
-string of its little-endian float64 bytes in C order, so a load restores
-every value bitwise without parsing one number at a time.
+single flat namespace. A checkpoint is two files: a JSON header
+(`checkpoint.json`: the format version and the architecture) and beside it
+a .npy body (`checkpoint.npy`) holding one record with a float64 field per
+tensor, in `_tensor_shapes` order, written and read by the storage record
+codec, so a load restores every value bitwise without parsing one number
+at a time.
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -20,8 +21,9 @@ import numpy as np
 from ..errors import CheckpointVersionError, ConfigError, DataError
 from ..rng import derive_rng
 from ..skeleton import N_SENSORS
+from ..storage import read_records, record_dtype, write_records
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Input feature widths, fixed by the sensor layout.
 # Temporal branch, per frame: 6D orientations, world accelerations, then
@@ -118,19 +120,13 @@ class PoseNetParams:
         return {k: float(np.linalg.norm(v)) for k, v in self.tensors.items()}
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "posenet-params",
-            "config": asdict(self.config),
-            "tensors": {
-                name: {
-                    "shape": list(arr.shape),
-                    "data": base64.b64encode(np.ascontiguousarray(arr, "<f8").tobytes()).decode("ascii"),
-                }
-                for name, arr in self.tensors.items()
-            },
-        }
+        """Write the header to path and the tensors to checkpoint_body(path)."""
+        doc = {"format_version": CHECKPOINT_VERSION, "kind": "posenet-params", "config": asdict(self.config)}
         Path(path).write_text(json.dumps(doc))
+        rec = np.zeros((), record_dtype(_tensor_shapes(self.config)))
+        for name, arr in self.tensors.items():
+            rec[name] = arr
+        write_records(checkpoint_body(path), rec)
 
     @staticmethod
     def load(path: str | Path) -> "PoseNetParams":
@@ -145,37 +141,18 @@ class PoseNetParams:
             raise CheckpointVersionError(
                 f"{path}: checkpoint format {version!r}, this build reads {CHECKPOINT_VERSION}"
             )
-        for key in ("config", "tensors"):
-            if not isinstance(doc.get(key), dict):
-                raise DataError(f"{path}: {key!r} must be an object")
+        if not isinstance(doc.get("config"), dict):
+            raise DataError(f"{path}: 'config' must be an object")
         try:
             config = PoseNetConfig(**doc["config"])
         except (TypeError, ConfigError) as exc:
             raise DataError(f"bad config block in {path}: {exc}") from exc
-        tensors = {name: _decode_tensor(path, name, block) for name, block in doc["tensors"].items()}
-        try:
-            return PoseNetParams(config, tensors)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        return PoseNetParams(config, read_records(checkpoint_body(path), _tensor_shapes(config), ndim=0))
 
 
-def _decode_tensor(path, name: str, block) -> np.ndarray:
-    """One checkpoint tensor: a shape list and the base64 of its <f8 bytes."""
-    shape = block.get("shape") if isinstance(block, dict) else None
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise DataError(f"{path}: tensor {name}: bad shape {shape!r}")
-    data = block.get("data")
-    if not isinstance(data, str):
-        raise DataError(f"{path}: tensor {name}: data must be a base64 string")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise DataError(f"{path}: tensor {name}: invalid base64: {exc}") from exc
-    size = math.prod(shape)
-    if len(raw) != 8 * size:
-        raise DataError(f"{path}: tensor {name}: {len(raw)} bytes, shape {shape} needs {8 * size}")
-    # A copy, so a loaded tensor is writable like any other.
-    return np.frombuffer(raw, "<f8").reshape(shape).copy()
+def checkpoint_body(path: str | Path) -> Path:
+    """The .npy body beside a checkpoint header: checkpoint.json -> checkpoint.npy."""
+    return Path(path).with_suffix(".npy")
 
 
 def init_params(config: PoseNetConfig, seed: int) -> PoseNetParams:

@@ -1,9 +1,12 @@
-"""On-disk formats: JSONL streams, CSV sensor logs, hashed manifests.
+"""On-disk formats: CSV sensor logs, JSONL streams, .npy record files, hashed manifests.
 
-Everything is text so fixtures diff cleanly, and every float is written
-with repr so a read-back is bit-exact. A directory of outputs always
-carries a manifest.json mapping relative file names to SHA-256 digests;
-consumers verify it before trusting the data.
+The sensor logs and the streams other tools read are text, with every
+float written by repr so a read-back is bit-exact. Numbers only this
+package reads back (the training targets and a checkpoint's tensors) go
+through one record codec: a structured array of float64 fields in a .npy
+file, raw little-endian bytes after a fixed header. A directory of
+outputs always carries a manifest.json mapping relative file names to
+SHA-256 digests; consumers verify it before trusting the data.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractViolationError, DataError
 from .imu import ImuStream
 from .metrics import MetricReport
 from .skeleton import N_SENSORS, PAIR_I, PAIR_J
@@ -61,6 +64,94 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 out.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise DataError(f"{p}:{line_no}: bad JSON record: {exc}") from exc
+    return out
+
+
+# -- record files ------------------------------------------------------------
+
+_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def record_dtype(fields: dict[str, tuple[int, ...]]) -> np.dtype:
+    """One <f8 field of the given shape per entry, packed in order."""
+    return np.dtype([(name, "<f8", shape) for name, shape in fields.items()])
+
+
+def write_records(path: str | Path, rec: np.ndarray) -> None:
+    """A structured array of <f8 fields as a .npy file: a fixed header, then
+    its raw C-order little-endian bytes; no time stamps, so equal records
+    give equal files."""
+    names = rec.dtype.names or ()
+    if not names or any(rec.dtype.fields[n][0].base != np.dtype("<f8") for n in names):
+        raise ContractViolationError(f"records must have only <f8 fields, got dtype {rec.dtype}")
+    with open(path, "wb") as f:
+        np.save(f, rec, allow_pickle=False)
+
+
+def _record_layout_problem(dtype: np.dtype, fields: dict[str, tuple[int, ...]]) -> str | None:
+    """What keeps a header's dtype from being record_dtype(fields), or None."""
+    names = list(dtype.names or ())
+    if not names:
+        return f"dtype {dtype.str} is not a record of fields"
+    want = list(fields)
+    missing = [n for n in want if n not in names]
+    extra = [n for n in names if n not in fields]
+    if missing:
+        return f"missing field {missing[0]!r}"
+    if extra:
+        return f"unexpected field {extra[0]!r}"
+    for k, (name, expected) in enumerate(zip(names, want)):
+        if name != expected:
+            return f"field {name!r} at position {k}, expected {expected!r}"
+        sub = dtype.fields[name][0]
+        if sub.base != np.dtype("<f8"):
+            return f"field {name!r}: dtype {sub.base.str}, expected <f8"
+        if sub.shape != tuple(fields[name]):
+            return f"field {name!r}: shape {sub.shape}, expected {tuple(fields[name])}"
+    if dtype != record_dtype(fields):
+        return f"record layout {dtype} is not the packed layout"
+    return None
+
+
+def read_records(path: str | Path, fields: dict[str, tuple[int, ...]], ndim: int = 1) -> dict[str, np.ndarray]:
+    """The fields, in order, of a write_records file, each a (*lead, *shape)
+    array, where lead is the records' leading shape: ndim dimensions (0 for
+    a single record), none of them empty.
+
+    Reads without unpickling anything. A missing file, a truncated header
+    or body, a dtype other than record_dtype(fields), another leading
+    shape, or a non-finite value is a DataError naming the file and, where
+    there is one, the field.
+    """
+    p = _require(Path(path))
+    with open(p, "rb") as f:
+        try:
+            version = np.lib.format.read_magic(f)
+            if version not in _HEADER_READERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            lead, fortran_order, dtype = _HEADER_READERS[version](f)
+        except ValueError as exc:
+            raise DataError(f"{p}: bad .npy header: {exc}") from exc
+        problem = _record_layout_problem(dtype, fields)
+        if problem:
+            raise DataError(f"{p}: {problem}")
+        if len(lead) != ndim or fortran_order:
+            raise DataError(f"{p}: record shape {lead}, expected a {ndim}-d C-order array")
+        count = math.prod(lead)
+        if count == 0:
+            raise DataError(f"{p}: no records (shape {lead})")
+        body, need = p.stat().st_size - f.tell(), count * dtype.itemsize
+        if body != need:
+            raise DataError(f"{p}: {body} bytes of data, the header's {count} record(s) of {dtype.itemsize} bytes need {need}")
+        rec = np.fromfile(f, dtype=dtype, count=count).reshape(lead)
+    out = {}
+    for name in fields:
+        arr = np.ascontiguousarray(rec[name])
+        finite = np.isfinite(arr).reshape(count, -1).all(axis=1)
+        if not finite.all():
+            where = f" at record {int(np.argmin(finite))}" if ndim else ""
+            raise DataError(f"{p}: field {name!r}: non-finite value{where}")
+        out[name] = arr
     return out
 
 
@@ -154,15 +245,24 @@ def finite_number(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308
 
 
-def _truth_frame_problem(rec, n_joints: int) -> str | None:
-    """What makes one truth record malformed, or None."""
+def _frame_problem(rec, keys) -> str | None:
+    """What keeps one frame record from being an object with these keys and
+    a finite number "t", or None."""
     if not isinstance(rec, dict):
         return "record is not an object"
-    for key in ("t", "joints", "sensors"):
+    for key in ("t", *keys):
         if key not in rec:
             return f"missing key {key!r}"
     if not finite_number(rec["t"]):
         return "t is not a finite number"
+    return None
+
+
+def _truth_frame_problem(rec, n_joints: int) -> str | None:
+    """What makes one truth record malformed, or None."""
+    problem = _frame_problem(rec, ("joints", "sensors"))
+    if problem:
+        return problem
     for key, count in (("joints", n_joints), ("sensors", N_SENSORS)):
         entries = rec[key]
         if not isinstance(entries, list):
@@ -337,7 +437,7 @@ def read_calibration(path: str | Path) -> CalibrationResult:
 def _matrix(rec: dict, key: str, path, frame: int, shape: tuple) -> np.ndarray:
     try:
         arr = np.array(rec[key], dtype=float)
-    except (KeyError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: frame {frame}: bad field {key!r}: {exc}") from exc
     if arr.shape != shape:
         raise DataError(f"{path}: frame {frame}: {key} has shape {arr.shape}, expected {shape}")
@@ -345,11 +445,17 @@ def _matrix(rec: dict, key: str, path, frame: int, shape: tuple) -> np.ndarray:
 
 
 def _read_frames(path: str | Path, what: str, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """Times plus one stacked (T, *shape) array per field of a frame stream."""
+    """Times plus one stacked (T, *shape) array per field of a frame stream;
+    a frame that is not an object with every field and a finite number "t"
+    is a DataError naming the file and the frame."""
     records = read_jsonl(path)
     if not records:
         raise DataError(f"{path}: empty {what} stream")
-    out = {"times": np.array([r["t"] for r in records])}
+    for k, r in enumerate(records):
+        problem = _frame_problem(r, shapes)
+        if problem:
+            raise DataError(f"{path}: frame {k}: {problem}")
+    out = {"times": np.array([r["t"] for r in records], dtype=float)}
     for key, shape in shapes.items():
         out[key] = np.stack([_matrix(r, key, path, k, shape) for k, r in enumerate(records)])
     return out
@@ -375,16 +481,21 @@ def read_model_input(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
+TARGET_FIELDS = {"t": (), "positions": (N_SENSORS, 3), "rotations": (15, 6), "contacts": (2,)}
+
+
 def write_targets(path: str | Path, times, positions, rotations, contacts) -> None:
-    """Supervision targets aligned with the model-input stream."""
-    _write_frames(
-        path, times, positions=positions.tolist(), rotations=rotations.tolist(), contacts=contacts.tolist()
-    )
+    """Supervision targets aligned with the model-input stream, one record per frame."""
+    rec = np.zeros(len(times), record_dtype(TARGET_FIELDS))
+    rec["t"], rec["positions"], rec["rotations"], rec["contacts"] = times, positions, rotations, contacts
+    write_records(path, rec)
 
 
 def read_targets(path: str | Path) -> dict[str, np.ndarray]:
-    shapes = {"positions": (N_SENSORS, 3), "rotations": (15, 6), "contacts": (2,)}
-    return _read_frames(path, "target", shapes)
+    """Times (T,), positions (T, 6, 3), rotations (T, 15, 6) and contacts (T, 2)."""
+    out = read_records(path, TARGET_FIELDS)
+    out["times"] = out.pop("t")
+    return out
 
 
 # -- metric reports ----------------------------------------------------------

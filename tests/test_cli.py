@@ -1,10 +1,10 @@
 """CLI contract: exit codes, flags, and the full command chain."""
-import base64
 import json
 import re
 import shutil
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import uip.cli as cli
@@ -18,7 +18,7 @@ from uip.config import (
     UwbSettings,
 )
 from uip.errors import DivergenceError
-from uip.storage import read_manifest, write_manifest
+from uip.storage import read_manifest, record_dtype, write_manifest
 
 CLI_CONFIG = RunConfig(
     seed=23,
@@ -396,34 +396,50 @@ def test_report_prints_only_a_report_the_manifest_vouches_for(env, trained, tmp_
 
 
 def test_stale_checkpoint_is_a_data_error(env, trained, tmp_path, capsys):
-    tdir = tmp_path / "trained"
-    shutil.copytree(trained, tdir)
-    ckpt = tdir / "checkpoint.json"
-    doc = json.loads(ckpt.read_text())
-    doc["config"]["accel_low"] = 1.0  # still a loadable checkpoint, but not the trained one
-    ckpt.write_text(json.dumps(doc))
-    assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
-    assert "hash mismatch for " + str(ckpt) in capsys.readouterr().err
-    # A checkpoint its directory's manifest does not list is not trusted either.
-    unlisted = tmp_path / "unlisted" / "checkpoint.json"
-    unlisted.parent.mkdir()
-    shutil.copy(trained / "checkpoint.json", unlisted)
-    write_manifest(unlisted.parent, [])
-    assert _eval(env, unlisted, tmp_path / "eval") == EXIT_DATA
-    assert f"{unlisted} is not listed in {unlisted.parent / 'manifest.json'}" in capsys.readouterr().err
-    assert not (tmp_path / "eval").exists()
+    # The header and the tensor body are each verified against the manifest.
+    for name in ("checkpoint.json", "checkpoint.npy"):
+        tdir = tmp_path / "trained"
+        shutil.rmtree(tdir, ignore_errors=True)
+        shutil.copytree(trained, tdir)
+        ckpt = tdir / "checkpoint.json"
+        if name == "checkpoint.json":
+            doc = json.loads(ckpt.read_text())
+            doc["config"]["accel_low"] = 1.0  # still a loadable checkpoint, but not the trained one
+            ckpt.write_text(json.dumps(doc))
+        else:
+            raw = bytearray((tdir / name).read_bytes())
+            raw[-1] ^= 1  # the last tensor's last value, still finite
+            (tdir / name).write_bytes(bytes(raw))
+        assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
+        assert "hash mismatch for " + str(tdir / name) in capsys.readouterr().err
+        # A checkpoint file its directory's manifest does not list is not trusted either.
+        unlisted = tmp_path / "unlisted"
+        shutil.rmtree(unlisted, ignore_errors=True)
+        unlisted.mkdir()
+        for other in ("checkpoint.json", "checkpoint.npy"):
+            shutil.copy(trained / other, unlisted)
+        write_manifest(unlisted, [other for other in ("checkpoint.json", "checkpoint.npy") if other != name])
+        assert _eval(env, unlisted / "checkpoint.json", tmp_path / "eval") == EXIT_DATA
+        assert f"{unlisted / name} is not listed in {unlisted / 'manifest.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 def test_malformed_checkpoint_is_a_data_error(env, trained, tmp_path, capsys):
     tdir = tmp_path / "trained"
     shutil.copytree(trained, tdir)
-    ckpt = tdir / "checkpoint.json"
+    ckpt, body = tdir / "checkpoint.json", tdir / "checkpoint.npy"
     doc = json.loads(ckpt.read_text())
-    del doc["tensors"]
+    del doc["config"]
     ckpt.write_text(json.dumps(doc))
     write_manifest(tdir, list(read_manifest(tdir)))
     assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
-    assert f"data error: {ckpt}: 'tensors' must be an object" in capsys.readouterr().err
+    assert f"data error: {ckpt}: 'config' must be an object" in capsys.readouterr().err
+    shutil.copy(trained / "checkpoint.json", ckpt)
+    body.write_bytes(body.read_bytes()[:-8])
+    write_manifest(tdir, list(read_manifest(tdir)))
+    assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {body}: ")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_checkpoint_of_the_earlier_input_widths_is_a_data_error(env, trained, tmp_path, capsys):
@@ -432,15 +448,13 @@ def test_checkpoint_of_the_earlier_input_widths_is_a_data_error(env, trained, tm
     # input layers had other widths; such a checkpoint is refused, not run.
     tdir = tmp_path / "trained"
     shutil.copytree(trained, tdir)
-    ckpt = tdir / "checkpoint.json"
-    doc = json.loads(ckpt.read_text())
-    for name, width in (("lstm0_wx", 54), ("dec_w", 108)):
-        rows = doc["tensors"][name]["shape"][0]
-        doc["tensors"][name] = {"shape": [rows, width], "data": base64.b64encode(bytes(8 * rows * width)).decode("ascii")}
-    ckpt.write_text(json.dumps(doc))
+    ckpt, body = tdir / "checkpoint.json", tdir / "checkpoint.npy"
+    fields = {name: sub.shape for name, (sub, _) in np.load(body, allow_pickle=False).dtype.fields.items()}
+    fields.update(lstm0_wx=(fields["lstm0_wx"][0], 54), dec_w=(fields["dec_w"][0], 108))
+    np.save(body, np.zeros((), record_dtype(fields)), allow_pickle=False)
     write_manifest(tdir, list(read_manifest(tdir)))
     assert _eval(env, ckpt, tmp_path / "eval") == EXIT_DATA
-    assert f"data error: {ckpt}: tensor lstm0_wx: shape (16, 54), expected (16, 90)" in capsys.readouterr().err
+    assert f"data error: {body}: field 'lstm0_wx': shape (16, 54), expected (16, 90)" in capsys.readouterr().err
 
 
 def test_malformed_truth_is_a_data_error(env, tmp_path, capsys):
@@ -554,16 +568,32 @@ def test_a_file_the_manifest_does_not_list_is_a_data_error(env, trained, tmp_pat
 
 @pytest.mark.parametrize(
     "field, entry, value, why",
-    [("a", (2, 1), float("nan"), "frame 5: non-finite a"), ("D", (0, 3), None, "frame 5: distance matrix not symmetric")],
+    [
+        ("a", (2, 1), float("nan"), "frame 5: non-finite a"),
+        ("D", (0, 3), None, "frame 5: distance matrix not symmetric"),
+        ("t", None, None, "frame 5: missing key 't'"),
+        ("t", None, "x", "frame 5: t is not a finite number"),
+        (None, None, [0.1, 0.2], "frame 5: record is not an object"),
+    ],
 )
 def test_bad_model_input_is_a_data_error_in_train_and_eval(env, trained, tmp_path, capsys, field, entry, value, why):
+    # An entry (i, j) of field is set to value, or moved by 0.01 when value is
+    # None; a field without an entry is set to value, or deleted when value is
+    # None; with no field the whole frame is replaced by value.
     filt = tmp_path / "filtered"
     shutil.copytree(env.filt, filt)
     path = filt / "clip_001_idle" / "model_input.jsonl"
     lines = path.read_text().splitlines()
     record = json.loads(lines[5])
-    i, j = entry
-    record[field][i][j] = value if value is not None else record[field][i][j] + 0.01
+    if field is None:
+        record = value
+    elif entry is None and value is None:
+        del record[field]
+    elif entry is None:
+        record[field] = value
+    else:
+        i, j = entry
+        record[field][i][j] = value if value is not None else record[field][i][j] + 0.01
     lines[5] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     write_manifest(filt, list(read_manifest(filt)))

@@ -6,7 +6,7 @@ bounds do not depend on host load the way wall time and RSS do.
 import tracemalloc
 
 from conftest import random_windows
-from uip.posenet import PoseNetConfig, PoseNetParams, batch_loss, infer, init_params
+from uip.posenet import PoseNetConfig, PoseNetParams, batch_loss, checkpoint_body, infer, init_params
 
 MB = 1 << 20
 
@@ -40,3 +40,7 @@ def test_default_net_checkpoint_peak_memory(tmp_path):
     path = tmp_path / "checkpoint.json"
     assert _peak_mb(lambda: params.save(path)) < 10.0
     assert _peak_mb(lambda: PoseNetParams.load(path)) < 10.0
+    # On disk, the header and the body add at most 4 KiB to the values' raw bytes.
+    values = sum(t.size for t in params.tensors.values())
+    assert values == 265_537
+    assert path.stat().st_size + checkpoint_body(path).stat().st_size <= 8 * values + 4096

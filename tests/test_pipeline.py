@@ -122,8 +122,8 @@ def test_filter_outputs(pipe):
     report = json.loads((pipe.filt / "rmse_report.json").read_text())
     for m in read_clip_meta(pipe.filt / "clips.json"):
         cdir = pipe.filt / m["name"]
-        for stem in ("model_input", "targets"):
-            assert (cdir / f"{stem}.jsonl").is_file()
+        for name in ("model_input.jsonl", "targets.npy"):
+            assert (cdir / name).is_file()
         row = report[m["name"]]
         assert len(row["raw_rmse_m"]) == 15
         assert len(row["filtered_rmse_m"]) == 15
@@ -263,7 +263,7 @@ def _per_window_reference(fdir, window_frames: int, window_stride: int, no_dista
     windows = []
     for m in read_clip_meta(fdir / "clips.json"):
         mi = read_model_input(fdir / m["name"] / "model_input.jsonl")
-        tg = read_targets(fdir / m["name"] / "targets.jsonl")
+        tg = read_targets(fdir / m["name"] / "targets.npy")
         mask = np.zeros_like(mi["mask"]) if no_distances else mi["mask"]
         for start in range(0, mi["times"].shape[0] - window_frames + 1, window_stride):
             cut = slice(start, start + window_frames)
@@ -333,7 +333,7 @@ def test_train_checks_the_loaded_windows_once_and_no_batch(pipe, monkeypatch):
 
 def test_targets_pin_pelvis_sensor_at_origin(pipe):
     for m in read_clip_meta(pipe.filt / "clips.json"):
-        tg = read_targets(pipe.filt / m["name"] / "targets.jsonl")
+        tg = read_targets(pipe.filt / m["name"] / "targets.npy")
         assert np.array_equal(tg["positions"][:, 0], np.zeros((FRAMES, 3)))
 
 
@@ -342,7 +342,7 @@ def test_target_rotations_recover_truth_locals(pipe):
 
     skel = default_skeleton(SMALL.skeleton.height_m)
     name = read_clip_meta(pipe.filt / "clips.json")[0]["name"]
-    tg = read_targets(pipe.filt / name / "targets.jsonl")
+    tg = read_targets(pipe.filt / name / "targets.npy")
     truth = read_truth(pipe.data / name / "truth.jsonl")
     for k in (0, FRAMES // 2, FRAMES - 1):
         for j in range(skel.n_joints):
@@ -359,9 +359,9 @@ def test_target_rotations_recover_truth_locals(pipe):
 
 def test_contact_labels_follow_ankle_speed(pipe):
     by_kind = {m["kind"]: m["name"] for m in read_clip_meta(pipe.filt / "clips.json")}
-    idle = read_targets(pipe.filt / by_kind["idle"] / "targets.jsonl")
+    idle = read_targets(pipe.filt / by_kind["idle"] / "targets.npy")
     assert np.array_equal(idle["contacts"], np.ones((FRAMES, 2)))
-    walk = read_targets(pipe.filt / by_kind["walk"] / "targets.jsonl")
+    walk = read_targets(pipe.filt / by_kind["walk"] / "targets.npy")
     assert (walk["contacts"] == 0.0).any()
     assert (walk["contacts"] == 1.0).any()
 
@@ -374,6 +374,16 @@ def test_train_artifacts(pipe, trained):
     assert params.config.lstm_hidden == 4
     log = json.loads((trained / "train_log.json").read_text())
     assert len(log) == 1
+
+
+def test_every_output_file_is_in_its_manifest(pipe, trained, tmp_path):
+    # Each stage's directory holds exactly the files its manifest lists, plus
+    # the manifest: a file no manifest lists would be read unverified.
+    evaluate_model(trained / "checkpoint.json", pipe.filt, pipe.data, tmp_path / "eval")
+    for out in (pipe.data, pipe.filt, trained, tmp_path / "eval"):
+        on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert on_disk == sorted([*read_manifest(out), "manifest.json"]), out.name
+    assert {"checkpoint.json", "checkpoint.npy"} <= set(read_manifest(trained))
 
 
 def test_checkpoint_records_the_architecture_only(trained):

@@ -15,6 +15,7 @@ from uip.posenet import (
     TrainSettings,
     Windows,
     batch_loss,
+    checkpoint_body,
     init_params,
     learning_rate_at,
     train,
@@ -186,11 +187,16 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     for name, tensor in params.tensors.items():
         assert loaded.tensors[name].shape == tensor.shape
         assert loaded.tensors[name].tobytes() == tensor.tobytes()
-    # Saving is deterministic: a second save, and a save of the loaded copy, give the same bytes.
+    # The body ends in every tensor's raw little-endian bytes, in C order and tensor order.
+    raw = b"".join(np.ascontiguousarray(t, "<f8").tobytes() for t in params.tensors.values())
+    assert checkpoint_body(path).read_bytes().endswith(raw)
+    # Saving is deterministic: a second save, and a save of the loaded copy, give the same bytes in both files.
     params.save(tmp_path / "again.json")
     loaded.save(tmp_path / "reloaded.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-    assert (tmp_path / "reloaded.json").read_bytes() == path.read_bytes()
+    for suffix in (".json", ".npy"):
+        want = path.with_suffix(suffix).read_bytes()
+        assert (tmp_path / f"again{suffix}").read_bytes() == want
+        assert (tmp_path / f"reloaded{suffix}").read_bytes() == want
 
 
 def test_checkpoint_version_gate(tmp_path):
@@ -198,11 +204,16 @@ def test_checkpoint_version_gate(tmp_path):
     path = tmp_path / "checkpoint.json"
     params.save(path)
     blob = json.loads(path.read_text())
-    # Version 1 stored each tensor as a JSON list of numbers; it is refused, not read.
+    # Version 1 stored each tensor in the JSON as a list of numbers, version 2
+    # as the base64 of its <f8 bytes; both are refused, not read.
     v1 = dict(blob, format_version=1, tensors={
         name: {"shape": list(t.shape), "data": t.ravel().tolist()} for name, t in params.tensors.items()
     })
-    for doc, version in ((v1, "1"), (dict(blob, format_version=999), "999")):
+    v2 = dict(blob, format_version=2, tensors={
+        name: {"shape": list(t.shape), "data": base64.b64encode(t.astype("<f8").tobytes()).decode("ascii")}
+        for name, t in params.tensors.items()
+    })
+    for doc, version in ((v1, "1"), (v2, "2"), (dict(blob, format_version=999), "999")):
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointVersionError, match=f"checkpoint.json: checkpoint format {version},"):
             PoseNetParams.load(path)
@@ -211,41 +222,19 @@ def test_checkpoint_version_gate(tmp_path):
 def test_malformed_checkpoint_is_a_data_error(tmp_path):
     params = init_params(TINY_NET, 39)
     path = tmp_path / "checkpoint.json"
+    body = checkpoint_body(path)
     params.save(path)
     good = json.loads(path.read_text())
+    good_body = body.read_bytes()
 
     def edited(**changes):
-        doc = json.loads(json.dumps(good))
-        for name, block in changes.pop("tensor", {}).items():
-            doc["tensors"][name] = block
-        doc.update(changes)
-        return doc
+        return dict(json.loads(json.dumps(good)), **changes)
 
-    def b64(values):
-        return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
-
-    pt_b = good["tensors"]["pt_b"]  # shape (18,)
     for doc, why in (
         ([good], "is not a parameter checkpoint"),
-        ({k: v for k, v in good.items() if k != "tensors"}, "'tensors' must be an object"),
-        (edited(tensors=[pt_b]), "'tensors' must be an object"),
         ({k: v for k, v in good.items() if k != "config"}, "'config' must be an object"),
         (edited(config=[4, 1]), "'config' must be an object"),
         (edited(config=dict(good["config"], lstm_hidden=0)), "bad config block"),
-        (edited(tensor={"pt_b": [0.0] * 18}), "tensor pt_b: bad shape None"),
-        (edited(tensor={"pt_b": dict(pt_b, shape="18")}), "tensor pt_b: bad shape '18'"),
-        (edited(tensor={"pt_b": dict(pt_b, shape=[-18])}), r"tensor pt_b: bad shape \[-18\]"),
-        (edited(tensor={"pt_b": dict(pt_b, shape=[18.0])}), r"tensor pt_b: bad shape \[18.0\]"),
-        (edited(tensor={"pt_b": dict(pt_b, data=[0.0] * 18)}), "tensor pt_b: data must be a base64 string"),
-        (edited(tensor={"pt_b": dict(pt_b, data="not base64!")}), "tensor pt_b: invalid base64"),
-        (edited(tensor={"pt_b": dict(pt_b, data=pt_b["data"][:-1])}), "tensor pt_b: invalid base64"),
-        (edited(tensor={"pt_b": dict(pt_b, data=pt_b["data"][:-4])}), r"tensor pt_b: 141 bytes, shape \[18\] needs 144"),
-        (edited(tensor={"pt_b": dict(pt_b, data="\u00e9" * 4)}), "tensor pt_b: invalid base64"),
-        (edited(tensor={"pt_b": dict(pt_b, data=b64(np.zeros(17)))}), r"tensor pt_b: 136 bytes, shape \[18\] needs 144"),
-        (edited(tensor={"pt_b": dict(pt_b, data=b64(np.zeros(19)))}), r"tensor pt_b: 152 bytes, shape \[18\] needs 144"),
-        (edited(tensor={"pt_b": dict(pt_b, shape=[2, 9])}), r"tensor pt_b: shape \(2, 9\), expected \(18,\)"),
-        (edited(tensor={"pt_b": dict(pt_b, data=b64([np.nan] + [0.0] * 17))}), "tensor pt_b contains non-finite"),
-        (edited(tensor={"extra": pt_b}), r"extra \['extra'\]"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=why) as err:
@@ -254,3 +243,54 @@ def test_malformed_checkpoint_is_a_data_error(tmp_path):
     path.write_bytes(b"\xff\xfe{")
     with pytest.raises(DataError, match="cannot read checkpoint"):
         PoseNetParams.load(path)
+    # A header for another architecture than its body's is refused at the first tensor that differs.
+    path.write_text(json.dumps(edited(config=dict(good["config"], lstm_hidden=5))))
+    with pytest.raises(DataError, match=r"field 'lstm0_wx': shape \(16, 90\), expected \(20, 90\)") as err:
+        PoseNetParams.load(path)
+    assert str(body) in str(err.value)
+    path.write_text(json.dumps(good))
+
+    tensors = [(name, "<f8", t) for name, t in params.tensors.items()]
+
+    def record(fields, shape=()):
+        rec = np.zeros(shape, [(name, dtype, np.shape(value)) for name, dtype, value in fields])
+        for name, _, value in fields:
+            rec[name] = value
+        return rec
+
+    def replaced(name, dtype="<f8", value=None):
+        return [(n, dtype, t if value is None else value) if n == name else (n, d, t) for n, d, t in tensors]
+
+    data = 8 * sum(t.size for t in params.tensors.values())
+    pt_b = params.tensors["pt_b"]  # shape (18,), after pt_w
+    at = [n for n, _, _ in tensors].index("pt_w")
+    swapped = tensors[:at] + [tensors[at + 1], tensors[at]] + tensors[at + 2:]
+    for content, why in (
+        (None, "missing file"),
+        (good_body[:40], "bad .npy header: EOF"),
+        (good_body[:-4], rf"{data - 4} bytes of data, the header's 1 record\(s\) of {data} bytes need {data}"),
+        (good_body + bytes(8), rf"{data + 8} bytes of data, the header's 1 record\(s\) of {data} bytes need {data}"),
+        (record(replaced("pt_b", "<f4")), "field 'pt_b': dtype <f4, expected <f8"),
+        (record(replaced("pt_b", ">f8")), "field 'pt_b': dtype >f8, expected <f8"),
+        (record([f for f in tensors if f[0] != "pt_b"]), "missing field 'pt_b'"),
+        (record(tensors + [("extra", "<f8", pt_b)]), "unexpected field 'extra'"),
+        (record(swapped), f"field 'pt_b' at position {at}, expected 'pt_w'"),
+        (record(replaced("pt_b", value=pt_b.reshape(2, 9))), r"field 'pt_b': shape \(2, 9\), expected \(18,\)"),
+        (record(tensors, shape=(1,)), r"record shape \(1,\), expected a 0-d C-order array"),
+        (record(replaced("pt_b", value=np.append(np.nan, pt_b[1:]))), "field 'pt_b': non-finite value"),
+        (record(replaced("pt_b", value=np.append(np.inf, pt_b[1:]))), "field 'pt_b': non-finite value"),
+        (record(replaced("pt_b", "O")), r"field 'pt_b': dtype \|O, expected <f8"),
+        (np.array(dict(params.tensors), dtype=object), r"dtype \|O is not a record of fields"),
+    ):
+        if content is None:
+            body.unlink()
+        elif isinstance(content, bytes):
+            body.write_bytes(content)
+        else:
+            with open(body, "wb") as f:
+                np.save(f, content, allow_pickle=True)
+        with pytest.raises(DataError, match=why) as err:
+            PoseNetParams.load(path)
+        assert str(body) in str(err.value)
+    body.write_bytes(good_body)
+    assert all(t.tobytes() == params.tensors[n].tobytes() for n, t in PoseNetParams.load(path).tensors.items())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uip.errors import DataError
+from uip.errors import ContractViolationError, DataError
 from uip.geometry import qnormalize
 from uip.imu import ImuStream
 from uip.metrics import MetricReport
@@ -21,9 +21,11 @@ from uip.storage import (
     read_manifest,
     read_model_input,
     read_ranging_csv,
+    read_records,
     read_report_json,
     read_targets,
     read_truth,
+    record_dtype,
     verify_manifest,
     write_calibration,
     write_imu_csv,
@@ -31,6 +33,7 @@ from uip.storage import (
     write_manifest,
     write_model_input,
     write_ranging_csv,
+    write_records,
     write_report_json,
     write_targets,
     write_truth,
@@ -351,18 +354,84 @@ def test_model_input_shape_errors(tmp_path):
 def test_targets_roundtrip_and_keys(tmp_path):
     rng = derive_rng(56, "storage", "tgt")
     frames = 2
-    times = np.arange(frames) * 0.02
+    times = np.arange(frames) * 0.02 + AWKWARD[:frames]
     pos = rng.normal(size=(frames, 6, 3))
     rot = rng.normal(size=(frames, 15, 6))
     con = (rng.uniform(size=(frames, 2)) < 0.5).astype(float)
-    path = tmp_path / "targets.jsonl"
+    path = tmp_path / "targets.npy"
     write_targets(path, times, pos, rot, con)
-    first = json.loads(path.read_text().splitlines()[0])
-    assert set(first) == {"t", "positions", "rotations", "contacts"}
+    stored = np.load(path, allow_pickle=False)
+    assert stored.shape == (frames,)
+    assert stored.dtype.names == ("t", "positions", "rotations", "contacts")
     back = read_targets(path)
+    assert set(back) == {"times", "positions", "rotations", "contacts"}
+    assert back["times"].tobytes() == times.tobytes()
     assert back["positions"].tobytes() == pos.tobytes()
     assert back["rotations"].tobytes() == rot.tobytes()
     assert back["contacts"].tobytes() == con.tobytes()
+    # Equal targets give equal bytes.
+    write_targets(tmp_path / "again.npy", times, pos, rot, con)
+    assert (tmp_path / "again.npy").read_bytes() == path.read_bytes()
+
+
+def test_bad_targets_file_is_a_data_error(tmp_path):
+    frames = 3
+    path = tmp_path / "targets.npy"
+    write_targets(path, np.arange(frames) * 0.02, np.zeros((frames, 6, 3)), np.zeros((frames, 15, 6)), np.ones((frames, 2)))
+    good = path.read_bytes()
+    fields = [("t", "<f8", ()), ("positions", "<f8", (6, 3)), ("rotations", "<f8", (15, 6)), ("contacts", "<f8", (2,))]
+    # The same fields with 8 bytes of padding at the end of each record.
+    padded = np.dtype({"names": [f[0] for f in fields], "formats": [f[1:] for f in fields], "itemsize": 896})
+
+    def saved(layout, shape=(frames,), edit=None):
+        rec = np.zeros(shape, layout)
+        if edit:
+            edit(rec)
+        return rec
+
+    def nan_position(rec):
+        rec["positions"][1, 4, 2] = np.nan
+
+    for content, why in (
+        (good[:-8], rf"{frames * 888 - 8} bytes of data, the header's 3 record\(s\) of 888 bytes need {frames * 888}"),
+        (good[:30], "bad .npy header: EOF"),
+        (b"", "bad .npy header: EOF: reading magic string"),
+        (saved(fields[:3] + [("contact", "<f8", (2,))]), "missing field 'contacts'"),
+        (saved(fields[:2] + [("rotations", "<f8", (15, 5))] + fields[3:]), r"field 'rotations': shape \(15, 5\), expected \(15, 6\)"),
+        (saved([("t", "<f4", ())] + fields[1:]), "field 't': dtype <f4, expected <f8"),
+        (saved(fields, shape=(0,)), r"no records \(shape \(0,\)\)"),
+        (saved(padded), "is not the packed layout"),
+        (saved(fields, shape=(1, frames)), r"record shape \(1, 3\), expected a 1-d C-order array"),
+        (saved(fields, edit=nan_position), "field 'positions': non-finite value at record 1"),
+    ):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.save(path, content, allow_pickle=False)
+        with pytest.raises(DataError, match=why) as err:
+            read_targets(path)
+        assert str(path) in str(err.value)
+    path.unlink()
+    with pytest.raises(DataError, match=f"missing file {path}"):
+        read_targets(path)
+
+
+def test_read_records_refuses_fortran_order(tmp_path):
+    path = tmp_path / "records.npy"
+    rec = np.zeros((2, 3), record_dtype({"x": ()}))
+    rec["x"] = np.arange(6.0).reshape(2, 3)
+    np.save(path, np.asfortranarray(rec), allow_pickle=False)
+    with pytest.raises(DataError, match=r"record shape \(2, 3\), expected a 2-d C-order array"):
+        read_records(path, {"x": ()}, ndim=2)
+    write_records(path, rec)
+    assert read_records(path, {"x": ()}, ndim=2)["x"].tobytes() == rec["x"].tobytes()
+
+
+def test_write_records_takes_only_float64_fields(tmp_path):
+    for rec in (np.zeros(3), np.zeros(3, [("t", "<f4")]), np.zeros(3, [("t", "<f8"), ("n", "<i8")])):
+        with pytest.raises(ContractViolationError, match="only <f8 fields"):
+            write_records(tmp_path / "records.npy", rec)
+    assert not (tmp_path / "records.npy").exists()
 
 
 def test_report_json_roundtrip(tmp_path):
